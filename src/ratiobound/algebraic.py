@@ -34,19 +34,6 @@ def pneg(p):
     return tuple(-c for c in p)
 
 
-def padd(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [0] * (n - len(p))
-    q = list(q) + [0] * (n - len(q))
-    return ptrim(a + b for a, b in zip(p, q))
-
-
-def pscale(p, c):
-    if c == 0:
-        return ()
-    return tuple(c * x for x in p)
-
-
 def pmul(p, q):
     if not p or not q:
         return ()

@@ -275,13 +275,29 @@ def weight_blocks(
     return sum(w for w, f in zip(vec, wa.final_vector()) if f) or Fraction(0)
 
 
-def _fresh_state(taken: set, base: str) -> str:
+def fresh_state(taken: set, base: str) -> str:
+    """`base`, or `base` with the smallest numeric suffix not in `taken`."""
     if base not in taken:
         return base
     k = 0
     while f"{base}{k}" in taken:
         k += 1
     return f"{base}{k}"
+
+
+def closure(seed, succ) -> set:
+    """Everything reachable from `seed` along `succ` (breadth first)."""
+    out = set(seed)
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in succ(u):
+                if v not in out:
+                    out.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return out
 
 
 def single_final_shape(wa: WeightedAutomaton) -> Optional[str]:
@@ -307,7 +323,7 @@ def normalize_single_final(wa: WeightedAutomaton) -> WeightedAutomaton:
     """
     if single_final_shape(wa) is not None:
         return wa
-    t = _fresh_state(set(wa.states), "t")
+    t = fresh_state(set(wa.states), "t")
     states = wa.states + (t,)
     fin = [wa.index(f) for f in wa.finals]
     n = wa.n

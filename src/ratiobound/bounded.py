@@ -20,6 +20,7 @@ from .automata import (
     Query,
     ResourceError,
     WeightedAutomaton,
+    closure,
     nfa_of,
     weight_blocks,
 )
@@ -34,6 +35,7 @@ from .realexp import (
     LogCoeff,
     RealExpFormula,
     SemiDecision,
+    lcm_den,
     semi_decide,
 )
 from .spectral import RadiusTable, RhoK, scc_decompose
@@ -124,25 +126,14 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
     topological order, then the containment is verified directly.
     """
     n = nfa_of(wa, s)
-    reach = {n.start}
-    frontier = [n.start]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for (p, a, q2) in n.transitions:
-                if p == q and q2 not in reach:
-                    reach.add(q2)
-                    nxt.append(q2)
-        frontier = nxt
-    co = set(n.finals)
-    changed = True
-    while changed:
-        changed = False
-        for (p, a, q2) in n.transitions:
-            if q2 in co and p not in co:
-                co.add(p)
-                changed = True
-    live = reach & co
+    fwd: dict = {}
+    bwd: dict = {}
+    for (p, _, q2) in n.transitions:
+        fwd.setdefault(p, []).append(q2)
+        bwd.setdefault(q2, []).append(p)
+    live = closure({n.start}, lambda q: fwd.get(q, ())) & closure(
+        n.finals, lambda q: bwd.get(q, ())
+    )
     if not live or not (live & n.finals):
         return ()
     trans = [(p, a, q2) for (p, a, q2) in n.transitions if p in live and q2 in live]
@@ -357,32 +348,19 @@ def bounded_to_letter_bounded(
         q, t = node
         return q in wa.finals and (t == "q0" or t.endswith(".end"))
 
-    live = set(start_states)
-    frontier_nodes = list(start_states)
-    while frontier_nodes:
-        new = []
-        for node in frontier_nodes:
-            for a in out_letters:
-                for j in sparse_trans[a].get(node, {}):
-                    if j not in live:
-                        live.add(j)
-                        new.append(j)
-        frontier_nodes = new
+    live = closure(
+        start_states,
+        lambda node: [j for a in out_letters for j in sparse_trans[a].get(node, {})],
+    )
     pre: dict = {}
     for a in out_letters:
         for i, row in sparse_trans[a].items():
             for j in row:
                 pre.setdefault(j, set()).add(i)
-    co = {node for node in live if is_final(node)}
-    frontier_nodes = list(co)
-    while frontier_nodes:
-        new = []
-        for node in frontier_nodes:
-            for i in pre.get(node, ()):
-                if i in live and i not in co:
-                    co.add(i)
-                    new.append(i)
-        frontier_nodes = new
+    co = closure(
+        {node for node in live if is_final(node)},
+        lambda node: [i for i in pre.get(node, ()) if i in live],
+    )
     keep = (live & co) | start_states
     names = {node: f"{node[0]}|{node[1]}" for node in keep}
     triples = []
@@ -474,43 +452,34 @@ def relabel_plus_blocks(
             raise InputError("collapse adjacent duplicate letters first")
     # liveness over the product with the block DFA (state = blocks entered)
     n = wa.n
-    live = set()
-    frontier = [(wa.index(s), 0), (wa.index(s_prime), 0)]
-    live.update(frontier)
-    edges = []
-    while frontier:
-        nxt = []
-        for (qi, d) in frontier:
-            for a in wa.alphabet:
-                mm = wa.trans[a]
-                targets = []
-                if d >= 1 and letters[d - 1] == a:
-                    targets.append(d)
-                if d < m and letters[d] == a:
-                    targets.append(d + 1)
-                for d2 in targets:
-                    for qj in range(n):
-                        if mm[qi][qj] > 0:
-                            edges.append(((qi, d), a, (qj, d2)))
-                            if (qj, d2) not in live:
-                                live.add((qj, d2))
-                                nxt.append((qj, d2))
-        frontier = nxt
+    edges = []  # every edge leaving a reachable node, recorded as it is expanded
+
+    def succ(node):
+        qi, d = node
+        out = []
+        for a in wa.alphabet:
+            mm = wa.trans[a]
+            targets = []
+            if d >= 1 and letters[d - 1] == a:
+                targets.append(d)
+            if d < m and letters[d] == a:
+                targets.append(d + 1)
+            for d2 in targets:
+                for qj in range(n):
+                    if mm[qi][qj] > 0:
+                        edges.append((node, a, (qj, d2)))
+                        out.append((qj, d2))
+        return out
+
+    live = closure({(wa.index(s), 0), (wa.index(s_prime), 0)}, succ)
     finals_idx = {wa.index(f) for f in wa.finals}
-    good = {(qi, d) for (qi, d) in live if qi in finals_idx and d == m}
-    co = set(good)
     pre: dict = {}
     for (u, a, v) in edges:
         pre.setdefault(v, []).append(u)
-    frontier = list(good)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in pre.get(v, ()):
-                if u not in co:
-                    co.add(u)
-                    nxt.append(u)
-        frontier = nxt
+    co = closure(
+        {(qi, d) for (qi, d) in live if qi in finals_idx and d == m},
+        lambda v: pre.get(v, ()),
+    )
     usable: dict = {}
     for ((qi, d), a, (qj, d2)) in edges:
         if (qi, d) in co and (qj, d2) in co:
@@ -991,7 +960,7 @@ class Candidate:
     lin: LinearSet
     u_set: tuple
     formula: RealExpFormula
-    decision: Optional[SemiDecision] = None
+    decision: SemiDecision
 
 
 @dataclass(frozen=True)
@@ -999,14 +968,13 @@ class PlusVerdict:
     verdict: str  # is-big-o | not-big-o | unknown
     holding: Optional[Candidate] = None
     unknowns: tuple = ()
-    candidates: int = 0
+    candidates: tuple = ()  # every decided Candidate, in decision order
 
 
 def decide_plus(
     pq: PlusQuery,
     analysis: Optional[PlusAnalysis] = None,
     start_bits: Optional[int] = None,
-    parallel: int = 1,
 ) -> PlusVerdict:
     """Semi-decide all realized candidates of one plus-bounded sub-question.
 
@@ -1014,49 +982,27 @@ def decide_plus(
     any unknown, and boundedness needs every candidate refuted.
     """
     analysis = analysis if analysis is not None else plus_analysis(pq)
-    realized = realized_candidates(analysis)
     letters = analysis.query.letters
-    candidates = []
-    for (x_sig, y_sigs) in sorted(realized):
+    formulas = []
+    for (x_sig, y_sigs) in sorted(realized_candidates(analysis)):
         det = detector_nfa(analysis, x_sig, y_sigs)
         for lin in parikh_linear_sets(det, letters):
             pos = [i for i in range(len(letters)) if lin.periods[i] > 0]
             for mask in range(2 ** len(pos)):
                 u_set = tuple(pos[i] for i in range(len(pos)) if mask >> i & 1)
-                candidates.append(
-                    Candidate(
-                        x_sig,
-                        y_sigs,
-                        lin,
-                        u_set,
-                        emit_formula(analysis, x_sig, y_sigs, lin, u_set),
-                    )
-                )
-
-    def run(cand: Candidate) -> Candidate:
-        return Candidate(
-            cand.x_sig,
-            cand.y_sigs,
-            cand.lin,
-            cand.u_set,
-            cand.formula,
-            semi_decide(cand.formula, start_bits=start_bits),
-        )
-
-    if parallel > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            decided = list(pool.map(run, candidates))
-    else:
-        decided = [run(c) for c in candidates]
+                formula = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
+                formulas.append((x_sig, y_sigs, lin, u_set, formula))
+    decided = tuple(
+        Candidate(x_sig, y_sigs, lin, u_set, f, semi_decide(f, start_bits=start_bits))
+        for (x_sig, y_sigs, lin, u_set, f) in formulas
+    )
     unknowns = tuple(c for c in decided if c.decision.verdict == UNKNOWN)
     for cand in decided:
         if cand.decision.verdict == HOLDS:
-            return PlusVerdict("not-big-o", cand, unknowns, len(candidates))
+            return PlusVerdict("not-big-o", cand, unknowns, decided)
     if unknowns:
-        return PlusVerdict("unknown", None, unknowns, len(candidates))
-    return PlusVerdict("is-big-o", None, (), len(candidates))
+        return PlusVerdict("unknown", None, unknowns, decided)
+    return PlusVerdict("is-big-o", None, (), decided)
 
 
 @dataclass(frozen=True)
@@ -1082,7 +1028,6 @@ def decide_bounded(
     words=None,
     letters=None,
     start_bits: Optional[int] = None,
-    parallel: int = 1,
 ) -> BoundedResult:
     """Decide a query with bounded languages.
 
@@ -1120,7 +1065,7 @@ def decide_bounded(
     holding_pq = None
     for pq in subqueries:
         analysis = plus_analysis(pq)
-        pv = decide_plus(pq, analysis, start_bits=start_bits, parallel=parallel)
+        pv = decide_plus(pq, analysis, start_bits=start_bits)
         if pv.verdict == "not-big-o":
             holding = pv.holding
             holding_pq = pq
@@ -1128,9 +1073,12 @@ def decide_bounded(
         unknowns.extend(pv.unknowns)
     if holding is not None:
         witness = _divergence_witness(holding_pq, holding, base_words)
-        return BoundedResult(
-            "not-big-o", "bounded", witness=witness, subqueries=len(subqueries)
-        )
+        if witness is not None:
+            return BoundedResult(
+                "not-big-o", "bounded", witness=witness, subqueries=len(subqueries)
+            )
+        # no exactly increasing ratio run: the divergence stays uncertified
+        unknowns.append(holding)
     if unknowns:
         return BoundedResult(
             "unknown",
@@ -1141,18 +1089,17 @@ def decide_bounded(
     return BoundedResult("is-big-o", "bounded", subqueries=len(subqueries))
 
 
-def _divergence_witness(pq: PlusQuery, cand: Candidate, base_words) -> dict:
+def _divergence_witness(pq: PlusQuery, cand: Candidate, base_words) -> Optional[dict]:
     """Integer-grid witness: block vectors along the certified ray with
-    exactly evaluated, strictly increasing weight ratios."""
+    exactly evaluated, strictly increasing weight ratios, or None when the
+    exact ratios show no strictly increasing run."""
     ray = cand.decision.ray or ()
     lin = cand.lin
     m = len(lin.base)
     u_list = list(cand.u_set)
     dmax = max(ray) if ray else Fraction(1)
     scaled = [Fraction(r) / dmax if dmax else Fraction(0) for r in ray]
-    den = 1
-    for r in scaled:
-        den = den * r.denominator // _gcd(den, r.denominator) if r else den
+    den = lcm_den(scaled)
     dint = [int(r * den) for r in scaled]
     ratios = []
     vectors = []
@@ -1172,6 +1119,8 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, base_words) -> dict:
         t *= 2
         attempts += 1
     run = _increasing_run(ratios)
+    if not run:
+        return None
     witness = {
         "provenance": cand.formula.provenance,
         "ray": [str(r) for r in ray],
@@ -1183,12 +1132,6 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, base_words) -> dict:
     if base_words is not None:
         witness["bounding_words"] = list(base_words)
     return witness
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _increasing_run(ratios):
@@ -1391,9 +1334,7 @@ def _certify_slope_gap(d: DeltaTuple, dvec, bits) -> bool:
 
 
 def _grid_ratio_witnesses(d: DeltaTuple, dvec, grid: int):
-    den = 1
-    for r in dvec:
-        den = den * Fraction(r).denominator // _gcd(den, Fraction(r).denominator)
+    den = lcm_den(dvec)
     dint = [int(Fraction(r) * den) for r in dvec]
     thresholds = [Fraction(10), Fraction(100), Fraction(1000)]
     witnesses = []

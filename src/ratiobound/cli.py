@@ -23,9 +23,14 @@ from .automata import (
     ratio_profile,
     validate_lmc,
 )
-from .bounded import decide_bounded, detect_letter_bounded
+from .bounded import (
+    decide_bounded,
+    decide_plus,
+    detect_letter_bounded,
+    letter_bounded_to_plus,
+)
 from .jsonio import format_weight, parse_automaton, serialize
-from .nfaops import ChrobakNf
+from .nfaops import ChrobakNf, lc_check
 from .reductions import (
     bigo_to_value1,
     complete_for_eventual,
@@ -110,12 +115,7 @@ def cmd_check(args) -> int:
                 "cycleRatio": format_weight(v.cycle_ratio) if v.cycle_ratio else None,
             }
     elif mode == "bounded":
-        v = decide_bounded(
-            q,
-            words=args.words,
-            start_bits=args.precision_bits,
-            parallel=args.parallel,
-        )
+        v = decide_bounded(q, words=args.words, start_bits=args.precision_bits)
         report["verdict"] = v.verdict
         report["subqueries"] = v.subqueries
         if v.verdict == "not-big-o":
@@ -271,37 +271,21 @@ def cmd_export_formula(args) -> int:
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)
-    from .bounded import decide_plus, letter_bounded_to_plus, plus_analysis
-    from .nfaops import lc_check
-
     letters = detect_letter_bounded(wa, args.dst)
     if letters is None:
         raise InputError("languages are not letter-bounded; supply bounding words")
     os.makedirs(args.out, exist_ok=True)
-    count = 0
     index = []
     lc = lc_check(q)
     for pq in letter_bounded_to_plus(wa, args.src, args.dst, letters):
-        analysis = plus_analysis(pq)
-        pv = decide_plus(pq, analysis)
-        from .bounded import realized_candidates, detector_nfa, parikh_linear_sets, emit_formula
-        from .realexp import semi_decide
-
-        for (x_sig, y_sigs) in sorted(realized_candidates(analysis)):
-            det = detector_nfa(analysis, x_sig, y_sigs)
-            for lin in parikh_linear_sets(det, pq.letters):
-                pos = [i for i in range(len(pq.letters)) if lin.periods[i] > 0]
-                for mask in range(2 ** len(pos)):
-                    u = tuple(pos[i] for i in range(len(pos)) if mask >> i & 1)
-                    formula = emit_formula(analysis, x_sig, y_sigs, lin, u)
-                    verdict = semi_decide(formula)
-                    path = os.path.join(args.out, f"candidate_{count:04d}.smt2")
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(f"; semi-decision: {verdict.verdict}\n")
-                        fh.write(formula.to_smt2())
-                    index.append({"path": path, "verdict": verdict.verdict})
-                    count += 1
-    _emit({"formulas": count, "lcHolds": bool(lc), "index": index}, args.human)
+        for cand in decide_plus(pq).candidates:
+            verdict = cand.decision.verdict
+            path = os.path.join(args.out, f"candidate_{len(index):04d}.smt2")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"; semi-decision: {verdict}\n")
+                fh.write(cand.formula.to_smt2())
+            index.append({"path": path, "verdict": verdict})
+    _emit({"formulas": len(index), "lcHolds": bool(lc), "index": index}, args.human)
     return 0
 
 
@@ -325,12 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eventually", action="store_true", help="ignore finitely many words (unary)")
     p.add_argument("--words", nargs="*", default=None, help="bounding words w1..wm")
     p.add_argument("--emit-smt", default=None, help="directory for unresolved formulas")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument(
         "--precision-bits",
         type=int,
         default=None,
-        help=f"interval precision start (env BIGO_WA_PRECISION_BITS)",
+        help="interval precision start, 16 to 2048 (env BIGO_WA_PRECISION_BITS)",
     )
     p.set_defaults(fn=cmd_check)
 
@@ -374,11 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get("BIGO_WA_PRECISION_BITS") and getattr(args, "precision_bits", None) is None:
-        try:
-            args.precision_bits = int(os.environ["BIGO_WA_PRECISION_BITS"])
-        except ValueError:
-            pass
     try:
         return args.fn(args)
     except FormatError as exc:

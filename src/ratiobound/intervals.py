@@ -65,9 +65,6 @@ class FInterval:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
-    def is_zero_point(self) -> bool:
-        return self.lo == 0 and self.hi == 0
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
@@ -117,13 +114,6 @@ def ln_interval(x: FInterval, bits: int) -> FInterval:
     return FInterval(lo, hi)
 
 
-def algebraic_interval(a: AlgebraicNumber, bits: int) -> FInterval:
-    """Isolating interval refined to absolute width 2^-bits."""
-    width = Fraction(1, 2**bits)
-    r = a.refined(width)
-    return FInterval(r.lo, r.hi)
-
-
 @lru_cache(maxsize=8192)
 def ln_algebraic(a: AlgebraicNumber, bits: int) -> FInterval:
     """Certified enclosure of ln(a) for a positive algebraic number.
@@ -140,8 +130,3 @@ def ln_algebraic(a: AlgebraicNumber, bits: int) -> FInterval:
     target = r.lo / Fraction(2**bits)
     r = r.refined(target)
     return ln_interval(FInterval(r.lo, r.hi), bits)
-
-
-def ln_ratio(num: AlgebraicNumber, den: AlgebraicNumber, bits: int) -> FInterval:
-    """Certified enclosure of ln(num/den) = ln(num) - ln(den)."""
-    return ln_algebraic(num, bits) - ln_algebraic(den, bits)

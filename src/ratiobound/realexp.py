@@ -17,11 +17,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare
+from .automata import InputError
 from .intervals import FInterval, ivl_sum, ln_algebraic, ln_fraction_bounds
 
 HOLDS, FAILS, UNKNOWN = "holds", "fails", "unknown"
 
 DEFAULT_START_BITS = 128
+MIN_BITS = 16
 MAX_BITS = 2048
 PRECISION_ENV = "BIGO_WA_PRECISION_BITS"
 
@@ -30,118 +32,10 @@ def start_bits_default() -> int:
     raw = os.environ.get(PRECISION_ENV)
     if raw:
         try:
-            return max(16, int(raw))
+            return min(MAX_BITS, max(MIN_BITS, int(raw)))
         except ValueError:
             pass
     return DEFAULT_START_BITS
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class RVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class RConst:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class AlgConst:
-    name: str
-    poly: tuple
-    lo: Fraction
-    hi: Fraction
-
-
-@dataclass(frozen=True)
-class Add:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Mul:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Log:
-    arg: object
-
-
-@dataclass(frozen=True)
-class ExpE:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Lt:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Ge:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class AndF:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Implies:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: RVar
-    body: object
-
-
-@dataclass(frozen=True)
-class Exists:
-    vars: tuple
-    body: object
-
-
-def ast_text(node) -> str:
-    if isinstance(node, RVar):
-        return node.name
-    if isinstance(node, RConst):
-        return str(node.value)
-    if isinstance(node, AlgConst):
-        return node.name
-    if isinstance(node, Add):
-        return "(" + " + ".join(ast_text(a) for a in node.args) + ")"
-    if isinstance(node, Mul):
-        return "(" + "*".join(ast_text(a) for a in node.args) + ")"
-    if isinstance(node, Log):
-        return f"log({ast_text(node.arg)})"
-    if isinstance(node, ExpE):
-        return f"exp({ast_text(node.arg)})"
-    if isinstance(node, Lt):
-        return f"{ast_text(node.lhs)} < {ast_text(node.rhs)}"
-    if isinstance(node, Ge):
-        return f"{ast_text(node.lhs)} >= {ast_text(node.rhs)}"
-    if isinstance(node, AndF):
-        return "(" + " and ".join(ast_text(a) for a in node.args) + ")"
-    if isinstance(node, Implies):
-        return f"({ast_text(node.lhs)} -> {ast_text(node.rhs)})"
-    if isinstance(node, Forall):
-        return f"forall {node.var.name}. {ast_text(node.body)}"
-    if isinstance(node, Exists):
-        names = " ".join(v.name for v in node.vars)
-        return f"exists {names}. {ast_text(node.body)}"
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,45 +81,26 @@ class RealExpFormula:
     system: DivergenceSystem
     provenance: dict
 
-    def ast(self):
-        xs = tuple(RVar(f"x{i+1}") for i in range(self.system.nvars))
-        c = RVar("C")
-        conj = []
-        for j, row in enumerate(self.system.rows):
+    def text(self) -> str:
+        """The sentence in infix notation, with named algebraic constants."""
+        sysd = self.system
+        xs = [f"x{i+1}" for i in range(sysd.nvars)]
+        conj = [f"{x} >= {sysd.lower}" for x in xs]
+        for j, row in enumerate(sysd.rows):
             terms = []
-            for i in range(self.system.nvars):
+            for i in range(sysd.nvars):
                 co = row.coeffs[i]
                 if co.scale != 0:
                     terms.append(
-                        Mul(
-                            (
-                                RConst(co.scale),
-                                Add(
-                                    (
-                                        Log(_alg_node(co.num, f"sig{j+1}_{i+1}")),
-                                        Mul((RConst(Fraction(-1)), Log(_alg_node(co.den, f"rho{i+1}")))),
-                                    )
-                                ),
-                                xs[i],
-                            )
-                        )
+                        f"({co.scale}*(log(sig{j+1}_{i+1}) + (-1*log(rho{i+1})))*{xs[i]})"
                     )
                 if row.logs[i] != 0:
-                    terms.append(Mul((RConst(Fraction(row.logs[i])), Log(xs[i]))))
-            conj.append(Lt(Add(tuple(terms) or (RConst(Fraction(0)),)), c))
-        bounds = tuple(Ge(x, RConst(self.system.lower)) for x in xs)
-        body = Exists(xs, AndF(bounds + tuple(conj)))
-        return Forall(c, Implies(Lt(c, RConst(Fraction(0))), body))
-
-    def text(self) -> str:
-        return ast_text(self.ast())
+                    terms.append(f"({Fraction(row.logs[i])}*log({xs[i]}))")
+            conj.append("(" + (" + ".join(terms) or "0") + ") < C")
+        return f"forall C. (C < 0 -> exists {' '.join(xs)}. ({' and '.join(conj)}))"
 
     def to_smt2(self) -> str:
         return render_smt2(self)
-
-
-def _alg_node(a: AlgebraicNumber, name: str) -> AlgConst:
-    return AlgConst(name, a.poly, a.lo, a.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +211,7 @@ def negative_direction(rows, nvars: int) -> Optional[list]:
         e[i] = Fraction(1)
         cons.append((e, Fraction(0)))
     for row in rows:
-        cons.append(([in_f(-c) for c in row], Fraction(1)))
+        cons.append(([Fraction(-c) for c in row], Fraction(1)))
     stages = []
     current = cons
     for k in range(nvars - 1, -1, -1):
@@ -389,10 +264,6 @@ def negative_direction(rows, nvars: int) -> Optional[list]:
     return d
 
 
-def in_f(x) -> Fraction:
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # semi-decision
 
@@ -413,6 +284,9 @@ def semi_decide(
     start_bits: Optional[int] = None,
     max_bits: int = MAX_BITS,
 ) -> SemiDecision:
+    bits = start_bits if start_bits is not None else start_bits_default()
+    if not MIN_BITS <= bits <= max_bits:
+        raise InputError(f"precision must be {MIN_BITS} to {max_bits} bits, got {bits}")
     sysd = formula.system
     n = sysd.nvars
     if n == 0:
@@ -432,7 +306,6 @@ def semi_decide(
     if all(all(z) for z in zero):
         return _pure_log_case(formula)
 
-    bits = start_bits if start_bits is not None else start_bits_default()
     while bits <= max_bits:
         enc = [
             [row.coeffs[i].enclosure(bits) for i in range(n)] for row in sysd.rows

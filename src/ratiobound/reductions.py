@@ -15,18 +15,11 @@ from .automata import (
     ProbAutomaton,
     Query,
     WeightedAutomaton,
+    closure,
+    fresh_state,
     normalize_single_final,
 )
 from .nfaops import ChrobakNf
-
-
-def _fresh(taken, base):
-    if base not in taken:
-        return base
-    k = 0
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"
 
 
 def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
@@ -38,9 +31,9 @@ def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     if a not in wa.alphabet:
         raise InputError(f"designated symbol {a!r} not in the alphabet")
     taken = set(wa.states)
-    q0 = _fresh(taken, "q")
+    q0 = fresh_state(taken, "q")
     taken.add(q0)
-    q1 = _fresh(taken, "q'")
+    q1 = fresh_state(taken, "q'")
     trans = wa.transitions()
     if q.s == q.s_prime:
         trans.append((q0, a, Fraction(1), q.s))
@@ -73,18 +66,18 @@ def from_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     states = list(wa.states)
     trans = []
     for i, (src, sym, w, dst) in enumerate(wa.transitions()):
-        mid = _fresh(taken, f"[{src}.{sym}.{dst}]")
+        mid = fresh_state(taken, f"[{src}.{sym}.{dst}]")
         taken.add(mid)
         states.append(mid)
         trans.append((src, sym, w, mid))
         trans.append((mid, sym, Fraction(1), dst))
-    q0 = _fresh(taken, "q")
+    q0 = fresh_state(taken, "q")
     taken.add(q0)
-    q1 = _fresh(taken, "q'")
+    q1 = fresh_state(taken, "q'")
     taken.add(q1)
-    b1 = _fresh(taken, "dot1")
+    b1 = fresh_state(taken, "dot1")
     taken.add(b1)
-    b2 = _fresh(taken, "dot2")
+    b2 = fresh_state(taken, "dot2")
     states.extend([q0, q1, b1, b2])
     half = Fraction(1, 2)
     trans.append((q0, a, half, q.s))
@@ -149,7 +142,7 @@ def complete_for_eventual(
     if has_incoming or s_prime in wa.finals:
         # a fresh non-final copy: nonempty-word weights agree with s', and
         # only those matter to the eventual comparison
-        new_sp = _fresh(taken, f"{s_prime}~")
+        new_sp = fresh_state(taken, f"{s_prime}~")
         taken.add(new_sp)
         states.append(new_sp)
         for a in wa.alphabet:
@@ -160,7 +153,7 @@ def complete_for_eventual(
         s_prime = new_sp
 
     if bound is None:
-        dot = _fresh(taken, "dot")
+        dot = fresh_state(taken, "dot")
         taken.add(dot)
         states.append(dot)
         for x in wa.alphabet:
@@ -173,7 +166,7 @@ def complete_for_eventual(
         # the next step lands in an accepting DFA state
         dfa_states = {}
         for d in bound.states:
-            name = _fresh(taken, f"dot[{d}]")
+            name = fresh_state(taken, f"dot[{d}]")
             taken.add(name)
             dfa_states[d] = name
             states.append(name)
@@ -242,7 +235,7 @@ def gen_undecidable(pa: ProbAutomaton, generalize: bool = False) -> UndecidableI
     taken = set(wa.states)
     names = {}
     for nm in ("s", "s'", "s''", "s0", "t"):
-        f = _fresh(taken, nm)
+        f = fresh_state(taken, nm)
         taken.add(f)
         names[nm] = f
     states = wa.states + tuple(names[n] for n in ("s", "s'", "s''", "s0", "t"))
@@ -364,7 +357,7 @@ def value1_to_bigo(pa: ProbAutomaton) -> Value1Reduction:
     inv_finals = frozenset(wa.states) - wa.finals
     scale = Fraction(1, len(wa.alphabet) + 1)
     taken = set(wa.states)
-    names = {nm: _fresh(taken, nm) for nm in ("s", "s'", "s0", "rej2", "acc2")}
+    names = {nm: fresh_state(taken, nm) for nm in ("s", "s'", "s0", "rej2", "acc2")}
     for nm in names.values():
         taken.add(nm)
     s, sp, s0, rej, acc = (
@@ -460,33 +453,13 @@ def bigo_to_value1(q: Query) -> ProbAutomaton:
 def _has_sink(wa: WeightedAutomaton, s: str, s_prime: str) -> bool:
     """Some state reachable from the query states cannot reach a final state."""
     n = wa.n
-    succ = {
-        i: {
-            j
-            for a in wa.alphabet
-            for j in range(n)
-            if wa.trans[a][i][j] > 0
-        }
+    succ = [
+        {j for a in wa.alphabet for j in range(n) if wa.trans[a][i][j] > 0}
         for i in range(n)
-    }
-    reach = set()
-    frontier = [wa.index(s), wa.index(s_prime)]
-    reach.update(frontier)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in succ[i]:
-                if j not in reach:
-                    reach.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    finals = {wa.index(f) for f in wa.finals}
-    can_reach_final = set(finals)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if i not in can_reach_final and succ[i] & can_reach_final:
-                can_reach_final.add(i)
-                changed = True
+    ]
+    reach = closure({wa.index(s), wa.index(s_prime)}, succ.__getitem__)
+    can_reach_final = closure(
+        {wa.index(f) for f in wa.finals},
+        lambda j: [i for i in range(n) if j in succ[i]],
+    )
     return any(i not in can_reach_final for i in reach)

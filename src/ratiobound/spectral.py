@@ -10,7 +10,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare, spectral_radius_of_matrix
-from .automata import InputError, Matrix, Nfa, WeightedAutomaton
+from .automata import InputError, Matrix, Nfa, WeightedAutomaton, fresh_state
 
 
 @dataclass(frozen=True)
@@ -325,12 +325,7 @@ def copy_start_off_cycles(wa: WeightedAutomaton, s: str) -> tuple[WeightedAutoma
     lies on no cycle.  Weights of nonempty words from the copy equal those
     from s; the copy is never final (the empty word stays with the
     containment check), preserving the single-final shape."""
-    base = f"{s}^"
-    fresh = base
-    k = 0
-    while fresh in wa.states:
-        fresh = f"{base}{k}"
-        k += 1
+    fresh = fresh_state(set(wa.states), f"{s}^")
     states = wa.states + (fresh,)
     si = wa.index(s)
     trans = {}

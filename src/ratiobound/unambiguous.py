@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import InputError, Query, normalize_single_final
+from .automata import InputError, Query, closure, normalize_single_final
 from .nfaops import lc_check
 
 
@@ -121,8 +121,8 @@ def decide_unambiguous(q: Query) -> UnambiguousVerdict:
     for (u, a, v, r) in edges:
         fwd.setdefault(u, []).append((v, a, r))
         bwd.setdefault(v, []).append(u)
-    reach = _closure({start}, lambda u: [v for (v, _, _) in fwd.get(u, [])])
-    coreach = _closure({goal}, lambda v: bwd.get(v, []))
+    reach = closure({start}, lambda u: [v for (v, _, _) in fwd.get(u, [])])
+    coreach = closure({goal}, lambda v: bwd.get(v, []))
     live = reach & coreach
     if start not in live:
         # containment holds and no common accepted word: bounded trivially
@@ -156,20 +156,6 @@ def decide_unambiguous(q: Query) -> UnambiguousVerdict:
     return UnambiguousVerdict(
         False, "cycle", cycle=tuple(edge_list), cycle_ratio=ratio
     )
-
-
-def _closure(seed: set, succ) -> set:
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ(u):
-                if v not in out:
-                    out.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return out
 
 
 def _walk_back_cycle(pred: dict, node, nodes: int):

@@ -12,6 +12,7 @@ from .automata import (
     InputError,
     Query,
     WeightedAutomaton,
+    fresh_state,
     normalize_single_final,
 )
 from .nfaops import EventualInclusion, eventually_included, lc_check
@@ -131,9 +132,9 @@ def _shifted(wa: WeightedAutomaton, s: str, s_prime: str):
     every word weight shifts one letter and the empty word drops out."""
     a = wa.alphabet[0]
     taken = set(wa.states)
-    f1 = _fresh(taken, f"{s}>")
+    f1 = fresh_state(taken, f"{s}>")
     taken.add(f1)
-    f2 = _fresh(taken, f"{s_prime}>")
+    f2 = fresh_state(taken, f"{s_prime}>")
     states = wa.states + (f1, f2)
     n = wa.n
     si, pi = wa.index(s), wa.index(s_prime)
@@ -148,12 +149,3 @@ def _shifted(wa: WeightedAutomaton, s: str, s_prime: str):
         f1,
         f2,
     )
-
-
-def _fresh(taken, base):
-    if base not in taken:
-        return base
-    k = 0
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -515,9 +517,23 @@ def test_realized_vectors_payload():
                 assert not (le and v != w)
 
 
-def test_decide_bounded_parallel_matches_sequential():
-    q = Query(relative_orderings(F(61, 100)), "s", "s'")
-    seq = decide_bounded(q)
-    par = decide_bounded(q, parallel=3)
-    assert seq.verdict == par.verdict == "not-big-o"
-    assert seq.witness["provenance"] == par.witness["provenance"]
+def test_witness_without_increasing_run_is_unknown(monkeypatch, tmp_path, capsys):
+    """not-big-o needs an exactly increasing ratio run.  With every block
+    weight flat at 1 there is none, so the certified candidate is reported
+    unknown and its formula is still exported."""
+    import ratiobound.bounded
+    from ratiobound.cli import main
+    from ratiobound.jsonio import serialize
+
+    monkeypatch.setattr(ratiobound.bounded, "weight_blocks", lambda *args: F(1))
+    wa = relative_orderings(F(61, 100))
+    res = decide_bounded(Query(wa, "s", "s'"))
+    assert res.verdict == "unknown" and res.witness is None
+    assert any(semi_decide(f).verdict == HOLDS for f in res.unknown_formulas)
+    doc = tmp_path / "p61.json"
+    doc.write_text(serialize(wa), encoding="utf-8")
+    smt = tmp_path / "smt"
+    argv = ["check", "--file", str(doc), "--from", "s", "--to", "s'", "--mode", "bounded"]
+    assert main(argv + ["--emit-smt", str(smt)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["smtFiles"]) == len(os.listdir(smt)) == len(res.unknown_formulas)

@@ -159,7 +159,21 @@ def test_reduce_and_generate_round_trip(tmp_path, capsys):
     assert ("is-big-o" if got.is_big_o else "not-big-o") == doc2["groundTruth"]
 
 
-def test_export_formula(tmp_path, capsys):
+def test_export_formula(tmp_path, capsys, monkeypatch):
+    import ratiobound.bounded
+    import ratiobound.realexp
+    from ratiobound import detect_letter_bounded, letter_bounded_to_plus
+    from ratiobound.bounded import decide_plus
+
+    calls = []
+    original = ratiobound.realexp.semi_decide
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ratiobound.bounded, "semi_decide", counted)
+    monkeypatch.setattr(ratiobound.realexp, "semi_decide", counted)
     f = data_file("relative_orderings_p61.json")
     out = tmp_path / "smt"
     assert (
@@ -180,10 +194,29 @@ def test_export_formula(tmp_path, capsys):
     )
     report = json.loads(capsys.readouterr().out)
     assert report["formulas"] > 0
+    # each formula is semi-decided exactly once
+    assert len(calls) == report["formulas"]
     files = sorted(os.listdir(out))
     assert files
     text = (out / files[0]).read_text(encoding="utf-8")
     assert "(check-sat)" in text and "ln" in text
+    monkeypatch.undo()
+    with open(f, encoding="utf-8") as fh:
+        wa = parse_automaton(fh.read())
+    expected = [
+        cand.decision.verdict
+        for pq in letter_bounded_to_plus(wa, "s", "s'", detect_letter_bounded(wa, "s'"))
+        for cand in decide_plus(pq).candidates
+    ]
+    assert [entry["verdict"] for entry in report["index"]] == expected
+
+
+def test_check_precision_outside_range_is_input_error(capsys):
+    f = data_file("relative_orderings_p62.json")
+    argv = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]
+    assert main(argv + ["--precision-bits", "0"]) == 64
+    assert main(argv + ["--precision-bits", "4096"]) == 64
+    assert "16 to 2048" in capsys.readouterr().err
 
 
 def test_check_eventually_flag(capsys):

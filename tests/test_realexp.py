@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ratiobound.algebraic import AlgebraicNumber, largest_real_root
+from ratiobound.automata import InputError
 from ratiobound.realexp import (
     FAILS,
     HOLDS,
@@ -127,6 +128,13 @@ def test_formula_text_and_smt():
     assert "(check-sat)" in smt
     assert "(declare-fun ln (Real) Real)" in smt
     assert "forall" in smt
+    # one row, two variables, log coefficients and log exponents together
+    both = formula([([coeff((1, 2), 1), coeff(3, 1, 2)], [2, -1])], lower=F(3, 2))
+    assert both.text() == (
+        "forall C. (C < 0 -> exists x1 x2. (x1 >= 3/2 and x2 >= 3/2 and "
+        "((1*(log(sig1_1) + (-1*log(rho1)))*x1) + (2*log(x1)) + "
+        "(2*(log(sig1_2) + (-1*log(rho2)))*x2) + (-1*log(x2))) < C))"
+    )
 
 
 def test_precision_env_override(monkeypatch):
@@ -134,8 +142,23 @@ def test_precision_env_override(monkeypatch):
     assert start_bits_default() == 256
     monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "junk")
     assert start_bits_default() == 128
+    monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "0")
+    assert start_bits_default() == 16
+    monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "4096")
+    assert start_bits_default() == 2048
     monkeypatch.delenv("BIGO_WA_PRECISION_BITS")
     assert start_bits_default() == 128
+
+
+def test_precision_outside_range_is_input_error():
+    """Doubling from 0 bits never terminates, and a start above the cap would
+    skip every attempt; both are rejected up front."""
+    f = formula([([coeff(1, 1), coeff(2, 1)], [0, 0])])
+    assert semi_decide(f).verdict == UNKNOWN
+    for bits in (0, -3, 15, 4096):
+        with pytest.raises(InputError):
+            semi_decide(f, start_bits=bits)
+    assert semi_decide(formula([([coeff((1, 2), 1)], [0])]), start_bits=2048).verdict == HOLDS
 
 
 def test_unknown_is_reachable_for_knife_edge():

@@ -1,0 +1,28 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ratiobound")
+
+
+def test_package_imports_only_stdlib():
+    allowed = set(sys.stdlib_module_names) | {"__future__"}
+    foreign = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{name}: {m}" for m in modules if m.split(".")[0] not in allowed
+            ]
+    assert foreign == []
