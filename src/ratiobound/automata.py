@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional
 
 
@@ -102,7 +104,7 @@ class WeightedAutomaton:
                 raise InputError(f"matrix for {a!r} is not {n}x{n}")
             for row in m:
                 for w in row:
-                    if w < 0:
+                    if w and w < 0:
                         raise InputError("negative transition weight")
         bad = self.finals - set(self.states)
         if bad:
@@ -156,6 +158,18 @@ class WeightedAutomaton:
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def sparse_rows(self) -> dict:
+        """symbol -> (d, rows): row i lists (j, x) for each nonzero weight
+        x/d of the symbol's matrix, where d is the lcm of its denominators."""
+        out = {}
+        for a, m in self.trans.items():
+            d = lcm(*(w.denominator for row in m for w in row))
+            out[a] = d, tuple(
+                tuple((j, int(w * d)) for j, w in enumerate(r) if w) for r in m
+            )
+        return out
 
     def transitions(self) -> list[tuple[str, str, Fraction, str]]:
         out = []
@@ -249,30 +263,43 @@ class ValidationReport:
         return self.ok
 
 
+def _step(vec: dict, rows) -> dict:
+    """Integer row vector {state: x} times integer sparse rows."""
+    out: dict = {}
+    for i, x in vec.items():
+        for j, y in rows[i]:
+            out[j] = out.get(j, 0) + x * y
+    return out
+
+
+def _final_sum(wa: WeightedAutomaton, vec: dict) -> int:
+    return sum(vec.get(wa._idx[f], 0) for f in wa.finals)
+
+
 def weight(wa: WeightedAutomaton, s: str, word: Iterable[str]) -> Fraction:
     """Total weight of accepting paths for `word` from `s`.
 
     The weight of the empty word is 1 if s is final, else 0.
     """
-    i = wa.index(s)
-    vec = tuple(Fraction(1) if j == i else Fraction(0) for j in range(wa.n))
-    for a in word:
-        vec = vec_mat(vec, wa.matrix(a))
-    return sum(w for w, f in zip(vec, wa.final_vector()) if f) or Fraction(0)
+    return weight_blocks(wa, s, ((a, 1) for a in word))
 
 
 def weight_blocks(
     wa: WeightedAutomaton, s: str, blocks: Iterable[tuple[str, int]]
 ) -> Fraction:
-    """Weight of a1^n1 a2^n2 ... from s, with matrix powers by repeated squaring."""
-    i = wa.index(s)
-    vec = tuple(Fraction(1) if j == i else Fraction(0) for j in range(wa.n))
+    """Weight of a1^n1 a2^n2 ... from s: an integer vector steps through the
+    letters' sparse rows, and the product of their denominators divides last."""
+    vec = {wa.index(s): 1}
+    den = 1
     for a, count in blocks:
         if count < 0:
             raise InputError("negative block length")
-        if count:
-            vec = vec_mat(vec, mat_pow(wa.matrix(a), count))
-    return sum(w for w, f in zip(vec, wa.final_vector()) if f) or Fraction(0)
+        wa.matrix(a)  # InputError for an unknown symbol
+        d, rows = wa.sparse_rows[a]
+        for _ in range(count):
+            vec = _step(vec, rows)
+        den *= d**count
+    return Fraction(_final_sum(wa, vec), den)
 
 
 def fresh_state(taken: set, base: str) -> str:
@@ -367,37 +394,32 @@ def ratio_profile(q: Query, max_len: int, cap: int = 10**6) -> RatioProfile:
         raise ResourceError(
             f"enumerating {total} words exceeds cap={cap}; lower max_len or raise cap"
         )
-    i, j = wa.index(q.s), wa.index(q.s_prime)
-    zero = Fraction(0)
-    base_s = tuple(Fraction(1) if x == i else zero for x in range(wa.n))
-    base_p = tuple(Fraction(1) if x == j else zero for x in range(wa.n))
-    fvec = wa.final_vector()
-
-    def final_sum(vec):
-        return sum(w for w, f in zip(vec, fvec) if f) or zero
-
+    steps = [(a, *wa.sparse_rows[a]) for a in wa.alphabet]
     entries = []
-    best: object = zero
+    best: object = Fraction(0)
     attained = None
-    level = [("", base_s, base_p)]
+    # each word's s and s' vectors share its denominator, the product of its
+    # letters' denominators; words with both vectors zero are not extended
+    level = [("", {wa.index(q.s): 1}, {wa.index(q.s_prime): 1}, 1)]
     for length in range(max_len + 1):
-        for word, vs, vp in level:
-            ws, wp = final_sum(vs), final_sum(vp)
-            if ws > 0 or wp > 0:
-                entries.append((word, ws, wp))
-                if wp == 0:
-                    if ws > 0 and best is not INF:
+        for word, vs, vp, den in level:
+            ns, np_ = _final_sum(wa, vs), _final_sum(wa, vp)
+            if ns or np_:
+                entries.append((word, Fraction(ns, den), Fraction(np_, den)))
+                if not np_:
+                    if best is not INF:
                         best, attained = INF, word
                 else:
-                    r = ws / wp
+                    r = Fraction(ns, np_)
                     if best is not INF and r > best:
                         best, attained = r, word
         if length == max_len:
             break
         level = [
-            (word + a, vec_mat(vs, wa.matrix(a)), vec_mat(vp, wa.matrix(a)))
-            for word, vs, vp in level
-            for a in wa.alphabet
+            (word + a, _step(vs, rows), _step(vp, rows), den * d)
+            for word, vs, vp, den in level
+            if vs or vp
+            for a, d, rows in steps
         ]
     return RatioProfile(tuple(entries), best, attained)
 

@@ -78,12 +78,13 @@ def cmd_check(args) -> int:
     q = Query(wa, args.src, args.dst)
     mode = args.mode
     report = {"s": args.src, "sPrime": args.dst, "warnings": warnings}
+    letters = None
     if mode == "auto":
         if is_unambiguous_from(wa, args.src) and is_unambiguous_from(wa, args.dst):
             mode = "unambiguous"
         elif wa.is_unary():
             mode = "unary"
-        elif detect_letter_bounded(wa, args.dst) is not None or args.words:
+        elif args.words or (letters := detect_letter_bounded(wa, args.dst)) is not None:
             mode = "bounded"
         else:
             raise InputError(
@@ -115,7 +116,7 @@ def cmd_check(args) -> int:
                 "cycleRatio": format_weight(v.cycle_ratio) if v.cycle_ratio else None,
             }
     elif mode == "bounded":
-        v = decide_bounded(q, words=args.words, start_bits=args.precision_bits)
+        v = decide_bounded(q, args.words, letters, start_bits=args.precision_bits)
         report["verdict"] = v.verdict
         report["subqueries"] = v.subqueries
         if v.verdict == "not-big-o":

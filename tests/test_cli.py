@@ -102,6 +102,28 @@ def test_check_auto_reports_decider(capsys):
     assert report["verdict"] == "not-big-o"
 
 
+def test_check_auto_detects_letter_bound_once(capsys, monkeypatch):
+    import ratiobound.bounded
+    import ratiobound.cli
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    for mod in (ratiobound.cli, ratiobound.bounded):
+        monkeypatch.setattr(mod, "detect_letter_bounded", counted(mod.detect_letter_bounded))
+    f = data_file("relative_orderings_p62.json")
+    assert main(["check", "--file", f, "--from", "s", "--to", "s'"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["decider"] == "bounded" and out["verdict"] == "is-big-o"
+    assert len(calls) == 1
+
+
 def test_check_bounded_mode(capsys):
     f = data_file("relative_orderings_p62.json")
     assert main(["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]) == 0

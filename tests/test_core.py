@@ -17,6 +17,7 @@ from ratiobound import (
     weight,
     weight_blocks,
 )
+from ratiobound.automata import mat_pow, vec_mat
 from ratiobound.samples import relative_orderings, unbounded_ratio
 
 from helpers import enum_paths_weight, random_wa, words_upto
@@ -73,6 +74,98 @@ def test_unknown_state_and_symbol_errors():
         weight(wa, "zz", "a")
     with pytest.raises(InputError):
         weight(wa, "s", "b")
+    with pytest.raises(InputError):
+        weight_blocks(wa, "s", [("a", -1)])
+    with pytest.raises(InputError):
+        weight_blocks(wa, "s", [("a", 2), ("b", 1)])
+    with pytest.raises(InputError):
+        weight_blocks(wa, "zz", [("a", 1)])
+
+
+def _dense_weight_blocks(wa, s, blocks):
+    """Reference: dense row vector times dense matrix powers."""
+    i = wa.index(s)
+    vec = tuple(F(int(j == i)) for j in range(wa.n))
+    for a, count in blocks:
+        vec = vec_mat(vec, mat_pow(wa.matrix(a), count))
+    return sum((w for w, f in zip(vec, wa.final_vector()) if f), F(0))
+
+
+def _random_kernel_wa(rng):
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    wa = random_wa(
+        rng, nstates=rng.randint(1, 7), alphabet=alphabet, density=rng.random()
+    )
+    if len(alphabet) > 1 and rng.random() < 0.3:
+        # one letter whose matrix is all zero
+        zero = tuple(tuple(F(0) for _ in wa.states) for _ in wa.states)
+        trans = dict(wa.trans, **{alphabet[-1]: zero})
+        wa = WeightedAutomaton(wa.states, wa.alphabet, trans, wa.finals)
+    return wa
+
+
+def test_sparse_kernel_matches_dense_reference():
+    rng = random.Random(2024)
+    for case in range(300):
+        wa = _random_kernel_wa(rng)
+        s = rng.choice(wa.states)
+        cap = 300 if case % 25 == 0 else 12
+        blocks = [
+            (rng.choice(wa.alphabet), rng.choice((0, 1, rng.randint(0, cap))))
+            for _ in range(rng.randint(0, 4))
+        ]
+        assert weight_blocks(wa, s, blocks) == _dense_weight_blocks(wa, s, blocks)
+        word = "".join(a * count for a, count in blocks if count <= 12)
+        assert weight(wa, s, word) == _dense_weight_blocks(
+            wa, s, [(a, 1) for a in word]
+        )
+        assert weight(wa, s, "") == (1 if s in wa.finals else 0)
+
+
+def _dense_ratio_profile(wa, s, sp, max_len):
+    """Reference: dense vectors per word, each extended from its prefix."""
+    i, j = wa.index(s), wa.index(sp)
+    vecs = {"": tuple(tuple(F(int(x == k)) for x in range(wa.n)) for k in (i, j))}
+    fvec = wa.final_vector()
+    entries, best, attained = [], F(0), None
+    for word in words_upto(wa.alphabet, max_len):
+        if word:
+            vs, vp = vecs[word[:-1]]
+            m = wa.matrix(word[-1])
+            vecs[word] = (vec_mat(vs, m), vec_mat(vp, m))
+        ws, wp = (sum((w for w, f in zip(v, fvec) if f), F(0)) for v in vecs[word])
+        if ws > 0 or wp > 0:
+            entries.append((word, ws, wp))
+            if wp == 0:
+                if best is not INF:
+                    best, attained = INF, word
+            elif best is not INF and ws / wp > best:
+                best, attained = ws / wp, word
+    return tuple(entries), best, attained
+
+
+def test_ratio_profile_matches_dense_reference():
+    rng = random.Random(99)
+    seen_inf = seen_finite = False
+    for _ in range(150):
+        wa = _random_kernel_wa(rng)
+        s, sp = rng.choice(wa.states), rng.choice(wa.states)
+        max_len = {1: 6, 2: 4, 3: 3}[len(wa.alphabet)]
+        prof = ratio_profile(Query(wa, s, sp), max_len)
+        assert (prof.entries, prof.max_ratio, prof.attained_at) == _dense_ratio_profile(
+            wa, s, sp, max_len
+        )
+        seen_inf |= prof.max_ratio is INF
+        seen_finite |= prof.max_ratio is not INF and prof.max_ratio > 0
+    assert seen_inf and seen_finite
+
+
+def test_negative_matrix_entry_rejected():
+    zero, one = F(0), F(1)
+    with pytest.raises(InputError):
+        WeightedAutomaton(
+            ("p", "t"), ("a",), {"a": ((zero, -one), (zero, zero))}, frozenset({"t"})
+        )
 
 
 def test_normalize_idempotent_on_shaped_automata():
