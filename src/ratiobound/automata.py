@@ -312,19 +312,56 @@ def fresh_state(taken: set, base: str) -> str:
     return f"{base}{k}"
 
 
-def closure(seed, succ) -> set:
-    """Everything reachable from `seed` along `succ` (breadth first)."""
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ(u):
-                if v not in out:
-                    out.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return out
+def explore(seeds, succ, cap: Optional[int] = None):
+    """Breadth-first numbering of everything reachable from `seeds`.
+
+    `succ(u)` yields (label, v) pairs.  Returns the states in discovery
+    order and the edges as (i, label, j) index triples in the order they
+    were followed.  Raises ResourceError when a new state would make the
+    count exceed `cap`.
+    """
+    states = list(dict.fromkeys(seeds))
+    index = {u: i for i, u in enumerate(states)}
+    edges = []
+    for i, u in enumerate(states):  # the list grows behind the cursor: FIFO
+        for label, v in succ(u):
+            j = index.get(v)
+            if j is None:
+                if cap is not None and len(states) >= cap:
+                    raise ResourceError(f"state space exceeded cap={cap} states")
+                j = index[v] = len(states)
+                states.append(v)
+            edges.append((i, label, j))
+    return states, edges
+
+
+def lasso(start, step):
+    """Iterate `step` from `start` until a state repeats.  Returns the
+    distinct states in order and the index that step(seq[-1]) returns to."""
+    index: dict = {}
+    seq = []
+    while start not in index:
+        index[start] = len(seq)
+        seq.append(start)
+        start = step(start)
+    return seq, index[start]
+
+
+def trim(seeds, finals, edges) -> set:
+    """States on some path from `seeds` to `finals` along (u, label, v)
+    edges: the reach of the seeds intersected with the co-reach of the
+    finals."""
+    fwd: dict = {}
+    bwd: dict = {}
+    for u, a, v in edges:
+        fwd.setdefault(u, []).append((a, v))
+        bwd.setdefault(v, []).append((a, u))
+    reach = set(explore(seeds, lambda u: fwd.get(u, ()))[0])
+    co, _ = explore(
+        (f for f in finals if f in reach),
+        lambda v: ((a, u) for a, u in bwd.get(v, ()) if u in reach),
+    )
+    return set(co)
 
 
 def single_final_shape(wa: WeightedAutomaton) -> Optional[str]:
@@ -369,12 +406,12 @@ def normalize_single_final(wa: WeightedAutomaton) -> WeightedAutomaton:
 def nfa_of(wa: WeightedAutomaton, s: str) -> Nfa:
     """NFA with transitions wherever the automaton's weight is positive."""
     wa.index(s)
+    st = wa.states
     trans = frozenset(
-        (q, a, q2)
-        for a in wa.alphabet
-        for i, q in enumerate(wa.states)
-        for j, q2 in enumerate(wa.states)
-        if wa.trans[a][i][j] > 0
+        (st[i], a, st[j])
+        for a, (_, rows) in wa.sparse_rows.items()
+        for i, row in enumerate(rows)
+        for j, _ in row
     )
     return Nfa(wa.states, wa.alphabet, trans, s, frozenset(wa.finals))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare
@@ -20,8 +21,10 @@ from .automata import (
     Query,
     ResourceError,
     WeightedAutomaton,
-    closure,
+    explore,
+    lasso,
     nfa_of,
+    trim,
     weight_blocks,
 )
 from .intervals import FInterval, ivl_sum, ln_fraction_bounds
@@ -126,14 +129,7 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
     topological order, then the containment is verified directly.
     """
     n = nfa_of(wa, s)
-    fwd: dict = {}
-    bwd: dict = {}
-    for (p, _, q2) in n.transitions:
-        fwd.setdefault(p, []).append(q2)
-        bwd.setdefault(q2, []).append(p)
-    live = closure({n.start}, lambda q: fwd.get(q, ())) & closure(
-        n.finals, lambda q: bwd.get(q, ())
-    )
+    live = trim({n.start}, n.finals, n.transitions)
     if not live or not (live & n.finals):
         return ()
     trans = [(p, a, q2) for (p, a, q2) in n.transitions if p in live and q2 in live]
@@ -190,27 +186,25 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
         seq.extend(sorted(incoming[ci]))
         if loop_letter[ci] is not None:
             seq.append(loop_letter[ci])
-    collapsed = []
-    for a in seq:
-        if not collapsed or collapsed[-1] != a:
-            collapsed.append(a)
-    if not nfa_contained(n, _letter_star_nfa(tuple(collapsed), n.alphabet)):
+    collapsed = _collapse(seq)
+    if not nfa_contained(n, _letter_star_nfa(collapsed, n.alphabet)):
         return None
     # greedy minimization: drop blocks while containment still verifies
     changed = True
     while changed:
         changed = False
         for i in range(len(collapsed)):
-            cand = collapsed[:i] + collapsed[i + 1 :]
-            merged = []
-            for a in cand:
-                if not merged or merged[-1] != a:
-                    merged.append(a)
-            if merged and nfa_contained(n, _letter_star_nfa(tuple(merged), n.alphabet)):
+            merged = _collapse(collapsed[:i] + collapsed[i + 1 :])
+            if merged and nfa_contained(n, _letter_star_nfa(merged, n.alphabet)):
                 collapsed = merged
                 changed = True
                 break
-    return tuple(collapsed)
+    return collapsed
+
+
+def _collapse(seq) -> tuple:
+    """`seq` with each run of a repeated letter collapsed to one letter."""
+    return tuple(a for a, _ in groupby(seq))
 
 
 def _letter_star_nfa(letters, alphabet) -> Nfa:
@@ -295,17 +289,13 @@ def bounded_to_letter_bounded(
     emit: dict = {a: {} for a in out_letters}
     for (t, x, out, t2) in tedges:
         mm = wa.trans[x]
-        for qi in range(wa.n):
-            row = mm[qi]
-            for qj in range(wa.n):
-                w = row[qj]
-                if w == 0:
-                    continue
+        for qi, row in enumerate(wa.sparse_rows[x][1]):
+            for qj, _ in row:
                 i = (wa.states[qi], t)
                 j = (wa.states[qj], t2)
                 target = eps if out is None else emit[out]
                 bucket = target.setdefault(i, {})
-                bucket[j] = bucket.get(j, Fraction(0)) + w
+                bucket[j] = bucket.get(j, Fraction(0)) + mm[qi][qj]
     r = max(len(w) for w in words) - 1
     # acc = sum of eps^x for x = 0..r, as a sparse matrix
     acc: dict = {}
@@ -348,20 +338,14 @@ def bounded_to_letter_bounded(
         q, t = node
         return q in wa.finals and (t == "q0" or t.endswith(".end"))
 
-    live = closure(
-        start_states,
-        lambda node: [j for a in out_letters for j in sparse_trans[a].get(node, {})],
-    )
-    pre: dict = {}
-    for a in out_letters:
-        for i, row in sparse_trans[a].items():
-            for j in row:
-                pre.setdefault(j, set()).add(i)
-    co = closure(
-        {node for node in live if is_final(node)},
-        lambda node: [i for i in pre.get(node, ()) if i in live],
-    )
-    keep = (live & co) | start_states
+    edges = [
+        (i, a, j)
+        for a in out_letters
+        for i, row in sparse_trans[a].items()
+        for j in row
+    ]
+    finals = {j for (_, _, j) in edges if is_final(j)}
+    keep = trim(start_states, finals, edges) | start_states
     names = {node: f"{node[0]}|{node[1]}" for node in keep}
     triples = []
     for a in out_letters:
@@ -400,12 +384,8 @@ def letter_bounded_to_plus(
     letters = tuple(letters)
     patterns = {}
     for mask in range(1, 2 ** len(letters)):
-        sub = tuple(letters[i] for i in range(len(letters)) if mask >> i & 1)
-        collapsed = []
-        for a in sub:
-            if not collapsed or collapsed[-1] != a:
-                collapsed.append(a)
-        patterns.setdefault(tuple(collapsed), None)
+        sub = [letters[i] for i in range(len(letters)) if mask >> i & 1]
+        patterns.setdefault(_collapse(sub), None)
     out = []
     for pat in sorted(patterns):
         out.append(_plus_subquery(wa, s, s_prime, pat))
@@ -451,38 +431,23 @@ def relabel_plus_blocks(
         if letters[i] == letters[i + 1]:
             raise InputError("collapse adjacent duplicate letters first")
     # liveness over the product with the block DFA (state = blocks entered)
-    n = wa.n
-    edges = []  # every edge leaving a reachable node, recorded as it is expanded
-
     def succ(node):
         qi, d = node
-        out = []
         for a in wa.alphabet:
-            mm = wa.trans[a]
-            targets = []
-            if d >= 1 and letters[d - 1] == a:
-                targets.append(d)
-            if d < m and letters[d] == a:
-                targets.append(d + 1)
-            for d2 in targets:
-                for qj in range(n):
-                    if mm[qi][qj] > 0:
-                        edges.append((node, a, (qj, d2)))
-                        out.append((qj, d2))
-        return out
+            rows = wa.sparse_rows[a][1]
+            for d2 in (d, d + 1):
+                if 1 <= d2 <= m and letters[d2 - 1] == a:
+                    for qj, _ in rows[qi]:
+                        yield a, (qj, d2)
 
-    live = closure({(wa.index(s), 0), (wa.index(s_prime), 0)}, succ)
+    nodes, edges = explore({(wa.index(s), 0), (wa.index(s_prime), 0)}, succ)
     finals_idx = {wa.index(f) for f in wa.finals}
-    pre: dict = {}
-    for (u, a, v) in edges:
-        pre.setdefault(v, []).append(u)
-    co = closure(
-        {(qi, d) for (qi, d) in live if qi in finals_idx and d == m},
-        lambda v: pre.get(v, ()),
-    )
+    finals = [i for i, (qi, d) in enumerate(nodes) if qi in finals_idx and d == m]
+    live = trim(range(len(nodes)), finals, edges)
     usable: dict = {}
-    for ((qi, d), a, (qj, d2)) in edges:
-        if (qi, d) in co and (qj, d2) in co:
+    for (i, a, j) in edges:
+        if i in live and j in live:
+            (qi, _), (qj, d2) = nodes[i], nodes[j]
             usable.setdefault((qi, a, qj), set()).add(d2)
     fresh = tuple(f"b{i+1}" for i in range(m))
     trans = []
@@ -582,26 +547,15 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     det_s = _determinize_monitor(ctx, pq.s, cap)
     det_p = _determinize_monitor(ctx, pq.s_prime, cap)
     # synchronized product over the block letters
-    start = (0, 0)
-    pstates = [start]
-    pindex = {start: 0}
-    ptrans = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (i, j) in frontier:
-            for li in range(m):
-                ti = det_s.trans.get((i, li))
-                tj = det_p.trans.get((j, li))
-                if ti is None or tj is None:
-                    continue
-                tgt = (ti, tj)
-                if tgt not in pindex:
-                    pindex[tgt] = len(pstates)
-                    pstates.append(tgt)
-                    nxt.append(tgt)
-                ptrans[(pindex[(i, j)], li)] = pindex[tgt]
-        frontier = nxt
+    def psucc(pair):
+        for li in range(m):
+            ti = det_s.trans.get((pair[0], li))
+            tj = det_p.trans.get((pair[1], li))
+            if ti is not None and tj is not None:
+                yield li, (ti, tj)
+
+    pstates, pedges = explore([(0, 0)], psucc)
+    ptrans = {(i, li): j for i, li, j in pedges}
     dsets = []
     for (i, j) in pstates:
         dsets.append(
@@ -657,16 +611,9 @@ class _MonitorContext:
 def _determinize_monitor(ctx: _MonitorContext, start: str, cap: int) -> MonitorDfa:
     wa = ctx.wa
     m = len(ctx.letters)
-    si = wa.index(start)
-    matrices = [wa.matrix(a) for a in ctx.letters]
     succs = [
-        [
-            [vj for vj in range(wa.n) if matrices[li][qi][vj] > 0]
-            for qi in range(wa.n)
-        ]
-        for li in range(m)
+        [[vj for vj, _ in row] for row in wa.sparse_rows[a][1]] for a in ctx.letters
     ]
-    init = frozenset([(si, (), None)])
 
     def step(mset, li):
         out = set()
@@ -691,27 +638,12 @@ def _determinize_monitor(ctx: _MonitorContext, start: str, cap: int) -> MonitorD
                     )
         return frozenset(out)
 
-    states = [init]
-    index = {init: 0}
-    trans = {}
-    frontier = [init]
-    while frontier:
-        nxt = []
-        for mset in frontier:
-            for li in range(m):
-                tgt = step(mset, li)
-                if not tgt:
-                    continue
-                if tgt not in index:
-                    if len(states) >= cap:
-                        raise ResourceError(
-                            f"signature monitor exceeded {cap} subset states"
-                        )
-                    index[tgt] = len(states)
-                    states.append(tgt)
-                    nxt.append(tgt)
-                trans[(index[mset], li)] = index[tgt]
-        frontier = nxt
+    states, edges = explore(
+        [frozenset([(wa.index(start), (), None)])],
+        lambda mset: ((li, tgt) for li in range(m) if (tgt := step(mset, li))),
+        cap,
+    )
+    trans = {(i, li): j for i, li, j in edges}
     finals_idx = {wa.index(f) for f in wa.finals}
     sigsets = []
     for mset in states:
@@ -829,16 +761,6 @@ def parikh_linear_sets(n: Nfa, letters) -> list:
         raise InputError("block letters must be distinct")
     results: list = []
 
-    def walk(entry: frozenset, li: int):
-        subsets = []
-        index = {}
-        cur = entry
-        while cur not in index:
-            index[cur] = len(subsets)
-            subsets.append(cur)
-            cur = n.step(cur, letters[li])
-        return subsets, index[cur]
-
     def positions(subsets, loop_start, pred, min_steps: int):
         """Arithmetic progressions of step counts k >= min_steps with
         pred(subsets[k]); loop hits recur with the loop period."""
@@ -863,7 +785,7 @@ def parikh_linear_sets(n: Nfa, letters) -> list:
     def go(li: int, entry: frozenset, base, periods):
         if len(results) > LINEAR_SET_CAP:
             raise ResourceError("linear-set decomposition exceeded the cap")
-        subsets, loop_start = walk(entry, li)
+        subsets, loop_start = lasso(entry, lambda sub: n.step(sub, letters[li]))
         min_steps = 1 if li == 0 else 0
         offset = 0 if li == 0 else 1
         if li == m - 1:

@@ -2,8 +2,11 @@
 
 Rational operations stay exact.  Logarithms go through the decimal module:
 Decimal.ln() is correctly rounded, so widening the result by one unit in the
-last place on each side gives a true enclosure, and directed-rounding
-division converts rational endpoints safely.
+last place on each side gives a true enclosure.  The widening runs in a
+local context at the working precision, rounding toward minus infinity for
+the lower bound and toward plus infinity for the upper one (the global
+28-digit context would round a wide result back to a point), and
+directed-rounding division converts rational endpoints safely.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ def _fraction_to_decimal(q: Fraction, digits: int, round_down: bool) -> Decimal:
 
 def _widen_ulp(d: Decimal, digits: int, down: bool) -> Decimal:
     ulp = Decimal(1).scaleb(d.adjusted() - digits + 1)
-    return d - ulp if down else d + ulp
+    rounding = decimal.ROUND_FLOOR if down else decimal.ROUND_CEILING
+    ctx = decimal.Context(prec=digits, rounding=rounding)
+    return ctx.subtract(d, ulp) if down else ctx.add(d, ulp)
 
 
 @lru_cache(maxsize=65536)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .automata import InputError, Nfa, Query, ResourceError, nfa_of
+from .automata import InputError, Nfa, Query, explore, lasso, nfa_of
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,7 @@ class UnaryLasso:
         if not n.is_unary():
             raise InputError("lasso determinization needs a unary NFA")
         a = n.alphabet[0]
-        subsets = []
-        index: dict = {}
-        cur = frozenset([n.start])
-        while cur not in index:
-            index[cur] = len(subsets)
-            subsets.append(cur)
-            cur = n.step(cur, a)
-        loop_start = index[cur]
+        subsets, loop_start = lasso(frozenset([n.start]), lambda sub: n.step(sub, a))
         acc = tuple(bool(sub & n.finals) for sub in subsets)
         return cls(acc[:loop_start], acc[loop_start:])
 
@@ -169,14 +162,10 @@ def eventually_included(n1: Nfa, n2: Nfa) -> EventualInclusion:
     if not n1.is_unary() or not n2.is_unary():
         raise InputError("eventual inclusion is defined for unary NFAs")
     a1, a2 = n1.alphabet[0], n2.alphabet[0]
-    pairs = []
-    index: dict = {}
-    cur = (frozenset([n1.start]), frozenset([n2.start]))
-    while cur not in index:
-        index[cur] = len(pairs)
-        pairs.append(cur)
-        cur = (n1.step(cur[0], a1), n2.step(cur[1], a2))
-    loop_start = index[cur]
+    pairs, loop_start = lasso(
+        (frozenset([n1.start]), frozenset([n2.start])),
+        lambda pair: (n1.step(pair[0], a1), n2.step(pair[1], a2)),
+    )
     period = len(pairs) - loop_start
     diff = [
         bool(s1 & n1.finals) and not (s2 & n2.finals) for s1, s2 in pairs
@@ -275,91 +264,60 @@ def determinize(n: Nfa, cap: int = 200000):
 
     The dead subset (empty set) is included so the result is a complete DFA.
     """
-    start = frozenset([n.start])
-    index = {start: 0}
-    subsets = [start]
-    trans = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for a in n.alphabet:
-                tgt = n.step(sub, a)
-                if tgt not in index:
-                    if len(index) >= cap:
-                        raise ResourceError(
-                            f"subset construction exceeded cap={cap} states"
-                        )
-                    index[tgt] = len(subsets)
-                    subsets.append(tgt)
-                    nxt.append(tgt)
-                trans[(index[sub], a)] = index[tgt]
-        frontier = nxt
-    return subsets, trans, 0
+    subsets, edges = explore(
+        [frozenset([n.start])],
+        lambda sub: ((a, n.step(sub, a)) for a in n.alphabet),
+        cap,
+    )
+    return subsets, {(i, a): j for i, a, j in edges}, 0
+
+
+def _named_product(start, succ, final, alphabet, sep: str) -> Nfa:
+    """Reachable pair automaton from `start`, pair (x, y) named "x{sep}y"."""
+    pairs, edges = explore([start], succ)
+    name = [f"{x}{sep}{y}" for x, y in pairs]
+    return Nfa(
+        tuple(sorted(name)),
+        tuple(alphabet),
+        frozenset((name[i], a, name[j]) for i, a, j in edges),
+        name[0],
+        frozenset(name[i] for i, pair in enumerate(pairs) if final(*pair)),
+    )
 
 
 def nfa_product(n1: Nfa, n2: Nfa, mode: str) -> Nfa:
     """Intersection or difference of NFA languages over a shared alphabet."""
     if set(n1.alphabet) != set(n2.alphabet):
         raise InputError("product requires a shared alphabet")
+
+    def moves(nfa, p, a):
+        return sorted(nfa.step(frozenset([p]), a))
+
     if mode == "intersect":
-        trans = set()
-        states = set()
-        start = (n1.start, n2.start)
-        frontier = [start]
-        states.add(start)
-        while frontier:
-            nxt = []
-            for (p, q) in frontier:
-                for a in n1.alphabet:
-                    for p2 in sorted(n1.step(frozenset([p]), a)):
-                        for q2 in sorted(n2.step(frozenset([q]), a)):
-                            trans.add(((p, q), a, (p2, q2)))
-                            if (p2, q2) not in states:
-                                states.add((p2, q2))
-                                nxt.append((p2, q2))
-            frontier = nxt
-        name = {pq: f"{pq[0]}|{pq[1]}" for pq in states}
-        finals = frozenset(
-            name[pq] for pq in states if pq[0] in n1.finals and pq[1] in n2.finals
-        )
-        return Nfa(
-            tuple(name[pq] for pq in sorted(states, key=name.get)),
-            tuple(n1.alphabet),
-            frozenset((name[p], a, name[q]) for (p, a, q) in trans),
-            name[start],
-            finals,
+        return _named_product(
+            (n1.start, n2.start),
+            lambda pq: (
+                (a, (p2, q2))
+                for a in n1.alphabet
+                for p2 in moves(n1, pq[0], a)
+                for q2 in moves(n2, pq[1], a)
+            ),
+            lambda p, q: p in n1.finals and q in n2.finals,
+            n1.alphabet,
+            "|",
         )
     if mode == "difference":
         subsets, dtrans, d0 = determinize(n2)
-        states = set()
-        trans = set()
-        start = (n1.start, d0)
-        states.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for (p, d) in frontier:
-                for a in n1.alphabet:
-                    d2 = dtrans[(d, a)]
-                    for p2 in sorted(n1.step(frozenset([p]), a)):
-                        trans.add(((p, d), a, (p2, d2)))
-                        if (p2, d2) not in states:
-                            states.add((p2, d2))
-                            nxt.append((p2, d2))
-            frontier = nxt
-        name = {pd: f"{pd[0]}#{pd[1]}" for pd in states}
-        finals = frozenset(
-            name[(p, d)]
-            for (p, d) in states
-            if p in n1.finals and not (subsets[d] & n2.finals)
-        )
-        return Nfa(
-            tuple(name[pd] for pd in sorted(states, key=name.get)),
-            tuple(n1.alphabet),
-            frozenset((name[p], a, name[q]) for (p, a, q) in trans),
-            name[start],
-            finals,
+        return _named_product(
+            (n1.start, d0),
+            lambda pd: (
+                (a, (p2, dtrans[(pd[1], a)]))
+                for a in n1.alphabet
+                for p2 in moves(n1, pd[0], a)
+            ),
+            lambda p, d: p in n1.finals and not (subsets[d] & n2.finals),
+            n1.alphabet,
+            "#",
         )
     raise InputError(f"unknown product mode {mode!r}")
 
@@ -385,34 +343,14 @@ def nfa_complement_within(n: Nfa, letters: tuple[str, ...]) -> Nfa:
     bound = plus_letter_dfa(letters, alphabet=n.alphabet)
     bsets, btrans, b0 = determinize(bound)
     subsets, dtrans, d0 = determinize(n)
-    states = set()
-    trans = set()
-    start = (b0, d0)
-    states.add(start)
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (p, d) in frontier:
-            for a in bound.alphabet:
-                p2 = btrans[(p, a)]
-                if not bsets[p2]:
-                    continue
-                d2 = dtrans[(d, a)]
-                trans.add(((p, d), a, (p2, d2)))
-                if (p2, d2) not in states:
-                    states.add((p2, d2))
-                    nxt.append((p2, d2))
-        frontier = nxt
-    name = {pd: f"{pd[0]}#{pd[1]}" for pd in states}
-    finals = frozenset(
-        name[(p, d)]
-        for (p, d) in states
-        if (bsets[p] & bound.finals) and not (subsets[d] & n.finals)
-    )
-    return Nfa(
-        tuple(name[pd] for pd in sorted(states, key=name.get)),
-        tuple(bound.alphabet),
-        frozenset((name[p], a, name[q]) for (p, a, q) in trans),
-        name[start],
-        finals,
+    return _named_product(
+        (b0, d0),
+        lambda pd: (
+            (a, (btrans[(pd[0], a)], dtrans[(pd[1], a)]))
+            for a in bound.alphabet
+            if bsets[btrans[(pd[0], a)]]
+        ),
+        lambda p, d: bool(bsets[p] & bound.finals) and not (subsets[d] & n.finals),
+        bound.alphabet,
+        "#",
     )

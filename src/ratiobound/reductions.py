@@ -15,9 +15,10 @@ from .automata import (
     ProbAutomaton,
     Query,
     WeightedAutomaton,
-    closure,
+    explore,
     fresh_state,
     normalize_single_final,
+    trim,
 )
 from .nfaops import ChrobakNf
 
@@ -452,14 +453,10 @@ def bigo_to_value1(q: Query) -> ProbAutomaton:
 
 def _has_sink(wa: WeightedAutomaton, s: str, s_prime: str) -> bool:
     """Some state reachable from the query states cannot reach a final state."""
-    n = wa.n
-    succ = [
-        {j for a in wa.alphabet for j in range(n) if wa.trans[a][i][j] > 0}
-        for i in range(n)
-    ]
-    reach = closure({wa.index(s), wa.index(s_prime)}, succ.__getitem__)
-    can_reach_final = closure(
-        {wa.index(f) for f in wa.finals},
-        lambda j: [i for i in range(n) if j in succ[i]],
+    rows = [r for _, r in wa.sparse_rows.values()]
+    reach, edges = explore(
+        {wa.index(s), wa.index(s_prime)},
+        lambda i: ((None, j) for r in rows for j, _ in r[i]),
     )
-    return any(i not in can_reach_final for i in reach)
+    finals = [k for k, i in enumerate(reach) if wa.states[i] in wa.finals]
+    return len(trim(range(len(reach)), finals, edges)) < len(reach)

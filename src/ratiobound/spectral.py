@@ -10,7 +10,14 @@ from math import gcd, lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare, spectral_radius_of_matrix
-from .automata import InputError, Matrix, Nfa, WeightedAutomaton, fresh_state
+from .automata import (
+    InputError,
+    Matrix,
+    Nfa,
+    WeightedAutomaton,
+    explore,
+    fresh_state,
+)
 
 
 @dataclass(frozen=True)
@@ -254,37 +261,29 @@ def annotate(
         raise InputError("annotate requires the single-final normalized shape")
     t = finals[0]
     rank = [table.index_of(info.radius) for info in dag.sccs]
-    si = wa.index(s)
-    start = (s, rank[dag.scc_of[si]], 0)
-    states = {start}
-    transitions = set()
-    frontier = [start]
-    n = wa.n
-    while frontier:
-        nxt = []
-        for (q, ri, k) in frontier:
-            qi = wa.index(q)
-            for vj in range(n):
-                if m[qi][vj] <= 0:
-                    continue
-                q2 = wa.states[vj]
-                same = dag.scc_of[qi] == dag.scc_of[vj]
-                r2 = rank[dag.scc_of[vj]]
-                if same:
-                    tgt = (q2, ri, k)
-                elif r2 == ri:
-                    tgt = (q2, ri, k + 1)
-                elif r2 < ri:
-                    tgt = (q2, ri, k)
-                else:
-                    tgt = (q2, r2, 0)
-                transitions.add(((q, ri, k), tgt))
-                if tgt not in states:
-                    states.add(tgt)
-                    nxt.append(tgt)
-        frontier = nxt
+    rows = wa.sparse_rows[wa.alphabet[0]][1]
+
+    def succ(node):
+        q, ri, k = node
+        qi = wa.index(q)
+        for vj, _ in rows[qi]:
+            r2 = rank[dag.scc_of[vj]]
+            if dag.scc_of[qi] == dag.scc_of[vj] or r2 < ri:
+                yield None, (wa.states[vj], ri, k)
+            elif r2 == ri:
+                yield None, (wa.states[vj], ri, k + 1)
+            else:
+                yield None, (wa.states[vj], r2, 0)
+
+    start = (s, rank[dag.scc_of[wa.index(s)]], 0)
+    states, edges = explore([start], succ)
     ann = AnnotatedAutomaton(
-        wa, start, tuple(sorted(states)), frozenset(transitions), table, t
+        wa,
+        start,
+        tuple(sorted(states)),
+        frozenset((states[i], states[j]) for i, _, j in edges),
+        table,
+        t,
     )
     assert len(ann.admissible()) <= wa.n * wa.n
     return ann

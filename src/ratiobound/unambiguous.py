@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import InputError, Query, closure, normalize_single_final
+from .automata import InputError, Query, normalize_single_final, trim
 from .nfaops import lc_check
 
 
@@ -95,35 +95,18 @@ def decide_unambiguous(q: Query) -> UnambiguousVerdict:
     (t,) = wa.finals
 
     edges = []  # ((p, r), a, (p2, r2), ratio)
-    n = wa.n
+    st = wa.states
     for a in wa.alphabet:
         m = wa.matrix(a)
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] <= 0:
-                    continue
-                for i2 in range(n):
-                    for j2 in range(n):
-                        if m[i2][j2] <= 0:
-                            continue
-                        edges.append(
-                            (
-                                (wa.states[i], wa.states[i2]),
-                                a,
-                                (wa.states[j], wa.states[j2]),
-                                m[i][j] / m[i2][j2],
-                            )
-                        )
+        pos = [(i, j) for i, row in enumerate(wa.sparse_rows[a][1]) for j, _ in row]
+        edges.extend(
+            ((st[i], st[i2]), a, (st[j], st[j2]), m[i][j] / m[i2][j2])
+            for i, j in pos
+            for i2, j2 in pos
+        )
 
-    start, goal = (q.s, q.s_prime), (t, t)
-    fwd: dict = {}
-    bwd: dict = {}
-    for (u, a, v, r) in edges:
-        fwd.setdefault(u, []).append((v, a, r))
-        bwd.setdefault(v, []).append(u)
-    reach = closure({start}, lambda u: [v for (v, _, _) in fwd.get(u, [])])
-    coreach = closure({goal}, lambda v: bwd.get(v, []))
-    live = reach & coreach
+    start = (q.s, q.s_prime)
+    live = trim({start}, {(t, t)}, [(u, a, v) for (u, a, v, _) in edges])
     if start not in live:
         # containment holds and no common accepted word: bounded trivially
         return UnambiguousVerdict(True)

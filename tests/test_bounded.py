@@ -11,6 +11,7 @@ from ratiobound import (
     InputError,
     LinearSet,
     Query,
+    ResourceError,
     RhoVector,
     WeightedAutomaton,
     bounded_to_letter_bounded,
@@ -537,3 +538,19 @@ def test_witness_without_increasing_run_is_unknown(monkeypatch, tmp_path, capsys
     assert main(argv + ["--emit-smt", str(smt)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert len(report["smtFiles"]) == len(os.listdir(smt)) == len(res.unknown_formulas)
+
+
+def test_plus_analysis_monitor_cap():
+    wa = relative_orderings(F(62, 100))
+    sizes = []
+    for pq in letter_bounded_to_plus(wa, "s", "s'", ("a", "b")):
+        analysis = plus_analysis(pq)
+        size = max(len(analysis.det_s.states), len(analysis.det_p.states))
+        sizes.append(size)
+        exact = plus_analysis(pq, cap=size)
+        assert exact.det_s.states == analysis.det_s.states
+        assert exact.product_states == analysis.product_states
+        if size > 1:
+            with pytest.raises(ResourceError):
+                plus_analysis(pq, cap=size - 1)
+    assert max(sizes) > 1, sizes

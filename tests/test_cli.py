@@ -309,3 +309,27 @@ def test_classify_spectral_dump(capsys):
     assert main(["classify", "--file", f, "--from", "s", "--spectral"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert "spectral" in report and "admissible" in report["spectral"]
+
+
+def test_check_monitor_cap_exits_66(capsys, monkeypatch):
+    import functools
+
+    import ratiobound.bounded
+
+    small = functools.partial(ratiobound.bounded.plus_analysis, cap=1)
+    monkeypatch.setattr(ratiobound.bounded, "plus_analysis", small)
+    f = data_file("relative_orderings_p62.json")
+    args = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]
+    assert main(args) == 66
+    assert "resource error" in capsys.readouterr().err
+
+
+def test_bad_arguments_exit_2(capsys):
+    f = data_file("unbounded_ratio.json")
+    for bad in (["check", "--file", f, "--from", "s"], ["nope"], ["check", "--mode", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "unary"]) == 1
+    assert main(["check", "--file", f, "--from", "s'", "--to", "s", "--mode", "unary"]) == 0

@@ -229,3 +229,18 @@ def test_nfa_contained_prefix():
     assert nfa_contained(n1, n2).holds
     res = nfa_contained(n2, n1)
     assert not res.holds and len(res.counterexample) == 2
+
+
+def test_determinize_cap():
+    from ratiobound import ResourceError
+    from ratiobound.nfaops import determinize
+
+    rng = random.Random(23)
+    for _ in range(10):
+        n = random_unary_nfa(rng, nstates=5)
+        subsets, trans, start = determinize(n)
+        assert start == 0 and len(trans) == len(subsets) * len(n.alphabet)
+        assert determinize(n, cap=len(subsets)) == (subsets, trans, start)
+        if len(subsets) > 1:
+            with pytest.raises(ResourceError):
+                determinize(n, cap=len(subsets) - 1)

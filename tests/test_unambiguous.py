@@ -8,6 +8,7 @@ from ratiobound import (
     InputError,
     Query,
     WeightedAutomaton,
+    decide_bounded,
     decide_unambiguous,
     decide_unary,
     is_unambiguous_from,
@@ -16,7 +17,13 @@ from ratiobound import (
 )
 from ratiobound.samples import unbounded_ratio
 
-from helpers import count_accepting_paths, planted_unambiguous, random_wa, words_upto
+from helpers import (
+    count_accepting_paths,
+    planted_unambiguous,
+    random_block_wa,
+    random_wa,
+    words_upto,
+)
 
 
 def test_deterministic_is_unambiguous():
@@ -141,3 +148,30 @@ def test_agreement_with_unary_decider():
             decide_unambiguous(Query(wa, s, sp)).is_big_o
             == decide_unary(Query(wa, s, sp)).is_big_o
         )
+
+
+def test_agreement_with_bounded_decider():
+    """Every certified decide_bounded verdict matches decide_unambiguous on
+    planted pairs and on block automata unambiguous from both states; the
+    bounded decider may answer unknown at exact ties."""
+    cases = []
+    rng = random.Random(11)
+    for i in range(40):
+        wa, s, sp = planted_unambiguous(rng, i % 2 == 0)
+        cases.append((f"planted {i}", Query(wa, s, sp), None))
+    rng = random.Random(11)
+    for i in range(200):
+        wa = random_block_wa(rng, per=2)
+        if is_unambiguous_from(wa, "L0_0") and is_unambiguous_from(wa, "L0_1"):
+            cases.append((f"block draw {i}", Query(wa, "L0_0", "L0_1"), ("a", "b")))
+    disagree, unknown = [], []
+    for label, q, letters in cases:
+        want = "is-big-o" if decide_unambiguous(q).is_big_o else "not-big-o"
+        got = decide_bounded(q, letters=letters).verdict
+        if got == "unknown":
+            unknown.append(label)
+        elif got != want:
+            disagree.append((label, want, got))
+    summary = f"{len(cases)} cases, {len(unknown)} unknown: {unknown}"
+    assert not disagree, (disagree, summary)
+    assert len(cases) - len(unknown) >= 80, summary
