@@ -1,7 +1,8 @@
 """Core data model: weighted automata, LMC/PA validation, weights, ratio oracle.
 
-All weights are exact rationals (fractions.Fraction, always canonical).
-Values are immutable after construction; every operation is a pure function.
+All weights are exact rationals, stored as integers over a per-symbol
+denominator and read out as canonical fractions.Fraction.  Values are
+immutable after construction; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -44,41 +45,11 @@ INF = Infinity()
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    result = mat_identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
-
-
-def vec_mat(v: tuple[Fraction, ...], m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(
-        sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedAutomaton:
-    """Weighted automaton over (Q>=0, +, x) with per-symbol transition matrices.
+    """Weighted automaton over (Q>=0, +, x), stored sparse: per symbol, the
+    nonzero weights x/d of its transition matrix as integer rows over one
+    positive denominator d.
 
     State ids are strings externally and dense indices internally; the index
     map is part of the value and stable across operations.
@@ -86,7 +57,9 @@ class WeightedAutomaton:
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    trans: dict  # symbol -> Matrix
+    # symbol -> (d, rows): row i lists (j, x) for each weight x/d > 0 of the
+    # symbol's matrix, in ascending column order
+    sparse_rows: dict
     finals: frozenset
 
     def __post_init__(self):
@@ -97,15 +70,25 @@ class WeightedAutomaton:
         idx = {q: i for i, q in enumerate(self.states)}
         object.__setattr__(self, "_idx", idx)
         n = len(self.states)
-        if set(self.trans) != set(self.alphabet):
+        if set(self.sparse_rows) != set(self.alphabet):
             raise InputError("transition matrices must cover the alphabet exactly")
-        for a, m in self.trans.items():
-            if len(m) != n or any(len(row) != n for row in m):
+        for a, (d, rows) in self.sparse_rows.items():
+            if len(rows) != n:
                 raise InputError(f"matrix for {a!r} is not {n}x{n}")
-            for row in m:
-                for w in row:
-                    if w and w < 0:
-                        raise InputError("negative transition weight")
+            if d < 1:
+                raise InputError(f"denominator for {a!r} is not positive")
+            for row in rows:
+                last = -1
+                for j, x in row:
+                    if not last < j < n:
+                        raise InputError(
+                            f"matrix for {a!r}: columns must ascend within 0..{n - 1}"
+                        )
+                    if x <= 0:
+                        raise InputError(
+                            "negative transition weight" if x else "stored zero weight"
+                        )
+                    last = j
         bad = self.finals - set(self.states)
         if bad:
             raise InputError(f"final states not declared: {sorted(bad)}")
@@ -125,13 +108,12 @@ class WeightedAutomaton:
         states = tuple(states)
         alphabet = tuple(alphabet)
         idx = {q: i for i, q in enumerate(states)}
-        n = len(states)
-        rows = {a: [[Fraction(0)] * n for _ in range(n)] for a in alphabet}
+        entries: dict = {a: {} for a in alphabet}
         seen = set()
         for q, a, w, q2 in transitions:
             if q not in idx or q2 not in idx:
                 raise InputError(f"transition references unknown state: {q!r}->{q2!r}")
-            if a not in rows:
+            if a not in entries:
                 raise InputError(f"transition references unknown symbol {a!r}")
             if (q, a, q2) in seen:
                 raise InputError(f"duplicate transition triple ({q!r},{a!r},{q2!r})")
@@ -139,15 +121,37 @@ class WeightedAutomaton:
             w = Fraction(w)
             if w < 0:
                 raise InputError("negative transition weight")
-            rows[a][idx[q]][idx[q2]] = w
-        trans = {a: tuple(tuple(r) for r in rows[a]) for a in alphabet}
-        return cls(states, alphabet, trans, frozenset(finals))
+            if w:
+                entries[a][idx[q], idx[q2]] = w
+        sparse = {}
+        for a, cells in entries.items():
+            d = lcm(*(w.denominator for w in cells.values()))
+            rows: list = [[] for _ in states]
+            for (i, j), w in sorted(cells.items()):
+                rows[i].append((j, w.numerator * (d // w.denominator)))
+            sparse[a] = d, tuple(map(tuple, rows))
+        return cls(states, alphabet, sparse, frozenset(finals))
 
     def index(self, q: str) -> int:
         try:
             return self._idx[q]
         except KeyError:
             raise InputError(f"unknown state {q!r}") from None
+
+    @cached_property
+    def trans(self) -> dict:
+        """symbol -> dense Matrix, a view derived from the sparse rows."""
+        zero = Fraction(0)
+        out = {}
+        for a, (d, rows) in self.sparse_rows.items():
+            dense = []
+            for row in rows:
+                cells = [zero] * len(rows)
+                for j, x in row:
+                    cells[j] = Fraction(x, d)
+                dense.append(tuple(cells))
+            out[a] = tuple(dense)
+        return out
 
     def matrix(self, a: str) -> Matrix:
         try:
@@ -159,26 +163,14 @@ class WeightedAutomaton:
     def n(self) -> int:
         return len(self.states)
 
-    @cached_property
-    def sparse_rows(self) -> dict:
-        """symbol -> (d, rows): row i lists (j, x) for each nonzero weight
-        x/d of the symbol's matrix, where d is the lcm of its denominators."""
-        out = {}
-        for a, m in self.trans.items():
-            d = lcm(*(w.denominator for row in m for w in row))
-            out[a] = d, tuple(
-                tuple((j, int(w * d)) for j, w in enumerate(r) if w) for r in m
-            )
-        return out
-
     def transitions(self) -> list[tuple[str, str, Fraction, str]]:
+        st = self.states
         out = []
         for a in self.alphabet:
-            m = self.trans[a]
-            for i, q in enumerate(self.states):
-                for j, q2 in enumerate(self.states):
-                    if m[i][j] != 0:
-                        out.append((q, a, m[i][j], q2))
+            d, rows = self.sparse_rows[a]
+            for i, row in enumerate(rows):
+                for j, x in row:
+                    out.append((st[i], a, Fraction(x, d), st[j]))
         return out
 
     def final_vector(self) -> tuple[Fraction, ...]:
@@ -294,8 +286,10 @@ def weight_blocks(
     for a, count in blocks:
         if count < 0:
             raise InputError("negative block length")
-        wa.matrix(a)  # InputError for an unknown symbol
-        d, rows = wa.sparse_rows[a]
+        try:
+            d, rows = wa.sparse_rows[a]
+        except KeyError:
+            raise InputError(f"unknown symbol {a!r}") from None
         for _ in range(count):
             vec = _step(vec, rows)
         den *= d**count
@@ -370,9 +364,8 @@ def single_final_shape(wa: WeightedAutomaton) -> Optional[str]:
         return None
     (t,) = wa.finals
     i = wa.index(t)
-    for a in wa.alphabet:
-        if any(w != 0 for w in wa.trans[a][i]):
-            return None
+    if any(rows[i] for _, rows in wa.sparse_rows.values()):
+        return None
     return t
 
 
@@ -388,19 +381,17 @@ def normalize_single_final(wa: WeightedAutomaton) -> WeightedAutomaton:
     if single_final_shape(wa) is not None:
         return wa
     t = fresh_state(set(wa.states), "t")
-    states = wa.states + (t,)
-    fin = [wa.index(f) for f in wa.finals]
+    fin = {wa.index(f) for f in wa.finals}
     n = wa.n
-    trans = {}
-    for a in wa.alphabet:
-        m = wa.trans[a]
-        rows = []
-        for i in range(n):
-            extra = sum((m[i][j] for j in fin), Fraction(0))
-            rows.append(tuple(m[i]) + (extra,))
-        rows.append(tuple(Fraction(0) for _ in range(n + 1)))
-        trans[a] = tuple(rows)
-    return WeightedAutomaton(states, wa.alphabet, trans, frozenset([t]))
+    sparse = {}
+    for a, (d, rows) in wa.sparse_rows.items():
+        out = []
+        for row in rows:
+            extra = sum(x for j, x in row if j in fin)
+            out.append(row + ((n, extra),) if extra else row)
+        out.append(())
+        sparse[a] = d, tuple(out)
+    return WeightedAutomaton(wa.states + (t,), wa.alphabet, sparse, frozenset([t]))
 
 
 def nfa_of(wa: WeightedAutomaton, s: str) -> Nfa:
@@ -466,7 +457,8 @@ def validate_lmc(wa: WeightedAutomaton) -> ValidationReport:
     one, zero = Fraction(1), Fraction(0)
     for i, q in enumerate(wa.states):
         total = sum(
-            (w for a in wa.alphabet for w in wa.trans[a][i]), zero
+            (Fraction(sum(x for _, x in rows[i]), d) for d, rows in wa.sparse_rows.values()),
+            zero,
         )
         if q in wa.finals:
             if total != zero:
@@ -486,8 +478,9 @@ def validate_pa(wa: WeightedAutomaton, start: str) -> ValidationReport:
         return ValidationReport(False, f"start state {start!r} undeclared", start)
     one = Fraction(1)
     for a in wa.alphabet:
+        d, rows = wa.sparse_rows[a]
         for i, q in enumerate(wa.states):
-            total = sum(wa.trans[a][i], Fraction(0))
+            total = Fraction(sum(x for _, x in rows[i]), d)
             if total != one:
                 return ValidationReport(
                     False, f"row not stochastic for symbol {a!r}", q, one, total

@@ -288,14 +288,14 @@ def bounded_to_letter_bounded(
     eps: dict = {}
     emit: dict = {a: {} for a in out_letters}
     for (t, x, out, t2) in tedges:
-        mm = wa.trans[x]
-        for qi, row in enumerate(wa.sparse_rows[x][1]):
-            for qj, _ in row:
+        d, rows = wa.sparse_rows[x]
+        for qi, row in enumerate(rows):
+            for qj, y in row:
                 i = (wa.states[qi], t)
                 j = (wa.states[qj], t2)
                 target = eps if out is None else emit[out]
                 bucket = target.setdefault(i, {})
-                bucket[j] = bucket.get(j, Fraction(0)) + mm[qi][qj]
+                bucket[j] = bucket.get(j, Fraction(0)) + Fraction(y, d)
     r = max(len(w) for w in words) - 1
     # acc = sum of eps^x for x = 0..r, as a sparse matrix
     acc: dict = {}
@@ -393,28 +393,29 @@ def letter_bounded_to_plus(
 
 
 def _plus_subquery(wa, s, s_prime, pat) -> PlusQuery:
-    """Product with the plus-bound DFA for `pat`, then per-block relabeling."""
+    """Product with the plus-bound DFA for `pat`, then per-block relabeling.
+    Product state (q, d) has index q * (k + 1) + d."""
     k = len(pat)
-    dfa_states = tuple(range(k + 1))
-    prod_states = [(q, d) for q in wa.states for d in dfa_states]
-    names = {qd: f"{qd[0]}@{qd[1]}" for qd in prod_states}
-    trans = []
-    for (q, a, w, q2) in wa.transitions():
-        for d in dfa_states:
-            targets = []
-            if d >= 1 and pat[d - 1] == a:
-                targets.append(d)
-            if d < k and pat[d] == a:
-                targets.append(d + 1)
-            for d2 in targets:
-                trans.append((names[(q, d)], a, w, names[(q2, d2)]))
-    finals = frozenset(
-        names[(q, k)] for q in wa.states if q in wa.finals
+    dfa_states = range(k + 1)
+    sparse = {}
+    for a in wa.alphabet:
+        den, rows = wa.sparse_rows[a]
+        steps = [
+            [d2 for d2 in (d, d + 1) if 1 <= d2 <= k and pat[d2 - 1] == a]
+            for d in dfa_states
+        ]
+        sparse[a] = den, tuple(
+            tuple((j * (k + 1) + d2, x) for j, x in row for d2 in steps[d])
+            for row in rows
+            for d in dfa_states
+        )
+    prod = WeightedAutomaton(
+        tuple(f"{q}@{d}" for q in wa.states for d in dfa_states),
+        wa.alphabet,
+        sparse,
+        frozenset(f"{q}@{k}" for q in wa.finals),
     )
-    prod = WeightedAutomaton.from_transitions(
-        tuple(names[qd] for qd in prod_states), wa.alphabet, trans, finals
-    )
-    return relabel_plus_blocks(prod, names[(s, 0)], names[(s_prime, 0)], pat)
+    return relabel_plus_blocks(prod, f"{s}@0", f"{s_prime}@0", pat)
 
 
 def relabel_plus_blocks(
@@ -437,29 +438,35 @@ def relabel_plus_blocks(
             rows = wa.sparse_rows[a][1]
             for d2 in (d, d + 1):
                 if 1 <= d2 <= m and letters[d2 - 1] == a:
-                    for qj, _ in rows[qi]:
-                        yield a, (qj, d2)
+                    for qj, x in rows[qi]:
+                        yield (a, x), (qj, d2)
 
     nodes, edges = explore({(wa.index(s), 0), (wa.index(s_prime), 0)}, succ)
     finals_idx = {wa.index(f) for f in wa.finals}
     finals = [i for i, (qi, d) in enumerate(nodes) if qi in finals_idx and d == m]
     live = trim(range(len(nodes)), finals, edges)
     usable: dict = {}
-    for (i, a, j) in edges:
+    for (i, (a, x), j) in edges:
         if i in live and j in live:
             (qi, _), (qj, d2) = nodes[i], nodes[j]
-            usable.setdefault((qi, a, qj), set()).add(d2)
-    fresh = tuple(f"b{i+1}" for i in range(m))
-    trans = []
-    for (qi, a, qj), blocks in sorted(usable.items()):
+            usable.setdefault((qi, a, qj, x), set()).add(d2)
+    # block d2 reads letters[d2 - 1] only, so its rows share that letter's
+    # denominator and hold each (qi, qj) at most once
+    out_rows = [[[] for _ in wa.states] for _ in letters]
+    for (qi, a, qj, x), blocks in sorted(usable.items()):
         if len(blocks) > 1:
             raise InputError(
                 f"transition {wa.states[qi]!r}-{a!r}->{wa.states[qj]!r} is usable "
                 f"in blocks {sorted(blocks)}, contradicting boundedness"
             )
         (d2,) = blocks
-        trans.append((wa.states[qi], fresh[d2 - 1], wa.trans[a][qi][qj], wa.states[qj]))
-    out = WeightedAutomaton.from_transitions(wa.states, fresh, trans, wa.finals)
+        out_rows[d2 - 1][qi].append((qj, x))
+    fresh = tuple(f"b{i+1}" for i in range(m))
+    sparse = {
+        b: (wa.sparse_rows[a][0], tuple(map(tuple, rows)))
+        for b, a, rows in zip(fresh, letters, out_rows)
+    }
+    out = WeightedAutomaton(wa.states, fresh, sparse, wa.finals)
     return PlusQuery(out, s, s_prime, fresh, letters)
 
 
@@ -518,7 +525,7 @@ def _vec_lt(v, w):
 def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     wa = pq.automaton
     m = len(pq.letters)
-    dags = [scc_decompose(wa.matrix(a)) for a in pq.letters]
+    dags = [scc_decompose(wa.sparse_rows[a]) for a in pq.letters]
     radii = [info.radius for dag in dags for info in dag.sccs]
     zero = AlgebraicNumber.from_rational(Fraction(0))
     positives = [r for r in radii if r.sign() > 0]

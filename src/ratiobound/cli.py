@@ -78,10 +78,11 @@ def cmd_check(args) -> int:
     q = Query(wa, args.src, args.dst)
     mode = args.mode
     report = {"s": args.src, "sPrime": args.dst, "warnings": warnings}
-    letters = None
+    letters = ambiguity = None
     if mode == "auto":
-        if is_unambiguous_from(wa, args.src) and is_unambiguous_from(wa, args.dst):
-            mode = "unambiguous"
+        amb = is_unambiguous_from(wa, args.src)
+        if amb and (amb_p := is_unambiguous_from(wa, args.dst)):
+            mode, ambiguity = "unambiguous", (amb, amb_p)
         elif wa.is_unary():
             mode = "unary"
         elif args.words or (letters := detect_letter_bounded(wa, args.dst)) is not None:
@@ -106,7 +107,7 @@ def cmd_check(args) -> int:
                 "progressionPeriod": v.progression_period,
             }
     elif mode == "unambiguous":
-        v = decide_unambiguous(q)
+        v = decide_unambiguous(q, ambiguity)
         report["verdict"] = "is-big-o" if v.is_big_o else "not-big-o"
         if not v.is_big_o:
             report["witness"] = {

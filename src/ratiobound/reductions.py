@@ -135,7 +135,7 @@ def complete_for_eventual(
     (t,) = wa.finals
     pi = wa.index(s_prime)
     has_incoming = any(
-        wa.trans[a][i][pi] > 0 for a in wa.alphabet for i in range(wa.n)
+        j == pi for _, rows in wa.sparse_rows.values() for row in rows for j, _ in row
     )
     taken = set(wa.states)
     trans = wa.transitions()
@@ -147,10 +147,9 @@ def complete_for_eventual(
         taken.add(new_sp)
         states.append(new_sp)
         for a in wa.alphabet:
-            row = wa.trans[a][pi]
-            for j, w in enumerate(row):
-                if w > 0:
-                    trans.append((new_sp, a, w, wa.states[j]))
+            d, rows = wa.sparse_rows[a]
+            for j, x in rows[pi]:
+                trans.append((new_sp, a, Fraction(x, d), wa.states[j]))
         s_prime = new_sp
 
     if bound is None:
@@ -426,7 +425,8 @@ def bigo_to_value1(q: Query) -> ProbAutomaton:
         for qs in wa.states:
             i = wa.index(qs)
             for a in wa.alphabet:
-                slack = 1 - sum(wa.trans[a][i], Fraction(0))
+                d, rows = wa.sparse_rows[a]
+                slack = 1 - Fraction(sum(x for _, x in rows[i]), d)
                 if slack > 0:
                     trans.append((copy[qs], a, slack, sink1))
     for qs in wa.states:

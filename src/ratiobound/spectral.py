@@ -1,4 +1,4 @@
-"""SCC/DAG analysis of a non-negative matrix, exact algebraic spectral radii,
+"""SCC/DAG analysis of one letter's sparse rows, exact algebraic spectral radii,
 and the annotated automaton that tracks (radius, count) signatures of runs.
 """
 
@@ -12,7 +12,6 @@ from typing import Optional
 from .algebraic import AlgebraicNumber, compare, spectral_radius_of_matrix
 from .automata import (
     InputError,
-    Matrix,
     Nfa,
     WeightedAutomaton,
     explore,
@@ -82,17 +81,14 @@ def _tarjan(n: int, succ) -> list[list[int]]:
     return sccs
 
 
-def _scc_period(members: list[int], m: Matrix) -> int:
+def _scc_period(members: list[int], succ) -> int:
     """Period via BFS levels: gcd of level(u)+1-level(v) over internal edges."""
-    internal = [
-        (u, v) for u in members for v in members if m[u][v] > 0
-    ]
-    if not internal:
+    inside = set(members)
+    adj = {u: [v for v in succ[u] if v in inside] for u in members}
+    if not any(adj.values()):
         return 0
-    root = members[0]
-    level = {root: 0}
-    frontier = [root]
-    adj = {u: [v for v in members if m[u][v] > 0] for u in members}
+    level = {members[0]: 0}
+    frontier = [members[0]]
     while frontier:
         nxt = []
         for u in frontier:
@@ -102,35 +98,45 @@ def _scc_period(members: list[int], m: Matrix) -> int:
                     nxt.append(v)
         frontier = nxt
     g = 0
-    for u, v in internal:
-        g = gcd(g, level[u] + 1 - level[v])
-    return abs(g)
+    for u in members:
+        for v in adj[u]:
+            g = gcd(g, level[u] + 1 - level[v])
+    return g
 
 
-def scc_decompose(m: Matrix) -> SccDag:
-    """SCCs of the positive-support digraph of a non-negative matrix, with
-    exact spectral radius and period per component."""
-    n = len(m)
-
-    def succ(u):
-        return [v for v in range(n) if m[u][v] > 0]
-
-    comps = _tarjan(n, succ)
+def scc_decompose(letter) -> SccDag:
+    """SCCs of the support digraph of one letter's sparse rows `(d, rows)`
+    (as in `WeightedAutomaton.sparse_rows`), with exact spectral radius and
+    period per component."""
+    d, rows = letter
+    n = len(rows)
+    succ = [[j for j, _ in row] for row in rows]
+    comps = _tarjan(n, succ.__getitem__)
     scc_of = [0] * n
     infos = []
+    zero = Fraction(0)
     for ci, comp in enumerate(comps):
-        for v in comp:
-            scc_of[v] = ci
-        sub = tuple(tuple(m[u][v] for v in comp) for u in comp)
-        radius = spectral_radius_of_matrix(sub) if comp else None
+        pos = {v: k for k, v in enumerate(comp)}
+        sub = []
+        for u in comp:
+            scc_of[u] = ci
+            cells = [zero] * len(comp)
+            for j, x in rows[u]:
+                if j in pos:
+                    cells[pos[j]] = Fraction(x, d)
+            sub.append(tuple(cells))
         infos.append(
-            SccInfo(frozenset(comp), radius, _scc_period(comp, m))
+            SccInfo(
+                frozenset(comp),
+                spectral_radius_of_matrix(tuple(sub)),
+                _scc_period(comp, succ),
+            )
         )
     edges = frozenset(
         (scc_of[u], scc_of[v])
         for u in range(n)
-        for v in range(n)
-        if m[u][v] > 0 and scc_of[u] != scc_of[v]
+        for v in succ[u]
+        if scc_of[u] != scc_of[v]
     )
     return SccDag(tuple(infos), tuple(scc_of), edges)
 
@@ -138,7 +144,7 @@ def scc_decompose(m: Matrix) -> SccDag:
 def scc_decompose_unary(wa: WeightedAutomaton) -> SccDag:
     if not wa.is_unary():
         raise InputError("unary SCC analysis requires a single-letter alphabet")
-    return scc_decompose(wa.matrix(wa.alphabet[0]))
+    return scc_decompose(wa.sparse_rows[wa.alphabet[0]])
 
 
 def local_period(wa: WeightedAutomaton, s: str, t: str) -> int:
@@ -251,9 +257,8 @@ def annotate(
     """
     if not wa.is_unary():
         raise InputError("annotation requires a unary automaton")
-    m = wa.matrix(wa.alphabet[0])
     if dag is None:
-        dag = scc_decompose(m)
+        dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
     if table is None:
         table = RadiusTable.build([info.radius for info in dag.sccs])
     finals = sorted(wa.finals)
@@ -327,13 +332,8 @@ def copy_start_off_cycles(wa: WeightedAutomaton, s: str) -> tuple[WeightedAutoma
     fresh = fresh_state(set(wa.states), f"{s}^")
     states = wa.states + (fresh,)
     si = wa.index(s)
-    trans = {}
-    for a in wa.alphabet:
-        m = wa.trans[a]
-        rows = [tuple(row) + (Fraction(0),) for row in m]
-        rows.append(tuple(m[si]) + (Fraction(0),))
-        trans[a] = tuple(rows)
-    return WeightedAutomaton(states, wa.alphabet, trans, wa.finals), fresh
+    sparse = {a: (d, rows + (rows[si],)) for a, (d, rows) in wa.sparse_rows.items()}
+    return WeightedAutomaton(states, wa.alphabet, sparse, wa.finals), fresh
 
 
 def scc_debug_dump(wa: WeightedAutomaton, s: Optional[str] = None) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import InputError, Query, normalize_single_final, trim
+from .automata import InputError, Query, explore, normalize_single_final, trim
 from .nfaops import lc_check
 
 
@@ -27,26 +27,22 @@ def is_unambiguous_from(wa, s) -> AmbiguityResult:
     with two accepting runs is found as a reachable (final, final, diverged)
     triple.  BFS yields a shortest ambiguous word.
     """
-    wa.index(s)
-    start = (s, s, False)
+    si = wa.index(s)
+    letters = [(a, wa.sparse_rows[a][1]) for a in wa.alphabet]
+    final = [q in wa.finals for q in wa.states]
+    start = (si, si, False)
     seen = {start}
     frontier = [(start, "")]
     while frontier:
         nxt = []
-        for (p, r, div), word in frontier:
-            pi, ri = wa.index(p), wa.index(r)
-            for a in wa.alphabet:
-                m = wa.matrix(a)
-                for j1, p2 in enumerate(wa.states):
-                    if m[pi][j1] <= 0:
-                        continue
-                    for j2, r2 in enumerate(wa.states):
-                        if m[ri][j2] <= 0:
-                            continue
+        for (pi, ri, div), word in frontier:
+            for a, rows in letters:
+                for p2, _ in rows[pi]:
+                    for r2, _ in rows[ri]:
                         d2 = div or (p2 != r2)
                         state = (p2, r2, d2)
                         w2 = word + a
-                        if d2 and p2 in wa.finals and r2 in wa.finals:
+                        if d2 and final[p2] and final[r2]:
                             return AmbiguityResult(False, w2)
                         if state not in seen:
                             seen.add(state)
@@ -67,7 +63,7 @@ class UnambiguousVerdict:
         return self.is_big_o
 
 
-def decide_unambiguous(q: Query) -> UnambiguousVerdict:
+def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
     """Boundedness for queries unambiguous from both states.
 
     Build the restricted pair product whose edge weights are the exact
@@ -75,43 +71,55 @@ def decide_unambiguous(q: Query) -> UnambiguousVerdict:
     cycle with ratio product > 1 lies on a path from the start pair to the
     final pair.  Multiplicative Bellman-Ford relaxation keeps all arithmetic
     rational: products replace sums and > replaces <.
+
+    `ambiguity` is the pair of `is_unambiguous_from` results for s and s'
+    when the caller has them already.
     """
-    amb_s = is_unambiguous_from(q.automaton, q.s)
-    if not amb_s:
-        raise InputError(
-            f"automaton is ambiguous from {q.s!r} (word {amb_s.witness_word!r}); "
-            "use the unary or bounded decider"
-        )
-    amb_p = is_unambiguous_from(q.automaton, q.s_prime)
-    if not amb_p:
-        raise InputError(
-            f"automaton is ambiguous from {q.s_prime!r} "
-            f"(word {amb_p.witness_word!r}); use the unary or bounded decider"
-        )
+    wa = q.automaton
+    for state, amb in zip((q.s, q.s_prime), ambiguity or (None, None)):
+        if amb is None:
+            amb = is_unambiguous_from(wa, state)
+        if not amb:
+            raise InputError(
+                f"automaton is ambiguous from {state!r} (word {amb.witness_word!r}); "
+                "use the unary or bounded decider"
+            )
     lc = lc_check(q)
     if not lc:
         return UnambiguousVerdict(False, "lc", lc_counterexample=lc.counterexample)
-    wa = normalize_single_final(q.automaton)
+    wa = normalize_single_final(wa)
     (t,) = wa.finals
+    ti = wa.index(t)
 
-    edges = []  # ((p, r), a, (p2, r2), ratio)
-    st = wa.states
-    for a in wa.alphabet:
-        m = wa.matrix(a)
-        pos = [(i, j) for i, row in enumerate(wa.sparse_rows[a][1]) for j, _ in row]
-        edges.extend(
-            ((st[i], st[i2]), a, (st[j], st[j2]), m[i][j] / m[i2][j2])
-            for i, j in pos
-            for i2, j2 in pos
-        )
+    # pairs of transitions on one letter, explored from the start pair; the
+    # ratio of weights x/d over x2/d is x/x2
+    letters = [wa.sparse_rows[a][1] for a in wa.alphabet]
 
-    start = (q.s, q.s_prime)
-    live = trim({start}, {(t, t)}, [(u, a, v) for (u, a, v, _) in edges])
-    if start not in live:
+    def succ(pair):
+        i, i2 = pair
+        for li, rows in enumerate(letters):
+            for j, x in rows[i]:
+                for j2, x2 in rows[i2]:
+                    yield (li, x, x2), (j, j2)
+
+    pairs, pair_edges = explore([(wa.index(q.s), wa.index(q.s_prime))], succ)
+    live = trim([0], [k for k, p in enumerate(pairs) if p == (ti, ti)], pair_edges)
+    if 0 not in live:
         # containment holds and no common accepted word: bounded trivially
         return UnambiguousVerdict(True)
 
-    live_edges = [e for e in edges if e[0] in live and e[2] in live]
+    # live edges in (letter, transition, transition) order
+    st = wa.states
+    live_edges = [
+        ((st[i], st[i2]), wa.alphabet[li], (st[j], st[j2]), Fraction(x, x2))
+        for (li, i, j, i2, j2), x, x2 in sorted(
+            ((li, pairs[u][0], pairs[v][0], pairs[u][1], pairs[v][1]), x, x2)
+            for u, (li, x, x2), v in pair_edges
+            if u in live and v in live
+        )
+    ]
+    start = (q.s, q.s_prime)
+    live = {(st[pairs[k][0]], st[pairs[k][1]]) for k in live}
     dist = {start: Fraction(1)}
     pred: dict = {}
     nodes = len(live)

@@ -44,7 +44,7 @@ def _prepare(q: Query):
     wa = normalize_single_final(q.automaton)
     wa, s_hat = copy_start_off_cycles(wa, q.s)
     wa, sp_hat = copy_start_off_cycles(wa, q.s_prime)
-    dag = scc_decompose(wa.matrix(wa.alphabet[0]))
+    dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
     table = RadiusTable.build([info.radius for info in dag.sccs])
     ann_s = annotate(wa, s_hat, dag, table)
     ann_p = annotate(wa, sp_hat, dag, table)
@@ -136,16 +136,6 @@ def _shifted(wa: WeightedAutomaton, s: str, s_prime: str):
     taken.add(f1)
     f2 = fresh_state(taken, f"{s_prime}>")
     states = wa.states + (f1, f2)
-    n = wa.n
-    si, pi = wa.index(s), wa.index(s_prime)
-    m = wa.trans[a]
-    rows = [tuple(row) + (Fraction(0), Fraction(0)) for row in m]
-    for target in (si, pi):
-        row = [Fraction(0)] * (n + 2)
-        row[target] = Fraction(1)
-        rows.append(tuple(row))
-    trans = {a: tuple(rows)}
-    return WeightedAutomaton(states, wa.alphabet, trans, frozenset(wa.finals)), (
-        f1,
-        f2,
-    )
+    d, rows = wa.sparse_rows[a]
+    rows += (((wa.index(s), d),), ((wa.index(s_prime), d),))
+    return WeightedAutomaton(states, wa.alphabet, {a: (d, rows)}, wa.finals), (f1, f2)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from ratiobound.automata import WeightedAutomaton
+from ratiobound.automata import Matrix, WeightedAutomaton
 from ratiobound.nfaops import ChrobakNf
 from ratiobound.spectral import scc_decompose
 from ratiobound.algebraic import AlgebraicNumber, compare
@@ -137,6 +137,84 @@ def planted_unambiguous(rng: random.Random, expansive: bool):
 
 
 # ---------------------------------------------------------------------------
+# dense references: exact matrices of Fractions, as `WeightedAutomaton.matrix`
+# returns them
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def mat_identity(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
+    return tuple(
+        tuple(one if i == j else zero for j in range(n)) for i in range(n)
+    )
+
+
+def mat_pow(a: Matrix, n: int) -> Matrix:
+    result = mat_identity(len(a))
+    base = a
+    while n:
+        if n & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def vec_mat(v: tuple[Fraction, ...], m: Matrix) -> tuple[Fraction, ...]:
+    return tuple(
+        sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))
+    )
+
+
+def dense_scc_decompose(m: Matrix):
+    """Reference SCC/DAG analysis read from a dense matrix: Tarjan over the
+    positive cells in column order, radii of the members' sub-matrices, and
+    periods by BFS levels over the internal positive cells."""
+    from math import gcd
+
+    from ratiobound.algebraic import spectral_radius_of_matrix
+    from ratiobound.spectral import SccDag, SccInfo, _tarjan
+
+    n = len(m)
+    comps = _tarjan(n, lambda u: [v for v in range(n) if m[u][v] > 0])
+    scc_of = [0] * n
+    infos = []
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            scc_of[v] = ci
+        internal = [(u, v) for u in comp for v in comp if m[u][v] > 0]
+        period = 0
+        if internal:
+            level = {comp[0]: 0}
+            frontier = [comp[0]]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in comp:
+                        if m[u][v] > 0 and v not in level:
+                            level[v] = level[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            for u, v in internal:
+                period = gcd(period, level[u] + 1 - level[v])
+        sub = tuple(tuple(m[u][v] for v in comp) for u in comp)
+        infos.append(SccInfo(frozenset(comp), spectral_radius_of_matrix(sub), period))
+    edges = frozenset(
+        (scc_of[u], scc_of[v])
+        for u in range(n)
+        for v in range(n)
+        if m[u][v] > 0 and scc_of[u] != scc_of[v]
+    )
+    return SccDag(tuple(infos), tuple(scc_of), edges)
+
+
+# ---------------------------------------------------------------------------
 # oracles
 
 
@@ -187,7 +265,7 @@ def brute_unary_signatures(wa: WeightedAutomaton, s: str, n: int):
     paths, computed by path DP directly over the SCC structure (independent
     of the annotated-automaton construction)."""
     m = wa.matrix(wa.alphabet[0])
-    dag = scc_decompose(m)
+    dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
     radii = [info.radius for info in dag.sccs]
     order = _radius_ranks(radii)
     start = wa.index(s)
@@ -281,7 +359,7 @@ def brute_block_degree(wa, s, letters, nvec):
     from ratiobound.algebraic import spectral_radius_of_matrix
 
     m = len(letters)
-    dags = [scc_decompose(wa.matrix(a)) for a in letters]
+    dags = [scc_decompose(wa.sparse_rows[a]) for a in letters]
     all_radii = [info.radius for dag in dags for info in dag.sccs]
     positives = []
     for r in all_radii:

@@ -222,7 +222,7 @@ def test_criterion_9_growth_envelope_property():
         ann, degrees = _annotation_degrees(wa, fresh, 60)
         (t,) = wa.finals
         m = wa.matrix("a")
-        from ratiobound.automata import vec_mat
+        from helpers import vec_mat
 
         i = wa.index(fresh)
         vec = tuple(F(1) if j == i else F(0) for j in range(wa.n))
@@ -267,7 +267,7 @@ def test_criterion_9_growth_envelope_property():
         wa = random_block_wa(rng, per=2)
         subs = letter_bounded_to_plus(wa, "L0_0", "L0_1", ("a", "b"))
         pq = [x for x in subs if x.source_letters == ("a", "b")][0]
-        dags = [scc_decompose(pq.automaton.matrix(a)) for a in pq.letters]
+        dags = [scc_decompose(pq.automaton.sparse_rows[a]) for a in pq.letters]
         positives = []
         for dag in dags:
             for info in dag.sccs:
@@ -329,7 +329,7 @@ class _alg_key:
 
 def _block_weight_grid(wa, s, letters, cap):
     """nu(a^n1 b^n2) for all 0 <= n_i <= cap via incremental vector products."""
-    from ratiobound.automata import vec_mat
+    from helpers import vec_mat
 
     i = wa.index(s)
     fvec = wa.final_vector()

@@ -414,6 +414,46 @@ def test_decide_bounded_agrees_with_unary():
     assert agreements == 30
 
 
+def test_decide_bounded_agrees_with_unary_seeded():
+    """Every certified decide_bounded verdict on seeded random unary
+    automata matches decide_unary, on queries with containment holding and
+    failing alike."""
+    rng = random.Random(7)
+    counts = {}
+    for _ in range(400):
+        wa = random_wa(
+            rng, nstates=rng.randint(2, 5), alphabet=("a",), density=rng.uniform(0.3, 0.8)
+        )
+        s, sp = rng.sample(wa.states, 2)
+        q = Query(wa, s, sp)
+        unary = decide_unary(q)
+        got = decide_bounded(q, letters=("a",)).verdict
+        if got != "unknown":
+            assert got == ("is-big-o" if unary.is_big_o else "not-big-o"), wa.transitions()
+        key = (got, unary.witness_kind)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts.get(("unknown", None), 0) <= 4, counts
+    assert counts.get(("is-big-o", None), 0) >= 100, counts
+    assert counts.get(("not-big-o", "degree"), 0) >= 10, counts
+    assert counts.get(("not-big-o", "lc"), 0) >= 100, counts
+
+
+def test_bounded_pipeline_never_builds_dense_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense matrix built")
+
+    want = {}
+    for p in (F(61, 100), F(62, 100)):
+        res = decide_bounded(Query(relative_orderings(p), "s", "s'"))
+        want[p] = (res.verdict, res.witness, res.subqueries)
+    monkeypatch.setattr(WeightedAutomaton, "trans", property(refuse))
+    monkeypatch.setattr(WeightedAutomaton, "matrix", refuse)
+    for p in want:
+        res = decide_bounded(Query(relative_orderings(p), "s", "s'"))
+        assert (res.verdict, res.witness, res.subqueries) == want[p]
+    assert want[F(61, 100)][0] == "not-big-o" and want[F(62, 100)][0] == "is-big-o"
+
+
 def test_decide_bounded_lc_failure():
     wa = WeightedAutomaton.from_transitions(
         ["p", "q", "t"],

@@ -124,6 +124,33 @@ def test_check_auto_detects_letter_bound_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_auto_checks_ambiguity_once(capsys, monkeypatch):
+    import ratiobound.cli
+    import ratiobound.unambiguous
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args[1:])
+            return fn(*args)
+
+        return wrapper
+
+    for mod in (ratiobound.cli, ratiobound.unambiguous):
+        monkeypatch.setattr(mod, "is_unambiguous_from", counted(mod.is_unambiguous_from))
+    f = data_file("unbounded_ratio.json")
+    assert main(["check", "--file", f, "--from", "s", "--to", "s'"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["decider"] == "unambiguous" and out["verdict"] == "not-big-o"
+    assert calls == [("s",), ("s'",)]
+    # with the decider named, it checks both states itself
+    calls.clear()
+    assert main(["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "unambiguous"]) == 1
+    capsys.readouterr()
+    assert calls == [("s",), ("s'",)]
+
+
 def test_check_bounded_mode(capsys):
     f = data_file("relative_orderings_p62.json")
     assert main(["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]) == 0

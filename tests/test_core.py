@@ -17,10 +17,9 @@ from ratiobound import (
     weight,
     weight_blocks,
 )
-from ratiobound.automata import mat_pow, vec_mat
 from ratiobound.samples import relative_orderings, unbounded_ratio
 
-from helpers import enum_paths_weight, random_wa, words_upto
+from helpers import enum_paths_weight, mat_pow, random_wa, vec_mat, words_upto
 
 
 def test_weight_figure_value():
@@ -59,7 +58,7 @@ def test_weight_splitting_identity():
         wa = random_wa(rng, nstates=4, alphabet=("a", "b"))
         u, v = "ab", "ba"
         lhs = weight(wa, "q0", u + v)
-        from ratiobound.automata import mat_mul, vec_mat
+        from helpers import mat_mul, vec_mat
 
         mu = mat_mul(wa.matrix("a"), wa.matrix("b"))
         i = wa.index("q0")
@@ -98,9 +97,9 @@ def _random_kernel_wa(rng):
     )
     if len(alphabet) > 1 and rng.random() < 0.3:
         # one letter whose matrix is all zero
-        zero = tuple(tuple(F(0) for _ in wa.states) for _ in wa.states)
-        trans = dict(wa.trans, **{alphabet[-1]: zero})
-        wa = WeightedAutomaton(wa.states, wa.alphabet, trans, wa.finals)
+        zero = (1, tuple(() for _ in wa.states))
+        rows = dict(wa.sparse_rows, **{alphabet[-1]: zero})
+        wa = WeightedAutomaton(wa.states, wa.alphabet, rows, wa.finals)
     return wa
 
 
@@ -161,11 +160,58 @@ def test_ratio_profile_matches_dense_reference():
 
 
 def test_negative_matrix_entry_rejected():
-    zero, one = F(0), F(1)
-    with pytest.raises(InputError):
-        WeightedAutomaton(
-            ("p", "t"), ("a",), {"a": ((zero, -one), (zero, zero))}, frozenset({"t"})
+    with pytest.raises(InputError, match="negative"):
+        WeightedAutomaton(("p", "t"), ("a",), {"a": (1, (((1, -1),), ()))}, frozenset({"t"}))
+
+
+def test_sparse_form_errors():
+    def build(rows, states=("p", "t"), alphabet=("a",), finals=("t",)):
+        return WeightedAutomaton(states, alphabet, rows, frozenset(finals))
+
+    good = {"a": (2, (((0, 1), (1, 1)), ()))}
+    assert build(good).matrix("a") == ((F(1, 2), F(1, 2)), (F(0), F(0)))
+    bad = [
+        ("duplicate state", good, dict(states=("p", "p"))),
+        ("duplicate symbol", {"a": good["a"]}, dict(alphabet=("a", "a"))),
+        ("missing symbol", good, dict(alphabet=("a", "b"))),
+        ("extra symbol", dict(good, b=(1, ((), ()))), {}),
+        ("one row short", {"a": (1, ((),))}, {}),
+        ("zero denominator", {"a": (0, ((), ()))}, {}),
+        ("column out of range", {"a": (1, (((2, 1),), ()))}, {}),
+        ("negative column", {"a": (1, (((-1, 1),), ()))}, {}),
+        ("descending columns", {"a": (1, (((1, 1), (0, 1)), ()))}, {}),
+        ("repeated column", {"a": (1, (((1, 1), (1, 1)), ()))}, {}),
+        ("negative weight", {"a": (1, (((1, -1),), ()))}, {}),
+        ("stored zero", {"a": (1, (((1, 0),), ()))}, {}),
+        ("undeclared final", good, dict(finals=("z",))),
+    ]
+    for label, rows, kwargs in bad:
+        with pytest.raises(InputError):
+            build(rows, **kwargs)
+            pytest.fail(f"accepted: {label}")  # not an InputError, so it propagates
+
+
+def test_dense_view_matches_transitions():
+    rng = random.Random(31)
+    for _ in range(60):
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        wa = random_wa(rng, nstates=rng.randint(1, 6), alphabet=alphabet, density=rng.random())
+        triples = wa.transitions()
+        # the matrices as built cell by cell from the triples
+        want = {a: [[F(0)] * wa.n for _ in wa.states] for a in alphabet}
+        for q, a, w, q2 in triples:
+            want[a][wa.index(q)][wa.index(q2)] = w
+        zeros = [(q, a, 0, q2) for q in wa.states for a in alphabet for q2 in wa.states
+                 if not want[a][wa.index(q)][wa.index(q2)]]
+        rebuilt = WeightedAutomaton.from_transitions(
+            wa.states, alphabet, triples + rng.sample(zeros, len(zeros) // 2), wa.finals
         )
+        for a in alphabet:
+            dense = tuple(map(tuple, want[a]))
+            assert wa.matrix(a) == rebuilt.matrix(a) == rebuilt.trans[a] == dense
+            assert all(type(w) is F for row in wa.matrix(a) for w in row)
+        assert rebuilt.sparse_rows == wa.sparse_rows
+        assert rebuilt.transitions() == triples
 
 
 def test_normalize_idempotent_on_shaped_automata():

@@ -371,7 +371,7 @@ def test_value1_backward_xy_invariant():
 
 
 def _prob_to(chain, start, word, target):
-    from ratiobound.automata import vec_mat
+    from helpers import vec_mat
 
     i = chain.index(start)
     vec = tuple(F(1) if j == i else F(0) for j in range(chain.n))

@@ -16,7 +16,6 @@ from ratiobound import (
     scc_decompose_unary,
 )
 from ratiobound.algebraic import compare, AlgebraicNumber
-from ratiobound.automata import mat_pow
 from ratiobound.samples import different_rates, unbounded_ratio
 from ratiobound.spectral import (
     RadiusTable,
@@ -24,7 +23,13 @@ from ratiobound.spectral import (
     scc_debug_dump,
 )
 
-from helpers import brute_unary_degree, brute_unary_signatures, random_wa
+from helpers import (
+    brute_unary_degree,
+    brute_unary_signatures,
+    dense_scc_decompose,
+    mat_pow,
+    random_wa,
+)
 
 
 def cycle_automaton(p):
@@ -58,7 +63,7 @@ def test_period_matches_return_time_gcd():
     for _ in range(15):
         wa = random_wa(rng, nstates=rng.randint(2, 6), alphabet=("a",), density=0.35)
         m = wa.matrix("a")
-        dag = scc_decompose(m)
+        dag = scc_decompose(wa.sparse_rows["a"])
         horizon = 2 * wa.n * wa.n
         powers = []
         acc = m
@@ -72,6 +77,31 @@ def test_period_matches_return_time_gcd():
                 if powers[t - 1][si][si] > 0:
                     g = gcd(g, t)
             assert g == info.period or (g == 0 and info.period == 0)
+
+
+def test_scc_decompose_matches_dense_reference():
+    rng = random.Random(71)
+    seen = {"zero row": 0, "self-loop": 0, "zero letter": 0, "cross edge": 0}
+    for case in range(150):
+        nstates = rng.randint(1, 7)
+        density = 0.0 if case % 10 == 0 else rng.random()
+        wa = random_wa(rng, nstates=nstates, alphabet=("a",), density=density)
+        d, rows = wa.sparse_rows["a"]
+        seen["zero row"] += any(not row for row in rows)
+        seen["self-loop"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
+        seen["zero letter"] += not any(rows)
+        got = scc_decompose((d, rows))
+        want = dense_scc_decompose(wa.matrix("a"))
+        assert got.scc_of == want.scc_of
+        assert got.edges == want.edges
+        seen["cross edge"] += bool(got.edges)
+        assert len(got.sccs) == len(want.sccs)
+        for g, w in zip(got.sccs, want.sccs):
+            assert g.members == w.members
+            assert g.period == w.period
+            assert g.radius == w.radius
+            assert compare(g.radius, w.radius) == 0
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_radius_of_dag_components():
