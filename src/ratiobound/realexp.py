@@ -4,9 +4,11 @@ three-valued semi-decision procedure.
 The sentences assert that a system of linear-plus-logarithmic forms can be
 driven below every bound over a shifted positive cone.  "holds" is answered
 only with a certified diverging ray and interval-verified witness points;
-"fails" only with a certified direction covering or an exact argument; every
-borderline case is answered "unknown" and can be exported as SMT-LIB 2 text
-for external delta-complete solvers.
+"fails" with an exact sign argument (a row whose every term is bounded below,
+read off the exact signs of its coefficients), an exact log-exponent program,
+or a certified direction covering; every borderline case is answered
+"unknown" and can be exported as SMT-LIB 2 text for external delta-complete
+solvers.
 """
 
 from __future__ import annotations
@@ -50,8 +52,14 @@ class LogCoeff:
     den: AlgebraicNumber
     scale: Fraction
 
+    def sign(self) -> int:
+        """The exact sign of scale * log(num/den), with no interval."""
+        if self.scale == 0:
+            return 0
+        return (1 if self.scale > 0 else -1) * compare(self.num, self.den)
+
     def exactly_zero(self) -> bool:
-        return self.scale == 0 or compare(self.num, self.den) == 0
+        return self.sign() == 0
 
     def enclosure(self, bits: int) -> FInterval:
         if self.exactly_zero():
@@ -293,36 +301,39 @@ def semi_decide(
         return SemiDecision(FAILS, detail="no unbounded coordinates")
     if not sysd.rows:
         return SemiDecision(HOLDS, detail="no constraints", ray=tuple([Fraction(1)] * n))
-    zero = [
-        [row.coeffs[i].exactly_zero() for i in range(n)] for row in sysd.rows
-    ]
-    # a row with exactly-zero linear part and no negative log exponents can
-    # never diverge
-    for j, row in enumerate(sysd.rows):
-        if all(zero[j]) and all(p >= 0 for p in row.logs):
-            return SemiDecision(
-                FAILS, detail=f"row {j} is bounded below exactly"
-            )
+    signs = [[co.sign() for co in row.coeffs] for row in sysd.rows]
+    # on [lower, inf) with lower > 0, c*x + p*log(x) is bounded below when
+    # c > 0 (the linear term dominates) or when c = 0 and p >= 0; a row made
+    # of such terms only can never diverge
+    if sysd.lower > 0:
+        for j, row in enumerate(sysd.rows):
+            if all(s > 0 or (s == 0 and p >= 0) for s, p in zip(signs[j], row.logs)):
+                return SemiDecision(
+                    FAILS, detail=f"row {j} is bounded below by exact signs"
+                )
+    zero = [[s == 0 for s in row] for row in signs]
     if all(all(z) for z in zero):
-        return _pure_log_case(formula)
+        return _pure_log_case(formula, bits)
 
     while bits <= max_bits:
         enc = [
             [row.coeffs[i].enclosure(bits) for i in range(n)] for row in sysd.rows
         ]
+        # both certificates are sound, so at most one succeeds; the cheap
+        # covering goes first
+        if _covering_fails(sysd, enc, bits):
+            return SemiDecision(FAILS, detail=f"direction covering at {bits} bits")
         found = _find_certified_ray(sysd, enc, zero, bits)
         if found is not None:
             ray, support = found
             wit = _grid_witnesses(sysd, enc, ray, bits)
             if wit is not None:
                 return SemiDecision(HOLDS, ray=tuple(ray), witnesses=tuple(wit))
-        if _covering_fails(sysd, enc, bits):
-            return SemiDecision(FAILS, detail=f"direction covering at {bits} bits")
         bits *= 2
     return SemiDecision(UNKNOWN, detail=f"precision exhausted at {max_bits} bits")
 
 
-def _pure_log_case(formula: RealExpFormula) -> SemiDecision:
+def _pure_log_case(formula: RealExpFormula, bits: int) -> SemiDecision:
     """All linear coefficients vanish exactly: an integer linear program on
     the log exponents decides outright."""
     sysd = formula.system
@@ -335,7 +346,6 @@ def _pure_log_case(formula: RealExpFormula) -> SemiDecision:
     dint = [int(x * scale) for x in d]
     base = int(sysd.lower) + 2
     witnesses = []
-    bits = start_bits_default()
     t = 1
     thresholds = [Fraction(-10), Fraction(-100), Fraction(-1000)]
     prev_hi = None
@@ -556,7 +566,7 @@ def _covering_fails(sysd: DivergenceSystem, enc, bits: int) -> bool:
         widths = [
             (box[i][1] - box[i][0], i) for i in range(n) if i != fixed
         ]
-        w, i = max(widths)
+        w, i = max(widths, default=(0, None))
         if w == 0:
             return False
         mid = (box[i][0] + box[i][1]) / 2

@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,11 @@ from ratiobound.realexp import (
     DivergenceSystem,
     LogCoeff,
     RealExpFormula,
+    SemiDecision,
+    _covering_fails,
+    _find_certified_ray,
+    _grid_witnesses,
+    _pure_log_case,
     negative_direction,
     semi_decide,
     start_bits_default,
@@ -154,7 +160,11 @@ def test_precision_outside_range_is_input_error():
     """Doubling from 0 bits never terminates, and a start above the cap would
     skip every attempt; both are rejected up front."""
     f = formula([([coeff(1, 1), coeff(2, 1)], [0, 0])])
-    assert semi_decide(f).verdict == UNKNOWN
+    # 0*x1 + ln2*x2 is bounded below, exactly by its signs
+    assert semi_decide(f).verdict == FAILS
+    row_a = ([coeff(2, 1), coeff((1, 2), 1)], [0, 0])
+    row_b = ([coeff((1, 2), 1), coeff(2, 1)], [0, 0])
+    assert semi_decide(formula([row_a, row_b]), max_bits=256).verdict == UNKNOWN
     for bits in (0, -3, 15, 4096):
         with pytest.raises(InputError):
             semi_decide(f, start_bits=bits)
@@ -188,3 +198,125 @@ def test_verdict_invariant_under_variable_permutation():
         v1 = semi_decide(formula(rows)).verdict
         v2 = semi_decide(formula(permuted(rows))).verdict
         assert v1 == v2
+
+
+def test_log_coeff_sign_is_exact():
+    assert coeff((1, 2), 1).sign() == -1
+    assert coeff((1, 2), 1, -3).sign() == 1
+    assert coeff(3, 3).sign() == 0
+    assert coeff(2, 1, 0).sign() == 0
+    assert LogCoeff(largest_real_root((-2, 0, 1)), rat((7, 5)), F(1)).sign() == 1
+
+
+def test_sign_rule_needs_only_a_positive_lower_bound():
+    """x >= 1/2 keeps c*x + p*log(x) bounded below for c > 0, or c = 0 and
+    p >= 0, even though log(x) dips below 0."""
+    rows = [([coeff(2, 1), coeff(1, 1)], [-1, 1]), ([coeff((1, 2), 1), coeff(1, 1)], [0, 0])]
+    res = semi_decide(formula(rows, lower=F(1, 2)))
+    assert res.verdict == FAILS and "exact signs" in res.detail
+
+
+def test_single_variable_coefficient_near_zero():
+    """ln(1 +- 10^-50) straddles 0 at 128 bits; the covering of a single
+    variable has nothing to split and must not raise."""
+    up = formula([([coeff(10**50 + 1, 10**50)], [0])])
+    assert semi_decide(up).verdict == FAILS
+    down = formula([([coeff(10**50, 10**50 + 1)], [0])])
+    res = semi_decide(down)
+    assert res.verdict == HOLDS and res.ray == (1,)
+
+
+def test_pure_log_case_uses_the_requested_precision(monkeypatch):
+    import ratiobound.realexp as realexp
+
+    seen = []
+    inner = realexp.ln_fraction_bounds
+
+    def recording(x, bits):
+        seen.append(bits)
+        return inner(x, bits)
+
+    monkeypatch.setattr(realexp, "ln_fraction_bounds", recording)
+    res = semi_decide(formula([([coeff(1, 1)], [-1])]), start_bits=256)
+    assert res.verdict == HOLDS
+    assert seen and set(seen) == {256}
+
+
+def _ray_first(f, bits, max_bits, grid_witnesses=_grid_witnesses):
+    """The semi-decision with the ray search ahead of the covering and no
+    sign rule beyond all-zero rows, as it stood before the exact signs."""
+    sysd = f.system
+    zero = [[co.exactly_zero() for co in row.coeffs] for row in sysd.rows]
+    for j, row in enumerate(sysd.rows):
+        if all(zero[j]) and all(p >= 0 for p in row.logs):
+            return SemiDecision(FAILS)
+    if all(all(z) for z in zero):
+        return _pure_log_case(f, bits)
+    while bits <= max_bits:
+        enc = [[co.enclosure(bits) for co in row.coeffs] for row in sysd.rows]
+        found = _find_certified_ray(sysd, enc, zero, bits)
+        if found is not None:
+            wit = grid_witnesses(sysd, enc, found[0], bits)
+            if wit is not None:
+                return SemiDecision(HOLDS, ray=tuple(found[0]), witnesses=tuple(wit))
+        if _covering_fails(sysd, enc, bits):
+            return SemiDecision(FAILS)
+        bits *= 2
+    return SemiDecision(UNKNOWN)
+
+
+def test_sign_rule_and_covering_first_agree_with_ray_first(monkeypatch):
+    """Seeded small systems with forced exact ties: wherever the sign rule
+    fires no ray is certified, and every verdict the ray-first order
+    certifies is given again, with the same ray and witnesses."""
+    import ratiobound.realexp as realexp
+
+    # witnesses depend on the system, ray and precision only; rows that sink
+    # logarithmically take a second to walk, so both orders share one walk
+    memo = {}
+
+    def grid_witnesses(sysd, enc, ray, bits):
+        key = (sysd, tuple(ray), bits)
+        if key not in memo:
+            memo[key] = _grid_witnesses(sysd, enc, ray, bits)
+        return memo[key]
+
+    monkeypatch.setattr(realexp, "_grid_witnesses", grid_witnesses)
+    rng = random.Random(6)
+    values = [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
+    fired = 0
+    for _ in range(50):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        rows = []
+        for _ in range(m):
+            cs = []
+            for _ in range(n):
+                num = rng.choice(values)
+                den = num if rng.random() < 0.35 else rng.choice(values)
+                cs.append(coeff(num, den, rng.choice([1, 2, -1])))
+            rows.append((cs, [rng.randint(-1, 1) for _ in range(n)]))
+        f = formula(rows, lower=rng.choice([1, 2]))
+        sysd = f.system
+        new = semi_decide(f, max_bits=256)
+        signs = [[co.sign() for co in row.coeffs] for row in sysd.rows]
+        rule = any(
+            all(s > 0 or (s == 0 and p >= 0) for s, p in zip(sj, row.logs))
+            for sj, row in zip(signs, sysd.rows)
+        )
+        if rule:
+            fired += 1
+            assert new.verdict == FAILS, rows
+            zero = [[s == 0 for s in sj] for sj in signs]
+            for bits in (128, 256):
+                enc = [[co.enclosure(bits) for co in row.coeffs] for row in sysd.rows]
+                assert _find_certified_ray(sysd, enc, zero, bits) is None, rows
+        old = _ray_first(f, 128, 256, grid_witnesses)
+        if old.verdict == UNKNOWN:
+            assert new.verdict == UNKNOWN or rule, rows
+        else:
+            assert (new.verdict, new.ray, new.witnesses) == (
+                old.verdict,
+                old.ray,
+                old.witnesses,
+            ), rows
+    assert fired >= 15

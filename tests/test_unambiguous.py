@@ -151,9 +151,8 @@ def test_agreement_with_unary_decider():
 
 
 def test_agreement_with_bounded_decider():
-    """Every certified decide_bounded verdict matches decide_unambiguous on
-    planted pairs and on block automata unambiguous from both states; the
-    bounded decider may answer unknown at exact ties."""
+    """decide_bounded matches decide_unambiguous on planted pairs and on
+    block automata unambiguous from both states, exact ties included."""
     cases = []
     rng = random.Random(11)
     for i in range(40):
@@ -174,4 +173,42 @@ def test_agreement_with_bounded_decider():
             disagree.append((label, want, got))
     summary = f"{len(cases)} cases, {len(unknown)} unknown: {unknown}"
     assert not disagree, (disagree, summary)
-    assert len(cases) - len(unknown) >= 80, summary
+    assert not unknown and len(cases) >= 80, summary
+
+
+BLOCK_DRAW_34 = [
+    ("L0_0", "a", F(1, 6), "L0_0"),
+    ("L0_1", "a", F(1), "L0_1"),
+    ("L0_0", "b", F(1, 3), "L1_0"),
+    ("L0_1", "b", F(1, 3), "L1_0"),
+    ("L0_1", "b", F(1, 2), "L1_1"),
+    ("L1_0", "b", F(1, 2), "L1_0"),
+    ("L1_0", "b", F(1, 5), "L1_1"),
+    ("L1_0", "b", F(1, 6), "fin"),
+    ("L1_1", "b", F(1, 2), "L1_1"),
+]
+BLOCK_DRAW_192 = [
+    ("L0_0", "a", F(1, 2), "L0_0"),
+    ("L0_1", "a", F(1), "L0_1"),
+    ("L0_0", "b", F(1), "L1_1"),
+    ("L0_1", "b", F(3, 2), "L1_1"),
+    ("L1_0", "b", F(3, 2), "L1_0"),
+    ("L1_0", "b", F(3, 2), "fin"),
+    ("L1_1", "b", F(1, 4), "L1_0"),
+    ("L1_1", "b", F(1, 3), "fin"),
+]
+
+
+@pytest.mark.parametrize(
+    "trans", [BLOCK_DRAW_34, BLOCK_DRAW_192], ids=["block_draw_34", "block_draw_192"]
+)
+def test_exact_tie_block_draw_is_big_o(trans):
+    """Block draws 34 and 192 of the agreement test (seed 11) carry a row
+    with coefficient signs [+, 0] and logs (0, 0): bounded below exactly, so
+    the bounded decider answers is-big-o, as the unambiguous decider does."""
+    wa = WeightedAutomaton.from_transitions(
+        ["L0_0", "L0_1", "L1_0", "L1_1", "fin"], ["a", "b"], trans, ["fin"]
+    )
+    q = Query(wa, "L0_0", "L0_1")
+    assert decide_unambiguous(q).is_big_o
+    assert decide_bounded(q, letters=("a", "b")).verdict == "is-big-o"
