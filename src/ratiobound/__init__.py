@@ -36,7 +36,6 @@ from .bounded import (
     parikh_linear_sets,
     plus_analysis,
     realized_vectors,
-    relabel_plus_blocks,
 )
 from .nfaops import (
     ChrobakNf,

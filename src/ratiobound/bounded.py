@@ -367,7 +367,11 @@ def bounded_to_letter_bounded(
 
 @dataclass(frozen=True)
 class PlusQuery:
-    """One plus-letter-bounded sub-question with distinct block letters."""
+    """One plus-letter-bounded sub-question with distinct block letters.
+
+    The automaton holds only the live product states `q@d` (on a path from
+    a start to a final) and the two starts `s@0` and `s'@0`, in (q, d)
+    order; state `q@d` has entered `d` blocks."""
 
     automaton: WeightedAutomaton
     s: str
@@ -380,7 +384,9 @@ def letter_bounded_to_plus(
     wa: WeightedAutomaton, s: str, s_prime: str, letters
 ) -> list:
     """Split a starred letter bound into plus-bounded sub-questions, one per
-    distinct collapsed subsequence; the query answer is the conjunction."""
+    distinct collapsed subsequence; the query answer is the conjunction.
+    Each sub-question's automaton keeps only its live `q@d` states and the
+    two starts."""
     letters = tuple(letters)
     patterns = {}
     for mask in range(1, 2 ** len(letters)):
@@ -393,81 +399,44 @@ def letter_bounded_to_plus(
 
 
 def _plus_subquery(wa, s, s_prime, pat) -> PlusQuery:
-    """Product with the plus-bound DFA for `pat`, then per-block relabeling.
-    Product state (q, d) has index q * (k + 1) + d."""
+    """Product with the plus-bound DFA for `pat`, explored from the starts and
+    trimmed to its live pairs (q, d), d the number of blocks entered.
+
+    Adjacent letters of `pat` differ, so a pair fixes its block: a step into
+    block d2 reads `pat[d2 - 1]` and is relabelled with the fresh `b{d2}`."""
     k = len(pat)
-    dfa_states = range(k + 1)
-    sparse = {}
-    for a in wa.alphabet:
-        den, rows = wa.sparse_rows[a]
-        steps = [
-            [d2 for d2 in (d, d + 1) if 1 <= d2 <= k and pat[d2 - 1] == a]
-            for d in dfa_states
-        ]
-        sparse[a] = den, tuple(
-            tuple((j * (k + 1) + d2, x) for j, x in row for d2 in steps[d])
-            for row in rows
-            for d in dfa_states
-        )
-    prod = WeightedAutomaton(
-        tuple(f"{q}@{d}" for q in wa.states for d in dfa_states),
-        wa.alphabet,
-        sparse,
-        frozenset(f"{q}@{k}" for q in wa.finals),
-    )
-    return relabel_plus_blocks(prod, f"{s}@0", f"{s_prime}@0", pat)
 
-
-def relabel_plus_blocks(
-    wa: WeightedAutomaton, s: str, s_prime: str, letters
-) -> PlusQuery:
-    """Associate every transition with its unique block of a1+...am+ and
-    relabel it with a fresh per-block letter.
-
-    Adjacent duplicate letters must already be collapsed.  A transition
-    usable in two different blocks contradicts boundedness and raises."""
-    letters = tuple(letters)
-    m = len(letters)
-    for i in range(m - 1):
-        if letters[i] == letters[i + 1]:
-            raise InputError("collapse adjacent duplicate letters first")
-    # liveness over the product with the block DFA (state = blocks entered)
     def succ(node):
         qi, d = node
-        for a in wa.alphabet:
-            rows = wa.sparse_rows[a][1]
-            for d2 in (d, d + 1):
-                if 1 <= d2 <= m and letters[d2 - 1] == a:
-                    for qj, x in rows[qi]:
-                        yield (a, x), (qj, d2)
+        for d2 in (d, d + 1):
+            if 1 <= d2 <= k:
+                for qj, x in wa.sparse_rows[pat[d2 - 1]][1][qi]:
+                    yield (d2, x), (qj, d2)
 
-    nodes, edges = explore({(wa.index(s), 0), (wa.index(s_prime), 0)}, succ)
+    starts = sorted({(wa.index(s), 0), (wa.index(s_prime), 0)})
+    nodes, edges = explore(starts, succ)
     finals_idx = {wa.index(f) for f in wa.finals}
-    finals = [i for i, (qi, d) in enumerate(nodes) if qi in finals_idx and d == m]
-    live = trim(range(len(nodes)), finals, edges)
-    usable: dict = {}
-    for (i, (a, x), j) in edges:
+    finals = [i for i, (qi, d) in enumerate(nodes) if d == k and qi in finals_idx]
+    live = trim(range(len(starts)), finals, edges)
+    keep = sorted({nodes[i] for i in live}.union(starts))
+    index = {node: i for i, node in enumerate(keep)}
+    # explore lists each source's steps into one block by ascending target
+    rows = [[[] for _ in keep] for _ in pat]
+    for i, (d2, x), j in edges:
         if i in live and j in live:
-            (qi, _), (qj, d2) = nodes[i], nodes[j]
-            usable.setdefault((qi, a, qj, x), set()).add(d2)
-    # block d2 reads letters[d2 - 1] only, so its rows share that letter's
-    # denominator and hold each (qi, qj) at most once
-    out_rows = [[[] for _ in wa.states] for _ in letters]
-    for (qi, a, qj, x), blocks in sorted(usable.items()):
-        if len(blocks) > 1:
-            raise InputError(
-                f"transition {wa.states[qi]!r}-{a!r}->{wa.states[qj]!r} is usable "
-                f"in blocks {sorted(blocks)}, contradicting boundedness"
-            )
-        (d2,) = blocks
-        out_rows[d2 - 1][qi].append((qj, x))
-    fresh = tuple(f"b{i+1}" for i in range(m))
+            rows[d2 - 1][index[nodes[i]]].append((index[nodes[j]], x))
+    fresh = tuple(f"b{i+1}" for i in range(k))
     sparse = {
-        b: (wa.sparse_rows[a][0], tuple(map(tuple, rows)))
-        for b, a, rows in zip(fresh, letters, out_rows)
+        b: (wa.sparse_rows[a][0], tuple(map(tuple, block)))
+        for b, a, block in zip(fresh, pat, rows)
     }
-    out = WeightedAutomaton(wa.states, fresh, sparse, wa.finals)
-    return PlusQuery(out, s, s_prime, fresh, letters)
+    out = WeightedAutomaton(
+        tuple(f"{wa.states[qi]}@{d}" for qi, d in keep),
+        fresh,
+        sparse,
+        frozenset(f"{wa.states[nodes[i][0]]}@{k}" for i in finals),
+    )
+    return PlusQuery(out, f"{s}@0", f"{s_prime}@0", fresh, pat)
 
 
 # ---------------------------------------------------------------------------

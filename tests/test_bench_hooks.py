@@ -1,23 +1,33 @@
-"""Every layer hook of the benchmark tracer names a module attribute that
-exists, so a renamed or inlined layer fails here instead of dropping out of
-a traced run."""
+"""The benchmark's files as the tests see them: every layer hook of the
+tracer names a module attribute that exists, so a renamed or inlined layer
+fails here instead of dropping out of a traced run; and the deciders answer
+every labelled `bounded` query as its closed-form label says, so a faster
+layer that changes a verdict fails here too."""
 
 import importlib
 import importlib.util
 import os
+import sys
 
-SPANS = os.path.join(os.path.dirname(__file__), "..", "bench", "spans.py")
+import helpers
+from ratiobound import Query, decide_bounded
+from ratiobound.jsonio import parse_automaton
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py")
+    )
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_every_bench_hook_resolves():
-    hooks = _load_spans().HOOKS
+    hooks = _load("spans").HOOKS
     assert hooks
     missing = [
         (module, attr)
@@ -25,3 +35,16 @@ def test_every_bench_hook_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, missing
+
+
+def test_bounded_workload_verdicts_match_labels():
+    queries = _load("workloads").build("bounded", 1, helpers)
+    assert queries and all(q.label is not None for q in queries)
+    wrong = []
+    for q in queries:
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        query = Query(parse_automaton(q.document), argv["--from"], argv["--to"])
+        verdict = decide_bounded(query).verdict
+        if verdict != q.label:
+            wrong.append((q.name, verdict, q.label))
+    assert not wrong, wrong

@@ -28,13 +28,17 @@ from ratiobound import (
     weight,
     weight_blocks,
 )
-from ratiobound.bounded import detector_nfa, realized_candidates
+from ratiobound.automata import trim
+from ratiobound.bounded import PlusQuery, decide_plus, detector_nfa, realized_candidates
+from ratiobound.jsonio import parse_automaton
 from ratiobound.realexp import FAILS, HOLDS, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
 from ratiobound.spectral import RhoK
 from ratiobound.algebraic import AlgebraicNumber
 
-from helpers import brute_block_degree, random_wa, words_upto
+from helpers import brute_block_degree, random_block_wa, random_wa, words_upto
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 # ---------------------------------------------------------------------------
@@ -167,28 +171,28 @@ def test_letter_to_plus_subquery_count():
     assert len(subs) == 3  # a+, b+, a+b+
 
 
+def _assert_blocks_keep_weight(wa, s, sp, letters):
+    """Every sub-question weighs each block word, blocks of length 1..4, as
+    the original weighs the word it stands for, from both starts."""
+    subs = letter_bounded_to_plus(wa, s, sp, letters)
+    assert subs
+    for pq in subs:
+        for lengths in product(range(1, 5), repeat=len(pq.letters)):
+            word = "".join(a * n for a, n in zip(pq.source_letters, lengths))
+            blocks = list(zip(pq.letters, lengths))
+            assert weight_blocks(pq.automaton, pq.s, blocks) == weight(wa, s, word)
+            assert weight_blocks(pq.automaton, pq.s_prime, blocks) == weight(wa, sp, word)
+    return subs
+
+
 def test_letter_to_plus_weight_preservation():
-    wa = relative_orderings(F(62, 100))
-    subs = letter_bounded_to_plus(wa, "s", "s'", ("a", "b"))
-    by_src = {pq.source_letters: pq for pq in subs}
-    pq = by_src[("a", "b")]
-    for n1 in range(1, 5):
-        for n2 in range(1, 5):
-            want = weight(wa, "s", "a" * n1 + "b" * n2)
-            got = weight_blocks(pq.automaton, pq.s, list(zip(pq.letters, (n1, n2))))
-            assert got == want
-    only_a = by_src[("a",)]
-    for n in range(1, 6):
-        assert weight_blocks(only_a.automaton, only_a.s, [(only_a.letters[0], n)]) == weight(
-            wa, "s", "a" * n
-        )
+    for p in (F(61, 100), F(62, 100)):
+        _assert_blocks_keep_weight(relative_orderings(p), "s", "s'", ("a", "b"))
 
 
-def test_relabel_conflict_detection():
-    # a transition genuinely usable in blocks 1 and 3 of a+b+a+ means the
-    # language cannot be inside the bound; expect a structural error
-    from ratiobound import relabel_plus_blocks
-
+def test_letter_to_plus_splits_a_repeated_letter():
+    # p -a-> p is read in blocks 1 and 3 of a+b+a+; its product copies sit
+    # in different blocks and take the two blocks' fresh letters
     wa = WeightedAutomaton.from_transitions(
         ["p", "q", "t"],
         ["a", "b"],
@@ -201,8 +205,70 @@ def test_relabel_conflict_detection():
         ],
         ["t"],
     )
-    with pytest.raises(InputError):
-        relabel_plus_blocks(wa, "p", "p", ("a", "b", "a"))
+    subs = _assert_blocks_keep_weight(wa, "p", "q", ("a", "b", "a"))
+    (aba,) = [pq for pq in subs if pq.source_letters == ("a", "b", "a")]
+    trans = aba.automaton.transitions()
+    assert ("p@1", "b1", F(1, 2), "p@1") in trans
+    assert ("p@3", "b3", F(1, 2), "p@3") in trans
+
+
+def _padded(wa, pq):
+    """`pq` with every dropped product state `q@d` put back as an isolated
+    state, in (q, d) order; the dropped `q@k` of final `q` stay final."""
+    k = len(pq.letters)
+    names = [f"{q}@{d}" for q in wa.states for d in range(k + 1)]
+    pos = {q: i for i, q in enumerate(names)}
+    kept = pq.automaton
+    remap = [pos[q] for q in kept.states]
+    assert remap == sorted(remap), "kept states are not in (q, d) order"
+    sparse = {}
+    for b in pq.letters:
+        d, rows = kept.sparse_rows[b]
+        padded_rows = [()] * len(names)
+        for i, row in enumerate(rows):
+            padded_rows[remap[i]] = tuple((remap[j], x) for j, x in row)
+        sparse[b] = d, tuple(padded_rows)
+    finals = kept.finals | {f"{q}@{k}" for q in wa.finals}
+    padded = WeightedAutomaton(tuple(names), pq.letters, sparse, frozenset(finals))
+    return PlusQuery(padded, pq.s, pq.s_prime, pq.letters, pq.source_letters)
+
+
+def _plus_outcome(pq):
+    pv = decide_plus(pq)
+    return pv.verdict, [
+        (c.x_sig, c.y_sigs, c.lin, c.u_set, c.formula.text(), c.decision.verdict)
+        for c in pv.candidates
+    ]
+
+
+def test_plus_subquery_padding_invariance():
+    """Each sub-question keeps only its live states and the two starts, and
+    putting the dropped states back changes no candidate or verdict."""
+    cases = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            wa = parse_automaton(fh.read())
+        cases.append((wa, "s", "s'", detect_letter_bounded(wa, "s'")))
+    rng = random.Random(701)
+    for _ in range(30):
+        cases.append((random_block_wa(rng, per=2), "L0_0", "L0_1", ("a", "b")))
+    dropped = 0
+    for wa, s, sp, letters in cases:
+        for pq in letter_bounded_to_plus(wa, s, sp, letters):
+            kept = pq.automaton
+            edges = [
+                (i, b, j)
+                for b in pq.letters
+                for i, row in enumerate(kept.sparse_rows[b][1])
+                for j, _ in row
+            ]
+            starts = {kept.index(pq.s), kept.index(pq.s_prime)}
+            live = trim(starts, [kept.index(f) for f in kept.finals], edges)
+            assert set(range(kept.n)) - starts <= live
+            padded = _padded(wa, pq)
+            dropped += padded.automaton.n - kept.n
+            assert _plus_outcome(padded) == _plus_outcome(pq)
+    assert dropped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +324,6 @@ def test_detector_empty_for_unrealized_y():
 
 def test_detector_membership_matches_brute_force():
     rng = random.Random(311)
-    from helpers import random_block_wa
-
     for _ in range(6):
         wa = random_block_wa(rng, per=2)
         s, sp = "L0_0", "L0_1"
@@ -310,8 +374,6 @@ def test_parikh_spec_examples():
 
 def test_parikh_union_matches_enumeration():
     rng = random.Random(331)
-    from helpers import random_block_wa
-
     for _ in range(5):
         wa = random_block_wa(rng, per=2)
         subs = letter_bounded_to_plus(wa, "L0_0", "L0_0", ("a", "b"))
