@@ -3,8 +3,9 @@ plus-letter-bounded core, per-block growth-signature detectors, Parikh
 decompositions into linear sets, and emission/semi-decision of divergence
 sentences over the reals with logarithms.
 
-Also hosts the finitely-ambiguous check, which consumes externally supplied
-growth tuples and semi-decides exponential-sum domination sentences.
+Also hosts the finitely-ambiguous check, which turns externally supplied
+growth tuples into divergence sentences of the same kind, one per tuple and
+numerator row, and decides them with the same `realexp.semi_decide`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .automata import (
     trim,
     weight_blocks,
 )
-from .intervals import FInterval, ivl_sum, ln_fraction_bounds
 from .nfaops import lc_check, nfa_contained
 from .realexp import (
     FAILS,
@@ -101,6 +101,10 @@ class DeltaTuple:
     def __post_init__(self):
         if len(self.p) != len(self.q_rows) or len(self.r) != len(self.s_rows):
             raise InputError("tuple weights and rows must align")
+        if not self.r:
+            # an identically zero second weight: a containment failure,
+            # decided before any growth tuple
+            raise InputError("the second sum needs at least one term")
         dims = {len(q) for q in self.q_rows} | {len(s) for s in self.s_rows}
         if len(dims) > 1:
             raise InputError("inconsistent tuple dimensions")
@@ -189,16 +193,16 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
     collapsed = _collapse(seq)
     if not nfa_contained(n, _letter_star_nfa(collapsed, n.alphabet)):
         return None
-    # greedy minimization: drop blocks while containment still verifies
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(collapsed)):
-            merged = _collapse(collapsed[:i] + collapsed[i + 1 :])
-            if merged and nfa_contained(n, _letter_star_nfa(merged, n.alphabet)):
-                collapsed = merged
-                changed = True
-                break
+    # greedy minimization: drop blocks while containment still verifies.
+    # Dropping a block only shrinks the starred language, so a block that
+    # was needed stays needed and the scan goes on from the same index.
+    i = 0
+    while i < len(collapsed):
+        merged = _collapse(collapsed[:i] + collapsed[i + 1 :])
+        if merged and nfa_contained(n, _letter_star_nfa(merged, n.alphabet)):
+            collapsed = merged
+        else:
+            i += 1
     return collapsed
 
 
@@ -1056,111 +1060,60 @@ class ExpSumDecision:
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ExpSumFormula:
-    """Domination sentence for one growth tuple: for every constant there is
-    a real point where the first exponential sum exceeds the constant times
-    the second."""
-
-    delta: DeltaTuple
-    index: int
-
-    def text(self) -> str:
-        xs = [f"x{j+1}" for j in range(self.delta.dim)]
-
-        def side(ws, rows):
-            terms = []
-            for w, row in zip(ws, rows):
-                factors = [str(Fraction(w))] + [
-                    f"{Fraction(b)}^{x}" for b, x in zip(row, xs)
-                ]
-                terms.append("*".join(factors))
-            return " + ".join(terms) if terms else "0"
-
-        body = f"{side(self.delta.p, self.delta.q_rows)} >= C*({side(self.delta.r, self.delta.s_rows)})"
-        quant = " ".join(xs)
-        return f"forall C. (C > 0 -> exists {quant} >= 0. {body})"
-
-    def to_smt2(self) -> str:
-        d = self.delta
-        xs = [f"x{j+1}" for j in range(d.dim)]
-        lines = [
-            "(set-logic ALL)",
-            f"; growth-tuple domination sentence, tuple index {self.index}",
-            "(declare-fun expf (Real) Real)",
-            "(declare-fun ln (Real) Real)",
-            "(assert (forall ((u Real)) (= (ln (expf u)) u)))",
-            "(assert (forall ((u Real) (v Real)) (=> (< u v) (< (expf u) (expf v)))))",
-        ]
-
-        def powterm(base: Fraction, x: str) -> str:
-            from .realexp import _smt_frac
-
-            return f"(expf (* {x} (ln {_smt_frac(Fraction(base))})))"
-
-        def side(ws, rows):
-            from .realexp import _smt_frac
-
-            terms = []
-            for w, row in zip(ws, rows):
-                factors = [_smt_frac(Fraction(w))] + [
-                    powterm(Fraction(b), x) for b, x in zip(row, xs)
-                ]
-                terms.append("(* " + " ".join(factors) + ")")
-            if not terms:
-                return "0.0"
-            return terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
-
-        quant = " ".join(f"({x} Real)" for x in xs)
-        bounds = " ".join(f"(>= {x} 0.0)" for x in xs)
-        body = f"(and {bounds} (>= {side(d.p, d.q_rows)} (* C {side(d.r, d.s_rows)})))"
-        lines.append(
-            f"(assert (forall ((C Real)) (=> (> C 0.0) (exists ({quant}) {body}))))"
-        )
-        lines.append("(check-sat)")
-        return "\n".join(lines) + "\n"
-
-
 def finitely_ambiguous_formula(deltas) -> list:
-    """One domination sentence per growth tuple; the comparison is negative
-    exactly when some tuple's sentence holds."""
+    """One divergence sentence per tuple and numerator row.
+
+    The ratio sum_j p_j q_j^x / sum_l r_l s_l^x is unbounded on x >= 0
+    exactly when, for some row j, every form <ln(s_l/q_j), x> goes below
+    every bound at once.  The sentence for (tuple, j) has one row per
+    denominator row l, coefficients ln(s_l[i]/q_j[i]) and no log terms; a
+    shift of x moves a linear form by a constant only, so it ranges over
+    [2, inf) like every sentence of the bounded decider.  The comparison
+    is negative exactly when some sentence holds.
+    """
+    rat = AlgebraicNumber.from_rational
     formulas = []
     for idx, d in enumerate(deltas):
         if not isinstance(d, DeltaTuple):
             d = DeltaTuple(*d)
-        formulas.append(ExpSumFormula(d, idx))
+        for j, qrow in enumerate(d.q_rows):
+            rows = tuple(
+                DivergenceRow(
+                    tuple(LogCoeff(rat(s), rat(q), Fraction(1)) for s, q in zip(srow, qrow)),
+                    (0,) * d.dim,
+                )
+                for srow in d.s_rows
+            )
+            system = DivergenceSystem(rows, Fraction(2), d.dim)
+            formulas.append(RealExpFormula(system, {"tuple": idx, "numerator_row": j}))
     return formulas
 
 
 def decide_finitely_ambiguous(
-    deltas, start_bits: Optional[int] = None, grid: int = 60
+    deltas, start_bits: Optional[int] = None
 ) -> ExpSumDecision:
-    """Three-valued check over all supplied tuples: divergence certificates
-    are exact rational evaluations on the integer grid along a certified
-    direction; boundedness certificates are dominance covers or certified
-    direction coverings in the exponent space."""
-    best_unknown = None
-    for idx, d in enumerate(deltas):
-        if not isinstance(d, DeltaTuple):
-            d = DeltaTuple(*d)
-        res = _exp_sum_semi_decide(d, start_bits=start_bits, grid=grid)
+    """Three-valued check over all supplied tuples: `semi_decide` on each
+    sentence of `finitely_ambiguous_formula`.  A holding sentence becomes
+    `not-big-o` only once the exact ratio at integer points along its
+    certified ray passes 10, 100 and 1000; otherwise it is `unknown`.
+    `is-big-o` needs every sentence to fail."""
+    deltas = [d if isinstance(d, DeltaTuple) else DeltaTuple(*d) for d in deltas]
+    first_unknown = None
+    for f in finitely_ambiguous_formula(deltas):
+        idx = f.provenance["tuple"]
+        res = semi_decide(f, start_bits=start_bits)
+        detail = res.detail
         if res.verdict == HOLDS:
-            return ExpSumDecision(
-                "not-big-o", idx, res.direction, res.witnesses, res.detail
+            witnesses = _ratio_witnesses(deltas[idx], res.ray)
+            if witnesses is not None:
+                return ExpSumDecision("not-big-o", idx, res.ray, witnesses)
+            detail = "exact ratios along the ray did not pass 10, 100 and 1000"
+        if res.verdict != FAILS and first_unknown is None:
+            row = f.provenance["numerator_row"]
+            first_unknown = ExpSumDecision(
+                "unknown", idx, detail=f"numerator row {row}: {detail}"
             )
-        if res.verdict == UNKNOWN and best_unknown is None:
-            best_unknown = ExpSumDecision("unknown", idx, detail=res.detail)
-    if best_unknown is not None:
-        return best_unknown
-    return ExpSumDecision("is-big-o", detail="all tuples refuted")
-
-
-@dataclass(frozen=True)
-class _ExpSumResult:
-    verdict: str
-    direction: Optional[tuple] = None
-    witnesses: tuple = ()
-    detail: Optional[str] = None
+    return first_unknown or ExpSumDecision("is-big-o", detail="all tuples refuted")
 
 
 def _ratio_at(d: DeltaTuple, x) -> Fraction:
@@ -1180,141 +1133,19 @@ def _powprod(row, x) -> Fraction:
     return out
 
 
-def _exp_sum_semi_decide(d: DeltaTuple, start_bits=None, grid=60) -> _ExpSumResult:
-    from .realexp import start_bits_default
-
-    bits = start_bits if start_bits is not None else start_bits_default()
-    m = d.dim
-    # dominance cover: every numerator exponent row appears in the denominator
-    if all(
-        any(tuple(q) == tuple(srow) for srow in d.s_rows) for q in d.q_rows
-    ):
-        return _ExpSumResult(FAILS, detail="denominator dominates row-wise")
-    if m == 0:
-        ratio = _ratio_at(d, ())
-        return _ExpSumResult(FAILS, detail=f"constant ratio {ratio}")
-    # search a direction whose best numerator slope beats every denominator
-    directions = _direction_candidates(m)
-    for dvec in directions:
-        if _certify_slope_gap(d, dvec, bits):
-            wits = _grid_ratio_witnesses(d, dvec, grid)
-            if wits is not None:
-                return _ExpSumResult(HOLDS, tuple(dvec), tuple(wits))
-    if _exp_sum_covering(d, bits):
-        return _ExpSumResult(FAILS, detail=f"slope covering at {bits} bits")
-    return _ExpSumResult(UNKNOWN, detail="no certificate found")
-
-
-def _direction_candidates(m: int):
-    out = []
-    vals = [Fraction(0), Fraction(1, 2), Fraction(1)]
-    from itertools import product
-
-    for combo in product(vals, repeat=m):
-        if any(combo):
-            out.append(list(combo))
-    return out
-
-
-def _slope(row, dvec, bits):
-    return ivl_sum(
-        FInterval(*ln_fraction_bounds(Fraction(b), bits)).scale(w)
-        for b, w in zip(row, dvec)
-    )
-
-
-def _certify_slope_gap(d: DeltaTuple, dvec, bits) -> bool:
-    num = [_slope(q, dvec, bits) for q in d.q_rows]
-    den = [_slope(s, dvec, bits) for s in d.s_rows]
-    best_num = max(iv.lo for iv in num)
-    best_den = max(iv.hi for iv in den)
-    return best_num > best_den
-
-
-def _grid_ratio_witnesses(d: DeltaTuple, dvec, grid: int):
-    den = lcm_den(dvec)
-    dint = [int(Fraction(r) * den) for r in dvec]
+def _ratio_witnesses(d: DeltaTuple, ray) -> Optional[tuple]:
+    """The integer points t * ray (t = 1, 2, 4, ...) where the exact ratio
+    first passes 10, 100 and 1000, with the ratios, or None."""
+    den = lcm_den(ray)
+    dint = [int(r * den) for r in ray]
     thresholds = [Fraction(10), Fraction(100), Fraction(1000)]
     witnesses = []
     t = 1
-    while thresholds and t <= 10**7:
+    while thresholds and t * max(dint) <= 10**7:
         x = tuple(t * di for di in dint)
-        if max(x) > 10**7:
-            break
         ratio = _ratio_at(d, x)
         while thresholds and ratio > thresholds[0]:
             witnesses.append((x, str(ratio)))
             thresholds.pop(0)
         t *= 2
-    if thresholds:
-        return None
-    return witnesses
-
-
-def _exp_sum_covering(d: DeltaTuple, bits) -> bool:
-    """Every direction on the sup-norm boundary has some denominator slope
-    certifiably at least the best numerator slope (with exact-tie handling
-    through identical rows)."""
-    m = d.dim
-    max_depth = 9
-
-    def num_upper(box):
-        vals = []
-        for qrow in d.q_rows:
-            vals.append(
-                ivl_sum(
-                    FInterval(*ln_fraction_bounds(Fraction(b), bits)) * iv
-                    for b, iv in zip(qrow, box)
-                )
-            )
-        return vals
-
-    def box_ok(box) -> bool:
-        nums = num_upper(box)
-        dens = []
-        for srow in d.s_rows:
-            dens.append(
-                ivl_sum(
-                    FInterval(*ln_fraction_bounds(Fraction(b), bits)) * iv
-                    for b, iv in zip(srow, box)
-                )
-            )
-        for j, niv in enumerate(nums):
-            covered = False
-            for l, div in enumerate(dens):
-                if tuple(d.q_rows[j]) == tuple(d.s_rows[l]):
-                    covered = True
-                    break
-                if div.lo >= niv.hi:
-                    covered = True
-                    break
-            if not covered:
-                return False
-        return True
-
-    def split(box, depth) -> bool:
-        if box_ok(box):
-            return True
-        if depth >= max_depth:
-            return False
-        widths = [(box[i].hi - box[i].lo, i) for i in range(m)]
-        w, i = max(widths)
-        if w == 0:
-            return False
-        mid = (box[i].lo + box[i].hi) / 2
-        left = list(box)
-        left[i] = FInterval(box[i].lo, mid)
-        right = list(box)
-        right[i] = FInterval(mid, box[i].hi)
-        return split(left, depth + 1) and split(right, depth + 1)
-
-    for fixed in range(m):
-        box = [
-            FInterval(Fraction(1), Fraction(1))
-            if i == fixed
-            else FInterval(Fraction(0), Fraction(1))
-            for i in range(m)
-        ]
-        if not split(box, 0):
-            return False
-    return True
+    return None if thresholds else tuple(witnesses)

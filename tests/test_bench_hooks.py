@@ -48,3 +48,26 @@ def test_bounded_workload_verdicts_match_labels():
         if verdict != q.label:
             wrong.append((q.name, verdict, q.label))
     assert not wrong, wrong
+
+
+def test_letter_bound_detection_tests_each_block_once(monkeypatch):
+    """The greedy block dropping of `detect_letter_bounded` goes on from the
+    dropped index: past the first check of the whole sequence, a block that
+    stays is refuted once, never retested after a later drop."""
+    from ratiobound import bounded
+
+    (q,) = [q for q in _load("workloads").build("bounded", 1, helpers) if "m4" in q.name]
+    argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+    results = []
+
+    def counting(*args):
+        out = contained(*args)
+        results.append(bool(out))
+        return out
+
+    contained = bounded.nfa_contained
+    monkeypatch.setattr(bounded, "nfa_contained", counting)
+    letters = bounded.detect_letter_bounded(parse_automaton(q.document), argv["--to"])
+    assert letters == ("a", "b", "c", "d")
+    assert results.count(False) == len(letters)
+    assert len(results) == 11

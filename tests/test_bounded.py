@@ -29,7 +29,13 @@ from ratiobound import (
     weight_blocks,
 )
 from ratiobound.automata import trim
-from ratiobound.bounded import PlusQuery, decide_plus, detector_nfa, realized_candidates
+from ratiobound.bounded import (
+    PlusQuery,
+    _ratio_at,
+    decide_plus,
+    detector_nfa,
+    realized_candidates,
+)
 from ratiobound.jsonio import parse_automaton
 from ratiobound.realexp import FAILS, HOLDS, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
@@ -570,6 +576,13 @@ def test_finitely_ambiguous_rejects_nonpositive():
         DeltaTuple((F(0),), ((F(2),),), (F(1),), ((F(1),),))
 
 
+def test_finitely_ambiguous_rejects_empty_second_sum():
+    """An identically zero second weight is a containment failure, decided
+    before growth tuples, not a tuple to compare."""
+    with pytest.raises(InputError):
+        DeltaTuple((F(1),), ((F(2),),), (), ())
+
+
 def test_finitely_ambiguous_grid_confirmation():
     """Divergence verdicts replay on the natural-number grid."""
     tuples = [
@@ -597,6 +610,83 @@ def test_finitely_ambiguous_formula_export():
     assert "2" in f.text()
     smt = f.to_smt2()
     assert "(check-sat)" in smt and "expf" in smt
+
+
+def test_finitely_ambiguous_exports_the_sentence_it_decides():
+    d = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
+    (f,) = finitely_ambiguous_formula([d])
+    assert f.provenance == {"tuple": 0, "numerator_row": 0}
+    assert f.text() == (
+        "forall C. (C < 0 -> exists x1. "
+        "(x1 >= 2 and ((1*(log(sig1_1) + (-1*log(rho1)))*x1)) < C))"
+    )
+    # rho is the numerator base 2, sig the denominator base 1
+    assert "(assert (<= 2.0 rho_1))" in f.to_smt2()
+    assert semi_decide(f).verdict == HOLDS
+    res = decide_finitely_ambiguous([d])
+    assert res.verdict == "not-big-o"
+    assert res.direction == semi_decide(f).ray
+    with pytest.raises(InputError):
+        decide_finitely_ambiguous([d], start_bits=8)
+
+
+def _draw_delta_tuples(count=400, seed=2026):
+    """Dimension 1-3, 1-3 rows a side, weights and bases from seven
+    rationals; in 30% of draws the first denominator row copies a
+    numerator row."""
+    rng = random.Random(seed)
+    vals = (F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3))
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+        nq, ns = rng.randint(1, 3), rng.randint(1, 3)
+        q_rows = tuple(tuple(rng.choice(vals) for _ in range(dim)) for _ in range(nq))
+        s_rows = [tuple(rng.choice(vals) for _ in range(dim)) for _ in range(ns)]
+        if rng.random() < 0.3:
+            s_rows[0] = rng.choice(q_rows)
+        p = tuple(rng.choice(vals) for _ in range(nq))
+        r = tuple(rng.choice(vals) for _ in range(ns))
+        out.append(DeltaTuple(p, q_rows, r, tuple(s_rows)))
+    return out
+
+
+# verdicts of the former single-precision slope search on the draws above:
+# N not-big-o, B is-big-o, U unknown
+_SLOPE_SEARCH_VERDICTS = (
+    "BNNNNNNBNBUNBNNNBBUBUNNBNNNBNNBNNBNNBBNNNNNNNBNBNNNBUNNNNNBBNBNNNNNNNUUBBB"
+    "NBNBBBBNBNUBNNBNNBBNNNNBBNNBNUNUBNBBNBNBBBBBBNNNNNNNUNBNNBNBBNNBNBNNNBNNBB"
+    "NNBBNNBBBBBNBBBBBNBBNBNUNBNBBNBBNUNBBBNNBNNNNBNNNBNNNNNNNNUNNBNBBBUBBNNBBB"
+    "NNNBBNNNNBNNUUBNNNNBBUUBNNNBNBBNNNNBBNBBNUNNNBNNNNBNBNNNNNBBNBNNNNNNNNNBNN"
+    "BUBNNBNBUBBBNBBBNNNNNNNNNBBUNNNBNNNBNBNUNBNBNNBNNNBNNNNNBBNUNNBUNBNNNNBNBN"
+    "NUBBNUBBNBNNNUNBNNNNBNUBNNBBNN"
+)
+
+
+def test_finitely_ambiguous_differential_against_slope_search():
+    """One `semi_decide` per numerator row keeps every verdict the former
+    slope search certified, settles all of its unknowns, and answers
+    is-big-o exactly when every sentence fails."""
+    code = {"not-big-o": "N", "is-big-o": "B", "unknown": "U"}
+    verdicts = []
+    for d, old in zip(_draw_delta_tuples(), _SLOPE_SEARCH_VERDICTS):
+        res = decide_finitely_ambiguous([d])
+        new = code[res.verdict]
+        assert new == old or old == "U", (d, old, new)
+        formulas = finitely_ambiguous_formula([d])
+        assert [f.provenance["numerator_row"] for f in formulas] == list(
+            range(len(d.q_rows))
+        )
+        all_fail = all(semi_decide(f).verdict == FAILS for f in formulas)
+        assert all_fail == (new == "B"), d
+        if new == "N":
+            ratios = [_ratio_at(d, x) for x, _ in res.witnesses]
+            assert [str(r) for r in ratios] == [r for _, r in res.witnesses]
+            assert [r > t for r, t in zip(ratios, (10, 100, 1000))] == [True] * 3
+        verdicts.append(new)
+    assert len(verdicts) == 400
+    counts = {c: verdicts.count(c) for c in "NBU"}
+    assert counts == {"N": 226, "B": 174, "U": 0}
+    assert _SLOPE_SEARCH_VERDICTS.count("U") == 29
 
 
 def test_realized_vectors_payload():
