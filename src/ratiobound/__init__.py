@@ -21,21 +21,17 @@ from .automata import (
     weight_blocks,
 )
 from .bounded import (
-    DegreeSet,
     DeltaTuple,
     LinearSet,
-    RhoVector,
     bounded_to_letter_bounded,
     decide_bounded,
     decide_finitely_ambiguous,
     detect_letter_bounded,
-    detector,
     emit_formula,
     finitely_ambiguous_formula,
     letter_bounded_to_plus,
     parikh_linear_sets,
     plus_analysis,
-    realized_vectors,
 )
 from .nfaops import (
     ChrobakNf,
@@ -61,7 +57,6 @@ from .reductions import (
 from .spectral import (
     AlgebraicNumber,
     AnnotatedAutomaton,
-    RhoK,
     SccInfo,
     annotate,
     degree_language,

@@ -22,6 +22,7 @@ from .automata import (
     Query,
     ResourceError,
     WeightedAutomaton,
+    _step,
     explore,
     lasso,
     nfa_of,
@@ -38,10 +39,11 @@ from .realexp import (
     LogCoeff,
     RealExpFormula,
     SemiDecision,
+    checked_start_bits,
     lcm_den,
     semi_decide,
 )
-from .spectral import RadiusTable, RhoK, scc_decompose
+from .spectral import RadiusTable, scc_decompose
 
 MONITOR_CAP = 20000
 LINEAR_SET_CAP = 10000
@@ -49,25 +51,6 @@ LINEAR_SET_CAP = 10000
 
 # ---------------------------------------------------------------------------
 # public value types
-
-
-@dataclass(frozen=True)
-class RhoVector:
-    """Per-block growth signatures; the order is pointwise on lexicographic
-    (radius, count) components.  Blocks with only loop-free singleton runs
-    carry the shared infinitesimal placeholder radius."""
-
-    entries: tuple  # of RhoK
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class DegreeSet:
-    """A maximal antichain of growth-signature vectors."""
-
-    vectors: tuple  # of RhoVector
 
 
 @dataclass(frozen=True)
@@ -240,9 +223,10 @@ class LetterBoundedQuery:
 def bounded_to_letter_bounded(
     wa: WeightedAutomaton, s: str, s_prime: str, words
 ) -> LetterBoundedQuery:
-    """Collapse bounding words w1..wm to fresh block letters via a transducer
-    product: for every decomposition w = w1^n1...wm^nm, the new automaton
-    weighs a1^n1...am^nm exactly as the original weighs w."""
+    """Substitute a fresh block letter a_i for each bounding word w_i: a_i's
+    matrix is M(w_i), the product of w_i's letter matrices, over the same
+    states and finals, so a1^n1...am^nm weighs exactly what w1^n1...wm^nm
+    weighs from every state."""
     words = [str(w) for w in words]
     if not words:
         raise InputError("empty bounding word list")
@@ -252,121 +236,18 @@ def bounded_to_letter_bounded(
         for ch in w:
             if ch not in wa.alphabet:
                 raise InputError(f"bounding word letter {ch!r} not in the alphabet")
-    m = len(words)
-    out_letters = tuple(f"a{i+1}" for i in range(m))
-    # transducer: per support pattern, a chain of word readers; emissions
-    # happen on the last letter of each bounding word
-    tstates = ["q0"]
-    tedges = []  # (t, input, output or None, t')
-    patterns = []
-    for mask in range(1, 2**m):
-        patterns.append(tuple(i for i in range(m) if mask >> i & 1))
-    for pat in patterns:
-        k = len(pat)
-        tag = "p" + "".join(str(i + 1) for i in pat)
-        heads = []
-        for j, wi in enumerate(pat):
-            word = words[wi]
-            chain = [f"{tag}.f{j}"]
-            for l in range(1, len(word)):
-                chain.append(f"{tag}.m{j}.{l}")
-            heads.append(chain)
-        terminal = f"{tag}.end"
-        for j, wi in enumerate(pat):
-            word = words[wi]
-            chain = heads[j]
-            tstates.extend(chain)
-            for l in range(len(word) - 1):
-                tedges.append((chain[l], word[l], None, chain[l + 1]))
-            nxt = heads[j + 1][0] if j + 1 < len(pat) else terminal
-            tedges.append((chain[-1], word[-1], out_letters[wi], chain[0]))
-            tedges.append((chain[-1], word[-1], out_letters[wi], nxt))
-        tstates.append(terminal)
-        # q0 mirrors the first block's entry edges
-        entry = heads[0][0]
-        for (t, x, out, t2) in list(tedges):
-            if t == entry:
-                tedges.append(("q0", x, out, t2))
-    # product with the automaton, then epsilon elimination; everything stays
-    # sparse because transducer states have constant out-degree
-    eps: dict = {}
-    emit: dict = {a: {} for a in out_letters}
-    for (t, x, out, t2) in tedges:
-        d, rows = wa.sparse_rows[x]
-        for qi, row in enumerate(rows):
-            for qj, y in row:
-                i = (wa.states[qi], t)
-                j = (wa.states[qj], t2)
-                target = eps if out is None else emit[out]
-                bucket = target.setdefault(i, {})
-                bucket[j] = bucket.get(j, Fraction(0)) + Fraction(y, d)
-    r = max(len(w) for w in words) - 1
-    # acc = sum of eps^x for x = 0..r, as a sparse matrix
-    acc: dict = {}
-    frontier: dict = {}
-    for i in set(eps) | {k for row in eps.values() for k in row}:
-        acc.setdefault(i, {})[i] = Fraction(1)
-        frontier.setdefault(i, {})[i] = Fraction(1)
-    for _ in range(r):
-        nxt: dict = {}
-        for i, row in frontier.items():
-            for k, w in row.items():
-                for j, w2 in eps.get(k, {}).items():
-                    bucket = nxt.setdefault(i, {})
-                    bucket[j] = bucket.get(j, Fraction(0)) + w * w2
-        for i, row in nxt.items():
-            for j, w in row.items():
-                bucket = acc.setdefault(i, {})
-                bucket[j] = bucket.get(j, Fraction(0)) + w
-        frontier = nxt
-    sparse_trans: dict = {a: {} for a in out_letters}
-    for a in out_letters:
-        em = emit[a]
-        for i, row in acc.items():
-            for k, w in row.items():
-                for j, w2 in em.get(k, {}).items():
-                    bucket = sparse_trans[a].setdefault(i, {})
-                    bucket[j] = bucket.get(j, Fraction(0)) + w * w2
-        # pure emissions from states without epsilon history
-        for i, row in em.items():
-            if i not in acc:
-                bucket = sparse_trans[a].setdefault(i, {})
-                for j, w2 in row.items():
-                    bucket[j] = bucket.get(j, Fraction(0)) + w2
-    # accept only at completed patterns (or before any input): the final
-    # emission otherwise branches to both restart and advance states and
-    # would double-count every path
-    start_states = {(s, "q0"), (s_prime, "q0")}
-
-    def is_final(node):
-        q, t = node
-        return q in wa.finals and (t == "q0" or t.endswith(".end"))
-
-    edges = [
-        (i, a, j)
-        for a in out_letters
-        for i, row in sparse_trans[a].items()
-        for j in row
-    ]
-    finals = {j for (_, _, j) in edges if is_final(j)}
-    keep = trim(start_states, finals, edges) | start_states
-    names = {node: f"{node[0]}|{node[1]}" for node in keep}
-    triples = []
-    for a in out_letters:
-        for i, row in sparse_trans[a].items():
-            if i not in keep:
-                continue
-            for j, w in row.items():
-                if j in keep and w != 0:
-                    triples.append((names[i], a, w, names[j]))
-    finals = frozenset(names[node] for node in keep if is_final(node))
-    out = WeightedAutomaton.from_transitions(
-        tuple(sorted(names[node] for node in keep)),
-        out_letters,
-        triples,
-        finals,
-    )
-    return LetterBoundedQuery(out, names[(s, "q0")], names[(s_prime, "q0")], out_letters)
+    out_letters = tuple(f"a{i+1}" for i in range(len(words)))
+    sparse = {}
+    for a, w in zip(out_letters, words):
+        den = 1
+        rows = [{qi: 1} for qi in range(wa.n)]
+        for ch in w:
+            d, letter_rows = wa.sparse_rows[ch]
+            den *= d
+            rows = [_step(vec, letter_rows) for vec in rows]
+        sparse[a] = den, tuple(tuple(sorted(vec.items())) for vec in rows)
+    out = WeightedAutomaton(wa.states, out_letters, sparse, wa.finals)
+    return LetterBoundedQuery(out, s, s_prime, out_letters)
 
 
 @dataclass(frozen=True)
@@ -636,26 +517,6 @@ def _determinize_monitor(ctx: _MonitorContext, start: str, cap: int) -> MonitorD
     return MonitorDfa(tuple(states), trans, tuple(sigsets))
 
 
-def signature_to_rhovector(analysis: PlusAnalysis, sig) -> RhoVector:
-    return RhoVector(
-        tuple(RhoK(analysis.table.radii[ri], k) for (ri, k) in sig)
-    )
-
-
-def rhovector_to_signature(analysis: PlusAnalysis, vec: RhoVector):
-    sig = []
-    for rk in vec.entries:
-        ri = None
-        for i, r in enumerate(analysis.table.radii):
-            if compare(r, rk.rho) == 0:
-                ri = i
-                break
-        if ri is None:
-            return None
-        sig.append((ri, rk.k))
-    return tuple(sig)
-
-
 # ---------------------------------------------------------------------------
 # detectors, Parikh decomposition
 
@@ -669,18 +530,6 @@ def realized_candidates(analysis: PlusAnalysis):
             continue
         for x in d1:
             out.setdefault((x, d2), set()).add(pi)
-    return out
-
-
-def realized_vectors(analysis: PlusAnalysis):
-    """Realized candidates with algebraic payloads: (X vector, degree set)."""
-    out = []
-    for (x_sig, y_sigs) in sorted(realized_candidates(analysis)):
-        x = signature_to_rhovector(analysis, x_sig)
-        ys = DegreeSet(
-            tuple(signature_to_rhovector(analysis, y) for y in y_sigs)
-        )
-        out.append((x, ys))
     return out
 
 
@@ -706,24 +555,6 @@ def detector_nfa(analysis: PlusAnalysis, x_sig, y_sigs) -> Nfa:
         "d0",
         finals,
     )
-
-
-def detector(
-    pq: PlusQuery, x: RhoVector, y, analysis: Optional[PlusAnalysis] = None
-) -> Nfa:
-    """Spec-level detector: signatures supplied as algebraic vectors."""
-    analysis = analysis if analysis is not None else plus_analysis(pq)
-    x_sig = rhovector_to_signature(analysis, x)
-    y_sigs = []
-    for vec in y:
-        s = rhovector_to_signature(analysis, vec)
-        if s is None:
-            # an unrealizable radius cannot be an exact degree set
-            return Nfa(("d0",), pq.letters, frozenset(), "d0", frozenset())
-        y_sigs.append(s)
-    if x_sig is None:
-        return Nfa(("d0",), pq.letters, frozenset(), "d0", frozenset())
-    return detector_nfa(analysis, x_sig, tuple(y_sigs))
 
 
 def parikh_linear_sets(n: Nfa, letters) -> list:
@@ -940,6 +771,7 @@ def decide_bounded(
     sub-question and the verdicts merge with divergence dominating, then
     unknown, then boundedness.
     """
+    start_bits = checked_start_bits(start_bits)
     lc = lc_check(q)
     if not lc:
         return BoundedResult(
@@ -950,7 +782,7 @@ def decide_bounded(
     if words is not None:
         base_words = [str(w) for w in words]
         lb = bounded_to_letter_bounded(wa, s, sp, base_words)
-        wa, s, sp, letters = lb.automaton, lb.s, lb.s_prime, lb.letters
+        wa, letters = lb.automaton, lb.letters
     elif letters is None:
         letters = detect_letter_bounded(wa, sp)
         if letters is None:
@@ -1097,6 +929,7 @@ def decide_finitely_ambiguous(
     `not-big-o` only once the exact ratio at integer points along its
     certified ray passes 10, 100 and 1000; otherwise it is `unknown`.
     `is-big-o` needs every sentence to fail."""
+    start_bits = checked_start_bits(start_bits)
     deltas = [d if isinstance(d, DeltaTuple) else DeltaTuple(*d) for d in deltas]
     first_unknown = None
     for f in finitely_ambiguous_formula(deltas):

@@ -31,6 +31,7 @@ from .bounded import (
 )
 from .jsonio import format_weight, parse_automaton, serialize
 from .nfaops import ChrobakNf, lc_check
+from .realexp import checked_start_bits
 from .reductions import (
     bigo_to_value1,
     complete_for_eventual,
@@ -73,6 +74,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_check(args) -> int:
+    checked_start_bits(args.precision_bits)
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)
@@ -275,7 +277,10 @@ def cmd_export_formula(args) -> int:
     q = Query(wa, args.src, args.dst)
     letters = detect_letter_bounded(wa, args.dst)
     if letters is None:
-        raise InputError("languages are not letter-bounded; supply bounding words")
+        raise InputError(
+            "languages are not letter-bounded; export-formula takes letter-bounded "
+            "queries only"
+        )
     os.makedirs(args.out, exist_ok=True)
     index = []
     lc = lc_check(q)

@@ -40,6 +40,15 @@ def start_bits_default() -> int:
     return DEFAULT_START_BITS
 
 
+def checked_start_bits(start_bits: Optional[int], max_bits: int = MAX_BITS) -> int:
+    """`start_bits`, or the default when None; InputError when it lies
+    outside MIN_BITS..max_bits."""
+    bits = start_bits if start_bits is not None else start_bits_default()
+    if not MIN_BITS <= bits <= max_bits:
+        raise InputError(f"precision must be {MIN_BITS} to {max_bits} bits, got {bits}")
+    return bits
+
+
 # ---------------------------------------------------------------------------
 # semantic payload: sum_i  scale_ji * log(num_ji/den_ji) * x_i + p_ji*log(x_i)
 
@@ -292,9 +301,7 @@ def semi_decide(
     start_bits: Optional[int] = None,
     max_bits: int = MAX_BITS,
 ) -> SemiDecision:
-    bits = start_bits if start_bits is not None else start_bits_default()
-    if not MIN_BITS <= bits <= max_bits:
-        raise InputError(f"precision must be {MIN_BITS} to {max_bits} bits, got {bits}")
+    bits = checked_start_bits(start_bits, max_bits)
     sysd = formula.system
     n = sysd.nvars
     if n == 0:

@@ -176,20 +176,6 @@ def local_period(wa: WeightedAutomaton, s: str, t: str) -> int:
 
 
 @dataclass(frozen=True)
-class RhoK:
-    """A (radius, count) growth signature rho^n * n^k, ordered lexicographically."""
-
-    rho: AlgebraicNumber
-    k: int
-
-    def cmp(self, other: "RhoK") -> int:
-        c = compare(self.rho, other.rho)
-        if c != 0:
-            return c
-        return (self.k > other.k) - (self.k < other.k)
-
-
-@dataclass(frozen=True)
 class RadiusTable:
     """Deduplicated spectral radii, sorted ascending; annotations hold indices."""
 

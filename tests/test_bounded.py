@@ -12,14 +12,12 @@ from ratiobound import (
     LinearSet,
     Query,
     ResourceError,
-    RhoVector,
     WeightedAutomaton,
     bounded_to_letter_bounded,
     decide_bounded,
     decide_finitely_ambiguous,
     decide_unary,
     detect_letter_bounded,
-    detector,
     emit_formula,
     finitely_ambiguous_formula,
     letter_bounded_to_plus,
@@ -39,8 +37,6 @@ from ratiobound.bounded import (
 from ratiobound.jsonio import parse_automaton
 from ratiobound.realexp import FAILS, HOLDS, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
-from ratiobound.spectral import RhoK
-from ratiobound.algebraic import AlgebraicNumber
 
 from helpers import brute_block_degree, random_block_wa, random_wa, words_upto
 
@@ -290,12 +286,6 @@ def analysis_ab(p=F(62, 100)):
 
 def test_detector_relative_orderings_realized():
     pq, analysis = analysis_ab()
-    x = RhoVector(
-        (
-            RhoK(AlgebraicNumber.from_rational(F(3, 5)), 0),
-            RhoK(AlgebraicNumber.from_rational(F(2, 5)), 0),
-        )
-    )
     realized = realized_candidates(analysis)
     assert realized, "expected realized candidates"
     # locate the candidate whose X matches ((3/5,0),(2/5,0)) exactly
@@ -309,23 +299,10 @@ def test_detector_relative_orderings_realized():
     assert match is not None
     x_sig, y_sigs = match
     assert y_sigs, "realized degree set should be nonempty"
-    ys = [
-        [RhoK(analysis.table.radii[ri], k) for (ri, k) in y] for y in y_sigs
-    ]
-    det = detector(pq, x, [RhoVector(tuple(v)) for v in ys], analysis)
+    det = detector_nfa(analysis, x_sig, y_sigs)
     # the detector accepts the a a b b region
     assert det.accepts([pq.letters[0]] * 2 + [pq.letters[1]] * 2)
     assert det.accepts([pq.letters[0]] * 3 + [pq.letters[1]] * 4)
-
-
-def test_detector_empty_for_unrealized_y():
-    pq, analysis = analysis_ab()
-    det = detector(pq, RhoVector(()), [], analysis)
-    assert not any(
-        det.accepts([pq.letters[0]] * i + [pq.letters[1]] * j)
-        for i in range(1, 4)
-        for j in range(1, 4)
-    )
 
 
 def test_detector_membership_matches_brute_force():
@@ -555,6 +532,89 @@ def test_decide_bounded_with_words():
     assert res2.verdict == "is-big-o"
 
 
+_WORD_SETS = (("ab", "a"), ("a", "b"), ("ab", "ba"), ("a", "ab"))
+_CHAIN_RATES = (F(1, 5), F(2, 5), F(1, 2), F(3, 5), F(4, 5))
+
+
+def _word_chain(rng, words):
+    """Both starts accept exactly w1^+ ... wm^+.  `s` is one branch and `s'`
+    one or two; a branch enters block i on w_i, loops on w_i and moves on
+    on w_{i+1}, each first letter carrying a rate drawn from five."""
+    states, trans, finals = [], [], []
+
+    def read(src, word, w, dst):
+        prev = src
+        for k, ch in enumerate(word):
+            nxt = dst if k == len(word) - 1 else f"{src}>{dst}.{k}"
+            if nxt != dst:
+                states.append(nxt)
+            trans.append((prev, ch, w if k == 0 else F(1), nxt))
+            prev = nxt
+
+    for start, nbranch in (("s", 1), ("s'", rng.randint(1, 2))):
+        states.append(start)
+        for b in range(nbranch):
+            entries = [f"{start}{b}_{i}" for i in range(len(words))]
+            states.extend(entries)
+            read(start, words[0], F(1, nbranch), entries[0])
+            for i, e in enumerate(entries):
+                read(e, words[i], rng.choice(_CHAIN_RATES), e)
+                if i + 1 < len(words):
+                    read(e, words[i + 1], rng.choice(_CHAIN_RATES), entries[i + 1])
+            finals.append(entries[-1])
+    alphabet = sorted({ch for w in words for ch in w})
+    return WeightedAutomaton.from_transitions(states, alphabet, trans, finals)
+
+
+# verdicts of the former transducer reduction on 60 draws of `_word_chain`
+# (random.Random(11), word sets in turn): N not-big-o, B is-big-o
+_TRANSDUCER_VERDICTS = "NBBNBNNNBNBNNBBBBNNNNNNBNBBBBBBNBBNNNNNNNBBBBNBNNNNNBNBBNNBB"
+
+
+def test_decide_bounded_with_words_differential():
+    """Word substitution keeps the transducer's verdicts, and each not-big-o
+    witness, read back as w_i^n_i, has exactly the reported ratios on the
+    original automaton."""
+    rng = random.Random(11)
+    verdicts = ""
+    for k, old in enumerate(_TRANSDUCER_VERDICTS):
+        words = _WORD_SETS[k % len(_WORD_SETS)]
+        wa = _word_chain(rng, words)
+        lb = bounded_to_letter_bounded(wa, "s", "s'", words)
+        assert lb.automaton.states == wa.states
+        assert lb.automaton.finals == wa.finals
+        assert (lb.s, lb.s_prime) == ("s", "s'")
+        res = decide_bounded(Query(wa, "s", "s'"), words=words)
+        assert res.lc_counterexample is None
+        verdicts += {"is-big-o": "B", "not-big-o": "N"}[res.verdict]
+        assert verdicts[-1] == old, (k, words, wa.transitions())
+        if res.verdict == "not-big-o":
+            w = res.witness
+            assert w["bounding_words"] == list(words)
+            word_of = dict(zip(lb.letters, words))
+            for vec, ratio in zip(w["vectors"], w["ratios"], strict=True):
+                word = "".join(word_of[b] * n for b, n in zip(w["block_letters"], vec))
+                assert weight(wa, "s", word) / weight(wa, "s'", word) == F(ratio)
+    assert verdicts.count("B") == 28 and verdicts.count("N") == 32
+
+
+def test_deciders_reject_out_of_range_start_bits():
+    """The precision range is checked on entry, also where no sentence is
+    ever decided: no tuples, or a containment failure."""
+    with pytest.raises(InputError):
+        decide_finitely_ambiguous([], start_bits=8)
+    wa = WeightedAutomaton.from_transitions(
+        ["p", "q", "t"],
+        ["a"],
+        [("p", "a", F(1), "t"), ("q", "a", F(1, 2), "q")],
+        ["t"],
+    )
+    assert decide_bounded(Query(wa, "p", "q")).lc_counterexample == "a"
+    for bits in (8, 4096):
+        with pytest.raises(InputError):
+            decide_bounded(Query(wa, "p", "q"), start_bits=bits)
+
+
 # ---------------------------------------------------------------------------
 # finitely ambiguous
 
@@ -689,24 +749,18 @@ def test_finitely_ambiguous_differential_against_slope_search():
     assert _SLOPE_SEARCH_VERDICTS.count("U") == 29
 
 
-def test_realized_vectors_payload():
-    from ratiobound import realized_vectors
-    from ratiobound.bounded import DegreeSet
-
+def test_realized_degree_sets_are_antichains():
+    """Signatures hold (radius index, count) pairs; the radius table is
+    sorted ascending, so comparing indices orders the radii."""
     pq, analysis = analysis_ab()
-    pairs = realized_vectors(analysis)
+    pairs = sorted(realized_candidates(analysis))
     assert pairs
-    for x, ds in pairs:
-        assert isinstance(ds, DegreeSet)
-        assert all(len(v.entries) == len(x.entries) for v in ds.vectors)
-        # antichain: no vector dominates another
-        for v in ds.vectors:
-            for w in ds.vectors:
-                if v is w:
-                    continue
-                le = all(
-                    (a.cmp(b) <= 0) for a, b in zip(v.entries, w.entries)
-                )
+    for x_sig, y_sigs in pairs:
+        assert all(len(y) == len(x_sig) for y in y_sigs)
+        # antichain: no signature dominates another
+        for v in y_sigs:
+            for w in y_sigs:
+                le = all(a <= b for a, b in zip(v, w))
                 assert not (le and v != w)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from ratiobound.cli import main
 from ratiobound.jsonio import parse_automaton, parse_weight, serialize
-from ratiobound.automata import FormatError
+from ratiobound.automata import FormatError, WeightedAutomaton
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -266,6 +266,42 @@ def test_check_precision_outside_range_is_input_error(capsys):
     assert main(argv + ["--precision-bits", "0"]) == 64
     assert main(argv + ["--precision-bits", "4096"]) == 64
     assert "16 to 2048" in capsys.readouterr().err
+
+
+def test_check_precision_checked_before_any_decider(tmp_path, capsys):
+    """A containment failure needs no sentence, and auto mode picks the
+    unary decider here; the precision is still rejected with exit 64."""
+    wa = WeightedAutomaton.from_transitions(
+        ["p", "q", "t"],
+        ["a"],
+        [("p", "a", F(1), "t"), ("q", "a", F(1, 2), "q")],
+        ["t"],
+    )
+    doc = tmp_path / "lc.json"
+    doc.write_text(serialize(wa), encoding="utf-8")
+    argv = ["check", "--file", str(doc), "--from", "p", "--to", "q"]
+    assert main(argv + ["--mode", "bounded"]) == 1
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main(argv + ["--mode", "bounded", "--precision-bits", "0"]) == 64
+    assert main(argv + ["--precision-bits", "0"]) == 64
+    assert "16 to 2048" in capsys.readouterr().err
+
+
+def test_export_formula_rejects_a_query_that_is_not_letter_bounded(tmp_path, capsys):
+    wa = WeightedAutomaton.from_transitions(
+        ["p", "q", "t"],
+        ["a", "b"],
+        [("p", "a", F(1, 2), "q"), ("q", "b", F(1, 2), "p"), ("p", "a", F(1, 2), "t")],
+        ["t"],
+    )
+    doc = tmp_path / "alt.json"
+    doc.write_text(serialize(wa), encoding="utf-8")
+    argv = ["export-formula", "--file", str(doc), "--from", "p", "--to", "p"]
+    assert main(argv + ["--out", str(tmp_path / "smt")]) == 64
+    err = capsys.readouterr().err
+    assert "export-formula takes letter-bounded queries only" in err
+    assert "bounding words" not in err
 
 
 def test_check_eventually_flag(capsys):
