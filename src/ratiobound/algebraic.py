@@ -49,11 +49,15 @@ def pderiv(p):
     return ptrim(i * c for i, c in enumerate(p) if i >= 1)
 
 
-def peval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def psign(p, x: Fraction) -> int:
+    """Sign of p(x): the sign of d^deg * p(n/d) for x = n/d, d > 0, by
+    homogeneous Horner on ints, with no Fraction arithmetic."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def pcontent(p):
@@ -174,11 +178,7 @@ def _true_rem_positive_scale(p, q):
 
 
 def sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = peval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [v for v in (psign(p, x) for p in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -232,12 +232,12 @@ class AlgebraicNumber:
         if self.is_rational:
             return self
         lo, hi = self.lo, self.hi
-        if peval(self.poly, lo) == 0:
+        if psign(self.poly, lo) == 0:
             return AlgebraicNumber(self.poly, lo, lo)
         chain = self._chain()
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if peval(self.poly, mid) == 0:
+            if psign(self.poly, mid) == 0:
                 return AlgebraicNumber(self.poly, mid, mid)
             if count_roots(chain, lo, mid) >= 1:
                 hi = mid
@@ -251,10 +251,10 @@ class AlgebraicNumber:
             return (self.lo > q) - (self.lo < q)
         if q >= self.hi:
             # root <= hi; equality only if root == q == hi
-            return 0 if (q == self.hi and peval(self.poly, q) == 0) else -1
+            return 0 if (q == self.hi and psign(self.poly, q) == 0) else -1
         if q <= self.lo:
-            return 0 if (q == self.lo and peval(self.poly, q) == 0) else 1
-        if peval(self.poly, q) == 0:
+            return 0 if (q == self.lo and psign(self.poly, q) == 0) else 1
+        if psign(self.poly, q) == 0:
             return 0
         chain = self._chain()
         return -1 if count_roots(chain, self.lo, q) >= 1 else 1
@@ -305,7 +305,7 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         if pdeg(g) >= 1:
             # a shared root of both polynomials inside both isolating
             # intervals must equal a and b simultaneously
-            if peval(g, lo) == 0 or count_roots(sturm_sequence(g), lo, hi) >= 1:
+            if psign(g, lo) == 0 or count_roots(sturm_sequence(g), lo, hi) >= 1:
                 return 0
     aa, bb = a, b
     while True:
@@ -391,7 +391,7 @@ def largest_real_root(p) -> AlgebraicNumber:
     # tighten, collapsing to an exact point when bisection lands on the root
     for _ in range(4):
         mid = (lo + hi) / 2
-        if peval(p, mid) == 0:
+        if psign(p, mid) == 0:
             return AlgebraicNumber(p, mid, mid)
         if count_roots(chain, mid, hi) >= 1:
             lo = mid
@@ -409,6 +409,8 @@ def spectral_radius_of_matrix(m: Matrix) -> AlgebraicNumber:
         for w in row:
             if w < 0:
                 raise InputError("matrix has a negative entry")
+    if n == 1:
+        return AlgebraicNumber.from_rational(m[0][0])
     if all(w == 0 for row in m for w in row):
         return AlgebraicNumber.from_rational(Fraction(0))
     return largest_real_root(char_poly(m))

@@ -220,13 +220,9 @@ class LetterBoundedQuery:
     letters: tuple  # output block letters, one per bounding word
 
 
-def bounded_to_letter_bounded(
-    wa: WeightedAutomaton, s: str, s_prime: str, words
-) -> LetterBoundedQuery:
-    """Substitute a fresh block letter a_i for each bounding word w_i: a_i's
-    matrix is M(w_i), the product of w_i's letter matrices, over the same
-    states and finals, so a1^n1...am^nm weighs exactly what w1^n1...wm^nm
-    weighs from every state."""
+def check_bounding_words(wa: WeightedAutomaton, words) -> list:
+    """The bounding words as strings: at least one, each nonempty and
+    spelled in `wa`'s alphabet; InputError otherwise."""
     words = [str(w) for w in words]
     if not words:
         raise InputError("empty bounding word list")
@@ -236,6 +232,17 @@ def bounded_to_letter_bounded(
         for ch in w:
             if ch not in wa.alphabet:
                 raise InputError(f"bounding word letter {ch!r} not in the alphabet")
+    return words
+
+
+def bounded_to_letter_bounded(
+    wa: WeightedAutomaton, s: str, s_prime: str, words
+) -> LetterBoundedQuery:
+    """Substitute a fresh block letter a_i for each bounding word w_i: a_i's
+    matrix is M(w_i), the product of w_i's letter matrices, over the same
+    states and finals, so a1^n1...am^nm weighs exactly what w1^n1...wm^nm
+    weighs from every state."""
+    words = check_bounding_words(wa, words)
     out_letters = tuple(f"a{i+1}" for i in range(len(words)))
     sparse = {}
     for a, w in zip(out_letters, words):

@@ -24,6 +24,7 @@ from .automata import (
     validate_lmc,
 )
 from .bounded import (
+    check_bounding_words,
     decide_bounded,
     decide_plus,
     detect_letter_bounded,
@@ -78,6 +79,8 @@ def cmd_check(args) -> int:
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)
+    if args.words is not None:
+        check_bounding_words(wa, args.words)
     mode = args.mode
     report = {"s": args.src, "sPrime": args.dst, "warnings": warnings}
     letters = ambiguity = None

@@ -4,8 +4,9 @@ and the annotated automaton that tracks (radius, count) signatures of runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Optional
 
@@ -177,32 +178,47 @@ def local_period(wa: WeightedAutomaton, s: str, t: str) -> int:
 
 @dataclass(frozen=True)
 class RadiusTable:
-    """Deduplicated spectral radii, sorted ascending; annotations hold indices."""
+    """Deduplicated spectral radii, sorted ascending; annotations hold indices.
+
+    Rational radii are found by their value; exact `compare` runs only where
+    a radius is in interval form, which may still be rational (2 is the
+    largest root of x^2 - 2x)."""
 
     radii: tuple  # of AlgebraicNumber, strictly ascending
+    by_value: dict = field(init=False, repr=False, compare=False)  # rational -> index
+
+    def __post_init__(self):
+        by_value = {r.lo: i for i, r in enumerate(self.radii) if r.is_rational}
+        object.__setattr__(self, "by_value", by_value)
 
     def index_of(self, radius: AlgebraicNumber) -> int:
-        for i, r in enumerate(self.radii):
-            if compare(r, radius) == 0:
-                return i
-        raise InputError("radius not in table")
+        i = _position(radius, self.radii, self.by_value)
+        if i is None:
+            raise InputError("radius not in table")
+        return i
 
     @classmethod
     def build(cls, radii) -> "RadiusTable":
         kept: list = []
+        by_value: dict = {}
         for r in radii:
-            if not any(compare(r, x) == 0 for x in kept):
+            if _position(r, kept, by_value) is None:
+                if r.is_rational:
+                    by_value[r.lo] = len(kept)
                 kept.append(r)
-        kept.sort(key=_SortKey)
+        kept.sort(key=cmp_to_key(compare))
         return cls(tuple(kept))
 
 
-class _SortKey:
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return compare(self.value, other.value) < 0
+def _position(radius: AlgebraicNumber, radii, by_value) -> Optional[int]:
+    """Index of an entry of `radii` equal to `radius`, or None; `by_value`
+    holds every rational entry's index."""
+    if radius.is_rational and radius.lo in by_value:
+        return by_value[radius.lo]
+    for i, r in enumerate(radii):
+        if not (r.is_rational and radius.is_rational) and compare(r, radius) == 0:
+            return i
+    return None
 
 
 @dataclass(frozen=True)

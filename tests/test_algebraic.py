@@ -9,9 +9,9 @@ from ratiobound.algebraic import (
     compare,
     count_roots,
     largest_real_root,
-    peval,
     pgcd,
     pmul,
+    psign,
     spectral_radius_of_matrix,
     square_free,
     sturm_sequence,
@@ -56,8 +56,8 @@ def test_pgcd_common_root():
     a = pmul((-1, 1), (-2, 1))
     b = pmul((-1, 1), (-3, 1))
     g = pgcd(a, b)
-    assert peval(g, F(1)) == 0
-    assert peval(g, F(2)) != 0
+    assert psign(g, F(1)) == 0
+    assert psign(g, F(2)) != 0
 
 
 def test_compare_structural_equality():
@@ -100,7 +100,9 @@ def test_scaled_halving():
     a = largest_real_root((-2, 0, 1))  # sqrt 2
     h = a.scaled(F(1, 2))
     # 2 * (sqrt2/2)^2 = 1
-    assert peval(h.poly, h.refined(F(1, 10**6)).lo) != 0 or True
+    assert h.poly == (-1, 0, 2)
+    r = h.refined(F(1, 10**6))
+    assert psign(h.poly, r.lo) * psign(h.poly, r.hi) <= 0
     assert compare(h, largest_real_root((-1, 0, 2))) == 0
 
 
@@ -139,3 +141,39 @@ def test_refined_narrows():
     r = a.refined(F(1, 10**30))
     assert r.hi - r.lo <= F(1, 10**30)
     assert compare(a, r) == 0
+
+
+def _fraction_horner(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def test_psign_matches_fraction_horner():
+    """psign reads the sign of p(x) in integers; a Fraction Horner
+    evaluation is the reference, on random points and on exact roots."""
+    rng = random.Random(7)
+    roots = 0
+    for i in range(10_000):
+        x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        p = tuple(rng.randint(-50, 50) for _ in range(rng.randint(0, 7)))
+        if i % 3 == 0:
+            p = pmul((-x.numerator, x.denominator), p or (1,))
+        v = _fraction_horner(p, x)
+        roots += v == 0
+        assert psign(p, x) == (v > 0) - (v < 0), (p, x)
+    assert roots >= 3_000
+
+
+def test_one_by_one_radius_is_its_entry():
+    rng = random.Random(11)
+    values = [F(0), F(1), F(7, 2), F(3, 5), F(61, 100)]
+    values += [
+        F(rng.randrange(10**rng.randint(1, 30)), rng.randrange(1, 10**rng.randint(1, 30)))
+        for _ in range(2_000)
+    ]
+    for a in values:
+        got = spectral_radius_of_matrix(((a,),))
+        want = largest_real_root(char_poly(((a,),)))
+        assert (got.poly, got.lo, got.hi) == (want.poly, want.lo, want.hi), a

@@ -71,3 +71,30 @@ def test_letter_bound_detection_tests_each_block_once(monkeypatch):
     assert letters == ("a", "b", "c", "d")
     assert results.count(False) == len(letters)
     assert len(results) == 11
+
+
+def test_spectral_radii_of_the_bounded_pass(monkeypatch):
+    """On the seed-1 `bounded` queries every component is 1x1, so its
+    radius is its entry and no characteristic polynomial is built; and
+    the radius tables find rational radii by value, so exact `compare`
+    runs only to sort them."""
+    from ratiobound import algebraic, spectral
+
+    calls = {"char_poly": 0, "compare": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(algebraic, "char_poly")
+    counted(spectral, "compare")
+    for q in _load("workloads").build("bounded", 1, helpers):
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        decide_bounded(Query(parse_automaton(q.document), argv["--from"], argv["--to"]))
+    assert calls["char_poly"] == 0
+    assert 0 < calls["compare"] <= 400

@@ -396,3 +396,16 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "unary"]) == 1
     assert main(["check", "--file", f, "--from", "s'", "--to", "s", "--mode", "unary"]) == 0
+
+
+@pytest.mark.parametrize("mode", ["auto", "unary", "unambiguous", "bounded"])
+def test_check_rejects_bad_words_in_every_mode(capsys, mode):
+    """Bounding words are checked before any decider runs, so a word the
+    chosen decider would not read still exits 64."""
+    f = data_file("unbounded_ratio.json")
+    base = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", mode]
+    for words in (["b"], ["a", "ab"], [""], []):
+        assert main(base + ["--words", *words]) == 64, words
+        assert "input error" in capsys.readouterr().err
+    assert main(base + ["--words", "a"]) in (0, 1)
+    capsys.readouterr()

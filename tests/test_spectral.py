@@ -15,7 +15,7 @@ from ratiobound import (
     scc_decompose,
     scc_decompose_unary,
 )
-from ratiobound.algebraic import compare, AlgebraicNumber
+from ratiobound.algebraic import compare, AlgebraicNumber, spectral_radius_of_matrix
 from ratiobound.samples import different_rates, unbounded_ratio
 from ratiobound.spectral import (
     RadiusTable,
@@ -241,3 +241,20 @@ def test_radius_table_dedupes():
     table = RadiusTable.build([c, a, b])
     assert len(table.radii) == 2
     assert table.index_of(a) == 0
+
+
+def test_radius_table_matches_a_rational_in_interval_form():
+    """[[1,1],[1,1]] has radius 2 as the largest root of x^2 - 2x, in
+    interval form; it and the exact rational 2 share one entry."""
+    two_ivl = spectral_radius_of_matrix(((F(1), F(1)), (F(1), F(1))))
+    two = AlgebraicNumber.from_rational(F(2))
+    half = AlgebraicNumber.from_rational(F(1, 2))
+    assert not two_ivl.is_rational and two_ivl.compare_rational(F(2)) == 0
+    for order in ([two_ivl, two], [two, two_ivl]):
+        table = RadiusTable.build(order + [half])
+        assert len(table.radii) == 2
+        assert table.radii[1] is order[0]
+        assert table.index_of(two) == table.index_of(two_ivl) == 1
+        assert table.index_of(half) == 0
+    with pytest.raises(InputError):
+        RadiusTable.build([two_ivl]).index_of(half)
