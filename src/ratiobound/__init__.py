@@ -35,14 +35,9 @@ from .bounded import (
 )
 from .nfaops import (
     ChrobakNf,
-    UnaryLasso,
     eventually_included,
     lc_check,
-    nfa_complement_within,
     nfa_contained,
-    nfa_product,
-    to_chrobak,
-    to_restricted_chrobak,
 )
 from .realexp import RealExpFormula, semi_decide
 from .reductions import (
@@ -60,7 +55,6 @@ from .spectral import (
     SccInfo,
     annotate,
     degree_language,
-    local_period,
     scc_decompose,
     scc_decompose_unary,
 )

@@ -34,17 +34,6 @@ def pneg(p):
     return tuple(-c for c in p)
 
 
-def pmul(p, q):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return ptrim(out)
-
-
 def pderiv(p):
     return ptrim(i * c for i, c in enumerate(p) if i >= 1)
 
@@ -217,12 +206,6 @@ class AlgebraicNumber:
     @property
     def is_rational(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not an exact rational")
-        return self.lo
 
     def _chain(self):
         return sturm_sequence(self.poly)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional
 
@@ -138,27 +137,6 @@ class WeightedAutomaton:
         except KeyError:
             raise InputError(f"unknown state {q!r}") from None
 
-    @cached_property
-    def trans(self) -> dict:
-        """symbol -> dense Matrix, a view derived from the sparse rows."""
-        zero = Fraction(0)
-        out = {}
-        for a, (d, rows) in self.sparse_rows.items():
-            dense = []
-            for row in rows:
-                cells = [zero] * len(rows)
-                for j, x in row:
-                    cells[j] = Fraction(x, d)
-                dense.append(tuple(cells))
-            out[a] = tuple(dense)
-        return out
-
-    def matrix(self, a: str) -> Matrix:
-        try:
-            return self.trans[a]
-        except KeyError:
-            raise InputError(f"unknown symbol {a!r}") from None
-
     @property
     def n(self) -> int:
         return len(self.states)
@@ -172,11 +150,6 @@ class WeightedAutomaton:
                 for j, x in row:
                     out.append((st[i], a, Fraction(x, d), st[j]))
         return out
-
-    def final_vector(self) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(1) if q in self.finals else Fraction(0) for q in self.states
-        )
 
     def is_unary(self) -> bool:
         return len(self.alphabet) == 1

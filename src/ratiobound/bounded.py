@@ -63,13 +63,6 @@ class LinearSet:
     def member(self, lam) -> tuple:
         return tuple(b + r * l for b, r, l in zip(self.base, self.periods, lam))
 
-    def members(self, lam_max: int):
-        from itertools import product
-
-        m = len(self.base)
-        for lam in product(range(lam_max + 1), repeat=m):
-            yield self.member(lam)
-
 
 @dataclass(frozen=True)
 class DeltaTuple:
@@ -174,7 +167,7 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
         if loop_letter[ci] is not None:
             seq.append(loop_letter[ci])
     collapsed = _collapse(seq)
-    if not nfa_contained(n, _letter_star_nfa(collapsed, n.alphabet)):
+    if not nfa_contained(n, _star_nfa([(a,) for a in collapsed], n.alphabet)):
         return None
     # greedy minimization: drop blocks while containment still verifies.
     # Dropping a block only shrinks the starred language, so a block that
@@ -182,7 +175,7 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
     i = 0
     while i < len(collapsed):
         merged = _collapse(collapsed[:i] + collapsed[i + 1 :])
-        if merged and nfa_contained(n, _letter_star_nfa(merged, n.alphabet)):
+        if merged and nfa_contained(n, _star_nfa([(a,) for a in merged], n.alphabet)):
             collapsed = merged
         else:
             i += 1
@@ -194,22 +187,36 @@ def _collapse(seq) -> tuple:
     return tuple(a for a, _ in groupby(seq))
 
 
-def _letter_star_nfa(letters, alphabet) -> Nfa:
-    """NFA for a1* a2* ... am* (blocks may repeat letters)."""
-    m = len(letters)
-    states = tuple(f"p{i}" for i in range(m + 1))
+def _star_nfa(words, alphabet) -> Nfa:
+    """NFA for w1* w2* ... wm*, each word a nonempty sequence of symbols
+    (blocks may repeat words).  State `p{j}` follows a whole copy of w_j
+    (`p0`: nothing read yet), so p0 .. p{j} may start w_j; the inner
+    symbols of each word pass through states of their own."""
+    bounds = [f"p{i}" for i in range(len(words) + 1)]
+    inner = []
     trans = set()
-    for i in range(m):
-        for j in range(i, m):
-            trans.add((states[i], letters[j], states[j + 1]))
-        trans.add((states[i + 1], letters[i], states[i + 1]))
+    for j, w in enumerate(words):
+        path = [f"w{j}.{t}" for t in range(1, len(w))] + [bounds[j + 1]]
+        inner += path[:-1]
+        trans.update((p, w[0], path[0]) for p in bounds[: j + 2])
+        trans.update(zip(path, w[1:], path[1:]))
     return Nfa(
-        states,
+        tuple(bounds + inner),
         tuple(alphabet),
         frozenset(trans),
-        states[0],
-        frozenset(states),
+        bounds[0],
+        frozenset(bounds),
     )
+
+
+def _check_bound(wa: WeightedAutomaton, s: str, words) -> None:
+    """InputError unless every word accepted from `s` lies in w1*...wm*: a
+    bound that misses words would decide the query on part of its language."""
+    inside = nfa_contained(nfa_of(wa, s), _star_nfa(words, wa.alphabet))
+    if not inside:
+        raise InputError(
+            f"the bounding words miss {inside.counterexample!r}, accepted from {s!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -647,7 +654,6 @@ def emit_formula(
     weight); realized signatures always carry positive radii, so the filter
     is a formality here.
     """
-    m = len(analysis.query.letters)
     table = analysis.table.radii
     for (ri, k) in x_sig:
         if ri == analysis.zero_idx:
@@ -772,7 +778,9 @@ def decide_bounded(
     """Decide a query with bounded languages.
 
     Bounding words (for general bounds) are caller-supplied; letter bounds
-    are auto-detected from the second state when neither is given.  The
+    are auto-detected from the second state when neither is given.  Supplied
+    words or letters must bound the language from the first state
+    (InputError otherwise).  The
     containment check runs first on the original automaton; each starred
     subsequence of the letter bound becomes an independent plus-bounded
     sub-question and the verdicts merge with divergence dominating, then
@@ -787,10 +795,13 @@ def decide_bounded(
     wa, s, sp = q.automaton, q.s, q.s_prime
     base_words = None
     if words is not None:
-        base_words = [str(w) for w in words]
+        base_words = check_bounding_words(wa, words)
+        _check_bound(wa, s, base_words)
         lb = bounded_to_letter_bounded(wa, s, sp, base_words)
         wa, letters = lb.automaton, lb.letters
-    elif letters is None:
+    elif letters is not None:
+        _check_bound(wa, s, [(a,) for a in letters])
+    else:
         letters = detect_letter_bounded(wa, sp)
         if letters is None:
             raise InputError(

@@ -355,7 +355,6 @@ def _pure_log_case(formula: RealExpFormula, bits: int) -> SemiDecision:
     witnesses = []
     t = 1
     thresholds = [Fraction(-10), Fraction(-100), Fraction(-1000)]
-    prev_hi = None
     while thresholds and t < 10**6:
         x = [max(base, base ** max(1, t * di)) for di in dint]
         vals = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare, spectral_radius_of_matrix
@@ -146,34 +146,6 @@ def scc_decompose_unary(wa: WeightedAutomaton) -> SccDag:
     if not wa.is_unary():
         raise InputError("unary SCC analysis requires a single-letter alphabet")
     return scc_decompose(wa.sparse_rows[wa.alphabet[0]])
-
-
-def local_period(wa: WeightedAutomaton, s: str, t: str) -> int:
-    """lcm over DAG paths from SCC(s) to SCC(t) of the gcd of member periods.
-
-    Used only by analysis and tests; no decider consumes it.
-    """
-    dag = scc_decompose_unary(wa)
-    si, ti = dag.scc_of[wa.index(s)], dag.scc_of[wa.index(t)]
-    succs: dict = {}
-    for (a, b) in dag.edges:
-        succs.setdefault(a, set()).add(b)
-    gcds: set = set()
-
-    def walk(node, acc):
-        acc = gcd(acc, dag.sccs[node].period)
-        if node == ti:
-            gcds.add(acc)
-        for nxt in succs.get(node, ()):
-            walk(nxt, acc)
-
-    walk(si, 0)
-    if not gcds:
-        return 0
-    out = 1
-    for g in gcds:
-        out = lcm(out, g) if g else out
-    return out
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from ratiobound.automata import Matrix, WeightedAutomaton
+from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, lasso
 from ratiobound.nfaops import ChrobakNf
 from ratiobound.spectral import scc_decompose
-from ratiobound.algebraic import AlgebraicNumber, compare
+from ratiobound.algebraic import AlgebraicNumber, compare, ptrim
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +139,22 @@ def planted_unambiguous(rng: random.Random, expansive: bool):
 
 
 # ---------------------------------------------------------------------------
-# dense references: exact matrices of Fractions, as `WeightedAutomaton.matrix`
-# returns them
+# dense references: exact matrices of Fractions, read from the sparse rows
+
+
+def dense_matrix(wa: WeightedAutomaton, a: str) -> Matrix:
+    d, rows = wa.sparse_rows[a]
+    dense = []
+    for row in rows:
+        cells = [Fraction(0)] * wa.n
+        for j, x in row:
+            cells[j] = Fraction(x, d)
+        dense.append(tuple(cells))
+    return tuple(dense)
+
+
+def final_vector(wa: WeightedAutomaton) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(q in wa.finals)) for q in wa.states)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -218,6 +234,47 @@ def dense_scc_decompose(m: Matrix):
 # oracles
 
 
+def pmul(p, q):
+    """Product of polynomials given as coefficient tuples, lowest first."""
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return ptrim(out)
+
+
+@dataclass(frozen=True)
+class UnaryLasso:
+    """Determinized unary language: acceptance bits on a stem and a loop."""
+
+    prefix_accepting: tuple
+    loop_accepting: tuple
+
+    def accepts(self, n: int) -> bool:
+        if n < len(self.prefix_accepting):
+            return self.prefix_accepting[n]
+        off = (n - len(self.prefix_accepting)) % len(self.loop_accepting)
+        return self.loop_accepting[off]
+
+    @classmethod
+    def from_nfa(cls, n: Nfa) -> "UnaryLasso":
+        (a,) = n.alphabet
+        subsets, loop_start = lasso(frozenset([n.start]), lambda sub: n.step(sub, a))
+        acc = tuple(bool(sub & n.finals) for sub in subsets)
+        return cls(acc[:loop_start], acc[loop_start:])
+
+
+def lasso_difference_finite(l1: UnaryLasso, l2: UnaryLasso) -> bool:
+    """Is {n : l1 accepts, l2 rejects} finite?  Period-alignment oracle."""
+    pre = max(len(l1.prefix_accepting), len(l2.prefix_accepting))
+    period = lcm(len(l1.loop_accepting), len(l2.loop_accepting))
+    return not any(
+        l1.accepts(n) and not l2.accepts(n) for n in range(pre, pre + period)
+    )
+
+
 def enum_paths_weight(wa: WeightedAutomaton, s: str, word) -> Fraction:
     """Brute-force path enumeration: sum over accepting state sequences of
     the product of transition weights."""
@@ -231,7 +288,7 @@ def enum_paths_weight(wa: WeightedAutomaton, s: str, word) -> Fraction:
             if wa.states[qi] in wa.finals:
                 total += acc
             return
-        m = wa.matrix(letters[pos])
+        m = dense_matrix(wa, letters[pos])
         for vj in range(n):
             w = m[qi][vj]
             if w > 0:
@@ -251,7 +308,7 @@ def count_accepting_paths(wa: WeightedAutomaton, s: str, word) -> int:
             if wa.states[qi] in wa.finals:
                 count += 1
             return
-        m = wa.matrix(letters[pos])
+        m = dense_matrix(wa, letters[pos])
         for vj in range(wa.n):
             if m[qi][vj] > 0:
                 rec(vj, pos + 1)
@@ -264,7 +321,7 @@ def brute_unary_signatures(wa: WeightedAutomaton, s: str, n: int):
     """All (radius rank, scc-count-1) run signatures of length-n accepting
     paths, computed by path DP directly over the SCC structure (independent
     of the annotated-automaton construction)."""
-    m = wa.matrix(wa.alphabet[0])
+    m = dense_matrix(wa, wa.alphabet[0])
     dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
     radii = [info.radius for info in dag.sccs]
     order = _radius_ranks(radii)
@@ -400,7 +457,7 @@ def brute_block_degree(wa, s, letters, nvec):
                 out.add((block_sig(visited, word[-1]),))
         else:
             li = word[pos]
-            matrix = wa.matrix(letters[li])
+            matrix = dense_matrix(wa, letters[li])
             new_block = word[pos - 1] != li
             for vj in range(wa.n):
                 if matrix[qi][vj] <= 0:
@@ -421,7 +478,7 @@ def brute_block_degree(wa, s, letters, nvec):
     if word and all(n > 0 for n in nvec):
         li0 = word[0]
         qi0 = wa.index(s)
-        matrix = wa.matrix(letters[li0])
+        matrix = dense_matrix(wa, letters[li0])
         for vj in range(wa.n):
             if matrix[qi0][vj] > 0:
                 start_vis = {dags[li0].scc_of[qi0], dags[li0].scc_of[vj]}
@@ -468,6 +525,23 @@ def random_block_wa(rng: random.Random, letters=("a", "b"), per=2, density=0.6):
         if rng.random() < 0.8:
             trans.append((q, letters[-1], Fraction(rng.randint(1, 3), rng.randint(2, 6)), "fin"))
     return WeightedAutomaton.from_transitions(states, letters, trans, ["fin"])
+
+
+def not_big_o_on_b() -> WeightedAutomaton:
+    """From `s` and `s'` every nonempty word over {a, b} is accepted; the
+    query (s, s') is not big-O, by cycle ratio 3/2 on b, but is big-O on
+    the words a^n alone."""
+    trans = [
+        ("s", "a", Fraction(1, 2), "s"),
+        ("s", "a", Fraction(1, 4), "t"),
+        ("s", "b", Fraction(3, 4), "s"),
+        ("s", "b", Fraction(1, 4), "t"),
+        ("s'", "a", Fraction(1, 2), "s'"),
+        ("s'", "a", Fraction(1, 2), "t"),
+        ("s'", "b", Fraction(1, 2), "s'"),
+        ("s'", "b", Fraction(1, 2), "t"),
+    ]
+    return WeightedAutomaton.from_transitions(["s", "s'", "t"], ["a", "b"], trans, ["t"])
 
 
 def random_functional_unary(rng: random.Random, nstates=5):

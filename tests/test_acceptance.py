@@ -9,7 +9,6 @@ from ratiobound import (
     INF,
     ProbAutomaton,
     Query,
-    UnaryLasso,
     WeightedAutomaton,
     annotate,
     complete_for_eventual,
@@ -31,12 +30,15 @@ from ratiobound import (
     weight_blocks,
 )
 from ratiobound.intervals import FInterval
-from ratiobound.nfaops import lasso_difference_finite
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
 from ratiobound.spectral import copy_start_off_cycles
 
 from helpers import (
+    UnaryLasso,
     brute_block_degree,
+    dense_matrix,
+    final_vector,
+    lasso_difference_finite,
     planted_unambiguous,
     random_block_wa,
     random_functional_unary,
@@ -221,7 +223,7 @@ def test_criterion_9_growth_envelope_property():
         wa, fresh = copy_start_off_cycles(wa, "q0")
         ann, degrees = _annotation_degrees(wa, fresh, 60)
         (t,) = wa.finals
-        m = wa.matrix("a")
+        m = dense_matrix(wa, "a")
         from helpers import vec_mat
 
         i = wa.index(fresh)
@@ -332,8 +334,8 @@ def _block_weight_grid(wa, s, letters, cap):
     from helpers import vec_mat
 
     i = wa.index(s)
-    fvec = wa.final_vector()
-    ma, mb = wa.matrix(letters[0]), wa.matrix(letters[1])
+    fvec = final_vector(wa)
+    ma, mb = dense_matrix(wa, letters[0]), dense_matrix(wa, letters[1])
     grid = [[F(0)] * (cap + 1) for _ in range(cap + 1)]
     vec1 = tuple(F(1) if j == i else F(0) for j in range(wa.n))
     for n1 in range(cap + 1):

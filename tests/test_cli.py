@@ -9,6 +9,8 @@ from ratiobound.jsonio import parse_automaton, parse_weight, serialize
 from ratiobound.automata import FormatError, WeightedAutomaton
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
 
+from helpers import not_big_o_on_b
+
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
@@ -409,3 +411,15 @@ def test_check_rejects_bad_words_in_every_mode(capsys, mode):
         assert "input error" in capsys.readouterr().err
     assert main(base + ["--words", "a"]) in (0, 1)
     capsys.readouterr()
+
+
+def test_check_rejects_words_that_miss_the_language(tmp_path, capsys):
+    """`--words a` does not bound L(s), which holds b^n a as well, so the
+    bounded decider refuses it instead of answering for a^n alone."""
+    f = tmp_path / "miss.json"
+    f.write_text(serialize(not_big_o_on_b()), encoding="utf-8")
+    base = ["check", "--file", str(f), "--from", "s", "--to", "s'"]
+    assert main(base + ["--mode", "bounded", "--words", "a"]) == 64
+    assert "bounding words miss 'b'" in capsys.readouterr().err
+    assert main(base) == 1
+    assert json.loads(capsys.readouterr().out)["witness"]["cycleRatio"] == "3/2"

@@ -19,7 +19,15 @@ from ratiobound import (
 )
 from ratiobound.samples import relative_orderings, unbounded_ratio
 
-from helpers import enum_paths_weight, mat_pow, random_wa, vec_mat, words_upto
+from helpers import (
+    dense_matrix,
+    enum_paths_weight,
+    final_vector,
+    mat_pow,
+    random_wa,
+    vec_mat,
+    words_upto,
+)
 
 
 def test_weight_figure_value():
@@ -60,7 +68,7 @@ def test_weight_splitting_identity():
         lhs = weight(wa, "q0", u + v)
         from helpers import mat_mul, vec_mat
 
-        mu = mat_mul(wa.matrix("a"), wa.matrix("b"))
+        mu = mat_mul(dense_matrix(wa, "a"), dense_matrix(wa, "b"))
         i = wa.index("q0")
         row = tuple(mu[i])
         rhs = sum(row[j] * weight(wa, wa.states[j], v) for j in range(wa.n))
@@ -86,8 +94,8 @@ def _dense_weight_blocks(wa, s, blocks):
     i = wa.index(s)
     vec = tuple(F(int(j == i)) for j in range(wa.n))
     for a, count in blocks:
-        vec = vec_mat(vec, mat_pow(wa.matrix(a), count))
-    return sum((w for w, f in zip(vec, wa.final_vector()) if f), F(0))
+        vec = vec_mat(vec, mat_pow(dense_matrix(wa, a), count))
+    return sum((w for w, f in zip(vec, final_vector(wa)) if f), F(0))
 
 
 def _random_kernel_wa(rng):
@@ -125,12 +133,12 @@ def _dense_ratio_profile(wa, s, sp, max_len):
     """Reference: dense vectors per word, each extended from its prefix."""
     i, j = wa.index(s), wa.index(sp)
     vecs = {"": tuple(tuple(F(int(x == k)) for x in range(wa.n)) for k in (i, j))}
-    fvec = wa.final_vector()
+    fvec = final_vector(wa)
     entries, best, attained = [], F(0), None
     for word in words_upto(wa.alphabet, max_len):
         if word:
             vs, vp = vecs[word[:-1]]
-            m = wa.matrix(word[-1])
+            m = dense_matrix(wa, word[-1])
             vecs[word] = (vec_mat(vs, m), vec_mat(vp, m))
         ws, wp = (sum((w for w, f in zip(v, fvec) if f), F(0)) for v in vecs[word])
         if ws > 0 or wp > 0:
@@ -169,7 +177,7 @@ def test_sparse_form_errors():
         return WeightedAutomaton(states, alphabet, rows, frozenset(finals))
 
     good = {"a": (2, (((0, 1), (1, 1)), ()))}
-    assert build(good).matrix("a") == ((F(1, 2), F(1, 2)), (F(0), F(0)))
+    assert dense_matrix(build(good), "a") == ((F(1, 2), F(1, 2)), (F(0), F(0)))
     bad = [
         ("duplicate state", good, dict(states=("p", "p"))),
         ("duplicate symbol", {"a": good["a"]}, dict(alphabet=("a", "a"))),
@@ -208,8 +216,8 @@ def test_dense_view_matches_transitions():
         )
         for a in alphabet:
             dense = tuple(map(tuple, want[a]))
-            assert wa.matrix(a) == rebuilt.matrix(a) == rebuilt.trans[a] == dense
-            assert all(type(w) is F for row in wa.matrix(a) for w in row)
+            assert dense_matrix(wa, a) == dense_matrix(rebuilt, a) == dense
+            assert all(type(w) is F for row in dense_matrix(wa, a) for w in row)
         assert rebuilt.sparse_rows == wa.sparse_rows
         assert rebuilt.transitions() == triples
 
@@ -235,9 +243,9 @@ def test_normalize_construction_and_weights():
     (t,) = out.finals
     ti = out.index(t)
     # new-final column accumulates the final-bound weights
-    assert out.matrix("a")[out.index("p")][ti] == F(1, 2) + F(1, 3)
+    assert dense_matrix(out, "a")[out.index("p")][ti] == F(1, 2) + F(1, 3)
     # no outgoing transitions from the new final
-    assert all(w == 0 for w in out.matrix("a")[ti])
+    assert all(w == 0 for w in dense_matrix(out, "a")[ti])
     # nonempty words keep their weights from every original state
     for q in wa.states:
         for n in range(1, 7):

@@ -371,10 +371,10 @@ def test_value1_backward_xy_invariant():
 
 
 def _prob_to(chain, start, word, target):
-    from helpers import vec_mat
+    from helpers import dense_matrix, vec_mat
 
     i = chain.index(start)
     vec = tuple(F(1) if j == i else F(0) for j in range(chain.n))
     for a in word:
-        vec = vec_mat(vec, chain.matrix(a))
+        vec = vec_mat(vec, dense_matrix(chain, a))
     return vec[chain.index(target)]

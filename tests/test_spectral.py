@@ -10,7 +10,6 @@ from ratiobound import (
     WeightedAutomaton,
     annotate,
     degree_language,
-    local_period,
     normalize_single_final,
     scc_decompose,
     scc_decompose_unary,
@@ -26,6 +25,7 @@ from ratiobound.spectral import (
 from helpers import (
     brute_unary_degree,
     brute_unary_signatures,
+    dense_matrix,
     dense_scc_decompose,
     mat_pow,
     random_wa,
@@ -62,7 +62,7 @@ def test_period_matches_return_time_gcd():
     rng = random.Random(53)
     for _ in range(15):
         wa = random_wa(rng, nstates=rng.randint(2, 6), alphabet=("a",), density=0.35)
-        m = wa.matrix("a")
+        m = dense_matrix(wa, "a")
         dag = scc_decompose(wa.sparse_rows["a"])
         horizon = 2 * wa.n * wa.n
         powers = []
@@ -91,7 +91,7 @@ def test_scc_decompose_matches_dense_reference():
         seen["self-loop"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
         seen["zero letter"] += not any(rows)
         got = scc_decompose((d, rows))
-        want = dense_scc_decompose(wa.matrix("a"))
+        want = dense_scc_decompose(dense_matrix(wa, "a"))
         assert got.scc_of == want.scc_of
         assert got.edges == want.edges
         seen["cross edge"] += bool(got.edges)
@@ -213,19 +213,6 @@ def test_degree_language_rejects_bad_threshold():
         degree_language(ann, (99, 0), "geq")
     with pytest.raises(InputError):
         degree_language(ann, (0, 0), "between")
-
-
-def test_local_period_chain():
-    """Two period-2 loops in sequence give local period 2; mixing a period-3
-    loop on a parallel path lifts the lcm."""
-    trans = [
-        ("s", "a", F(1), "u1"),
-        ("u1", "a", F(1, 2), "u2"),
-        ("u2", "a", F(1, 2), "u1"),
-        ("u1", "a", F(1), "t"),
-    ]
-    wa = WeightedAutomaton.from_transitions(["s", "u1", "u2", "t"], ["a"], trans, ["t"])
-    assert local_period(wa, "s", "t") == 2
 
 
 def test_scc_debug_dump_shape():
