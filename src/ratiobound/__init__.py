@@ -17,7 +17,6 @@ from .automata import (
     ratio_profile,
     validate_lmc,
     validate_pa,
-    weight,
     weight_blocks,
 )
 from .bounded import (

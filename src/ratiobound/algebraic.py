@@ -30,10 +30,6 @@ def pdeg(p):
     return len(p) - 1
 
 
-def pneg(p):
-    return tuple(-c for c in p)
-
-
 def pderiv(p):
     return ptrim(i * c for i, c in enumerate(p) if i >= 1)
 
@@ -65,30 +61,32 @@ def pprimitive(p):
     return tuple(sign * c // g for c in p)
 
 
-def _pseudo_rem(p, q):
-    """Pseudo-remainder of integer polynomials: lc(q)^k * p mod q."""
-    p = list(p)
+def _pdivmod(p, q):
+    """Integer pseudo-division: (quot, rem) with |lc(q)|^k * p = quot * q +
+    rem and deg rem < deg q, for the k elimination steps taken.  The scale
+    is positive, so quotient and remainder keep their signs over Q."""
+    rem = list(ptrim(p))
     dq = pdeg(q)
-    lq = q[-1]
-    while pdeg(tuple(p)) >= dq and any(p):
-        dp = len(p) - 1
-        coef = p[-1]
-        p = [c * lq for c in p]
-        shift = dp - dq
+    lq, sq = abs(q[-1]), (1 if q[-1] > 0 else -1)
+    quot = [0] * max(len(rem) - dq, 0)
+    while len(rem) > dq:
+        coef = rem[-1] * sq
+        shift = len(rem) - 1 - dq
+        rem = [c * lq for c in rem]
+        quot = [c * lq for c in quot]
+        quot[shift] += coef
         for i, c in enumerate(q):
-            p[i + shift] -= coef * c
-        while p and p[-1] == 0:
-            p.pop()
-        if not p:
-            break
-    return ptrim(p)
+            rem[i + shift] -= coef * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(quot), tuple(rem)
 
 
 def pgcd(p, q):
     """Integer polynomial gcd via the primitive pseudo-remainder sequence."""
     p, q = pprimitive(p), pprimitive(q)
     while q:
-        r = pprimitive(_pseudo_rem(p, q))
+        r = pprimitive(_pdivmod(p, q)[1])
         p, q = q, r
     return p
 
@@ -101,32 +99,13 @@ def square_free(p):
     g = pgcd(p, pderiv(p))
     if pdeg(g) == 0:
         return p
-    return pprimitive(_pdiv_exact(p, g))
-
-
-def _pdiv_exact(p, q):
-    """Exact division of integer polynomials over Q (result cleared to ints)."""
-    # divide over Fractions, then clear denominators; exactness is asserted
-    rem = [Fraction(c) for c in p]
-    out = [Fraction(0)] * (len(p) - len(q) + 1)
-    dq = pdeg(q)
-    lq = Fraction(q[-1])
-    for shift in range(len(out) - 1, -1, -1):
-        coef = rem[dq + shift] / lq
-        out[shift] = coef
-        if coef:
-            for i, c in enumerate(q):
-                rem[i + shift] -= coef * c
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    den = lcm(*(f.denominator for f in out)) if out else 1
-    return ptrim(int(f * den) for f in out)
+    return pprimitive(_pdivmod(p, g)[0])
 
 
 def sturm_sequence(p):
     """Sturm chain of a square-free integer polynomial.
 
-    Remainders are computed over Q and rescaled by positive constants only,
+    Remainders are pseudo-remainders rescaled by positive constants only,
     which preserves the sign-variation semantics.
     """
     chain = [pprimitive(p)]
@@ -134,36 +113,12 @@ def sturm_sequence(p):
     if d:
         chain.append(d)
     while len(chain) >= 2 and chain[-1]:
-        r = _true_rem_positive_scale(chain[-2], chain[-1])
+        r = _pdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
-        chain.append(pneg(r))
+        g = pcontent(r)
+        chain.append(tuple(-c // g for c in r))
     return [c for c in chain if c]
-
-
-def _true_rem_positive_scale(p, q):
-    """Remainder of p by q over Q, rescaled to integers by a positive factor."""
-    rem = [Fraction(c) for c in p]
-    dq = pdeg(q)
-    lq = Fraction(q[-1])
-    while True:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem or len(rem) - 1 < dq:
-            break
-        coef = rem[-1] / lq
-        shift = len(rem) - 1 - dq
-        for i, c in enumerate(q):
-            rem[i + shift] -= coef * c
-        rem.pop()
-    if not rem:
-        return ()
-    den = lcm(*(f.denominator for f in rem))
-    ints = [int(f * den) for f in rem]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in ints)
 
 
 def sign_variations(chain, x: Fraction) -> int:

@@ -241,14 +241,6 @@ def _final_sum(wa: WeightedAutomaton, vec: dict) -> int:
     return sum(vec.get(wa._idx[f], 0) for f in wa.finals)
 
 
-def weight(wa: WeightedAutomaton, s: str, word: Iterable[str]) -> Fraction:
-    """Total weight of accepting paths for `word` from `s`.
-
-    The weight of the empty word is 1 if s is final, else 0.
-    """
-    return weight_blocks(wa, s, ((a, 1) for a in word))
-
-
 def weight_blocks(
     wa: WeightedAutomaton, s: str, blocks: Iterable[tuple[str, int]]
 ) -> Fraction:
@@ -270,13 +262,14 @@ def weight_blocks(
 
 
 def fresh_state(taken: set, base: str) -> str:
-    """`base`, or `base` with the smallest numeric suffix not in `taken`."""
-    if base not in taken:
-        return base
-    k = 0
-    while f"{base}{k}" in taken:
+    """`base`, or `base` with the smallest numeric suffix not in `taken`;
+    the name returned is added to `taken`."""
+    name, k = base, 0
+    while name in taken:
+        name = f"{base}{k}"
         k += 1
-    return f"{base}{k}"
+    taken.add(name)
+    return name
 
 
 def explore(seeds, succ, cap: Optional[int] = None):

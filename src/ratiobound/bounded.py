@@ -717,17 +717,13 @@ class PlusVerdict:
     candidates: tuple = ()  # every decided Candidate, in decision order
 
 
-def decide_plus(
-    pq: PlusQuery,
-    analysis: Optional[PlusAnalysis] = None,
-    start_bits: Optional[int] = None,
-) -> PlusVerdict:
+def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> PlusVerdict:
     """Semi-decide all realized candidates of one plus-bounded sub-question.
 
     Candidate order is deterministic; any certified divergence wins, then
     any unknown, and boundedness needs every candidate refuted.
     """
-    analysis = analysis if analysis is not None else plus_analysis(pq)
+    analysis = plus_analysis(pq)
     letters = analysis.query.letters
     formulas = []
     for (x_sig, y_sigs) in sorted(realized_candidates(analysis)):
@@ -759,14 +755,6 @@ class BoundedResult:
     witness: Optional[dict] = None
     unknown_formulas: tuple = ()
     subqueries: int = 0
-
-    @property
-    def is_big_o(self) -> Optional[bool]:
-        if self.verdict == "is-big-o":
-            return True
-        if self.verdict == "not-big-o":
-            return False
-        return None
 
 
 def decide_bounded(
@@ -816,8 +804,7 @@ def decide_bounded(
     holding = None
     holding_pq = None
     for pq in subqueries:
-        analysis = plus_analysis(pq)
-        pv = decide_plus(pq, analysis, start_bits=start_bits)
+        pv = decide_plus(pq, start_bits=start_bits)
         if pv.verdict == "not-big-o":
             holding = pv.holding
             holding_pq = pq
@@ -911,7 +898,7 @@ class ExpSumDecision:
 
 
 def finitely_ambiguous_formula(deltas) -> list:
-    """One divergence sentence per tuple and numerator row.
+    """One divergence sentence per DeltaTuple and numerator row.
 
     The ratio sum_j p_j q_j^x / sum_l r_l s_l^x is unbounded on x >= 0
     exactly when, for some row j, every form <ln(s_l/q_j), x> goes below
@@ -924,8 +911,6 @@ def finitely_ambiguous_formula(deltas) -> list:
     rat = AlgebraicNumber.from_rational
     formulas = []
     for idx, d in enumerate(deltas):
-        if not isinstance(d, DeltaTuple):
-            d = DeltaTuple(*d)
         for j, qrow in enumerate(d.q_rows):
             rows = tuple(
                 DivergenceRow(

@@ -58,10 +58,6 @@ class FInterval:
             return FInterval(self.lo * c, self.hi * c)
         return FInterval(self.hi * c, self.lo * c)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def strictly_negative(self) -> bool:
         return self.hi < 0
 

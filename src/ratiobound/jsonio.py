@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .automata import FormatError, WeightedAutomaton
+from .automata import FormatError, InputError, WeightedAutomaton
 
 
 def parse_weight(text: str, warnings=None) -> Fraction:
@@ -56,15 +56,7 @@ def parse_automaton(document, warnings=None) -> WeightedAutomaton:
     for key in ("states", "alphabet", "finals", "transitions"):
         if key not in document:
             raise FormatError(f"missing required key {key!r}")
-    states = [str(q) for q in document["states"]]
-    alphabet = [str(a) for a in document["alphabet"]]
-    finals = [str(q) for q in document["finals"]]
-    state_set = set(states)
-    for f in finals:
-        if f not in state_set:
-            raise FormatError(f"final state {f!r} is not declared in states")
     transitions = []
-    seen = set()
     for entry in document["transitions"]:
         try:
             src, sym, dst = str(entry["from"]), str(entry["symbol"]), str(entry["to"])
@@ -73,19 +65,16 @@ def parse_automaton(document, warnings=None) -> WeightedAutomaton:
             raise FormatError(
                 "each transition needs from/symbol/to/weight fields"
             ) from None
-        if src not in state_set or dst not in state_set:
-            raise FormatError(
-                f"transition references undeclared state: {src!r} -> {dst!r}"
-            )
-        if sym not in alphabet:
-            raise FormatError(f"transition references undeclared symbol {sym!r}")
-        if (src, sym, dst) in seen:
-            raise FormatError(f"duplicate transition triple ({src!r},{sym!r},{dst!r})")
-        seen.add((src, sym, dst))
-        weight = parse_weight(w, warnings)
-        if weight != 0:
-            transitions.append((src, sym, weight, dst))
-    return WeightedAutomaton.from_transitions(states, alphabet, transitions, finals)
+        transitions.append((src, sym, parse_weight(w, warnings), dst))
+    try:
+        return WeightedAutomaton.from_transitions(
+            [str(q) for q in document["states"]],
+            [str(a) for a in document["alphabet"]],
+            transitions,
+            [str(q) for q in document["finals"]],
+        )
+    except InputError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def serialize(wa: WeightedAutomaton, extra: dict | None = None) -> str:

@@ -98,24 +98,6 @@ class RealExpFormula:
     system: DivergenceSystem
     provenance: dict
 
-    def text(self) -> str:
-        """The sentence in infix notation, with named algebraic constants."""
-        sysd = self.system
-        xs = [f"x{i+1}" for i in range(sysd.nvars)]
-        conj = [f"{x} >= {sysd.lower}" for x in xs]
-        for j, row in enumerate(sysd.rows):
-            terms = []
-            for i in range(sysd.nvars):
-                co = row.coeffs[i]
-                if co.scale != 0:
-                    terms.append(
-                        f"({co.scale}*(log(sig{j+1}_{i+1}) + (-1*log(rho{i+1})))*{xs[i]})"
-                    )
-                if row.logs[i] != 0:
-                    terms.append(f"({Fraction(row.logs[i])}*log({xs[i]}))")
-            conj.append("(" + (" + ".join(terms) or "0") + ") < C")
-        return f"forall C. (C < 0 -> exists {' '.join(xs)}. ({' and '.join(conj)}))"
-
     def to_smt2(self) -> str:
         return render_smt2(self)
 
@@ -291,9 +273,6 @@ class SemiDecision:
     ray: Optional[tuple] = None
     witnesses: tuple = ()  # ((x-vector, value upper bound str), ...)
     detail: Optional[str] = None
-
-    def __bool__(self):
-        return self.verdict == HOLDS
 
 
 def semi_decide(

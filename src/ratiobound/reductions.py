@@ -11,7 +11,6 @@ from typing import Optional
 from .automata import (
     InputError,
     Lmc,
-    Nfa,
     ProbAutomaton,
     Query,
     WeightedAutomaton,
@@ -33,7 +32,6 @@ def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
         raise InputError(f"designated symbol {a!r} not in the alphabet")
     taken = set(wa.states)
     q0 = fresh_state(taken, "q")
-    taken.add(q0)
     q1 = fresh_state(taken, "q'")
     trans = wa.transitions()
     if q.s == q.s_prime:
@@ -68,16 +66,12 @@ def from_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     trans = []
     for i, (src, sym, w, dst) in enumerate(wa.transitions()):
         mid = fresh_state(taken, f"[{src}.{sym}.{dst}]")
-        taken.add(mid)
         states.append(mid)
         trans.append((src, sym, w, mid))
         trans.append((mid, sym, Fraction(1), dst))
     q0 = fresh_state(taken, "q")
-    taken.add(q0)
     q1 = fresh_state(taken, "q'")
-    taken.add(q1)
     b1 = fresh_state(taken, "dot1")
-    taken.add(b1)
     b2 = fresh_state(taken, "dot2")
     states.extend([q0, q1, b1, b2])
     half = Fraction(1, 2)
@@ -109,11 +103,9 @@ def complete_for_eventual(
     s: str,
     s_prime: str,
     delta: Optional[Fraction] = None,
-    bound: Optional[Nfa] = None,
 ) -> CompletedQuery:
     """Add a low-weight escape branch so every nonempty word gets weight
-    delta^|w| extra from s'; with a bound DFA, only words of the bounded
-    language get the extra weight.
+    delta^|w| extra from s'.
 
     Requires 0 < delta < 1 and delta below every positive weight; defaults
     to half the minimum positive weight.  s' is copied fresh if it has
@@ -144,7 +136,6 @@ def complete_for_eventual(
         # a fresh non-final copy: nonempty-word weights agree with s', and
         # only those matter to the eventual comparison
         new_sp = fresh_state(taken, f"{s_prime}~")
-        taken.add(new_sp)
         states.append(new_sp)
         for a in wa.alphabet:
             d, rows = wa.sparse_rows[a]
@@ -152,42 +143,13 @@ def complete_for_eventual(
                 trans.append((new_sp, a, Fraction(x, d), wa.states[j]))
         s_prime = new_sp
 
-    if bound is None:
-        dot = fresh_state(taken, "dot")
-        taken.add(dot)
-        states.append(dot)
-        for x in wa.alphabet:
-            trans.append((s_prime, x, delta, t))
-            trans.append((s_prime, x, delta, dot))
-            trans.append((dot, x, delta, dot))
-            trans.append((dot, x, delta, t))
-    else:
-        # track the bound DFA inside the escape branch; terminate wherever
-        # the next step lands in an accepting DFA state
-        dfa_states = {}
-        for d in bound.states:
-            name = fresh_state(taken, f"dot[{d}]")
-            taken.add(name)
-            dfa_states[d] = name
-            states.append(name)
-        for x in wa.alphabet:
-            first = bound.step(frozenset([bound.start]), x)
-            if len(first) > 1:
-                raise InputError("bound automaton must be deterministic")
-            if first:
-                (d2,) = first
-                trans.append((s_prime, x, delta, dfa_states[d2]))
-                if d2 in bound.finals:
-                    trans.append((s_prime, x, delta, t))
-            for d in bound.states:
-                succ = bound.step(frozenset([d]), x)
-                if len(succ) > 1:
-                    raise InputError("bound automaton must be deterministic")
-                if succ:
-                    (d2,) = succ
-                    trans.append((dfa_states[d], x, delta, dfa_states[d2]))
-                    if d2 in bound.finals:
-                        trans.append((dfa_states[d], x, delta, t))
+    dot = fresh_state(taken, "dot")
+    states.append(dot)
+    for x in wa.alphabet:
+        trans.append((s_prime, x, delta, t))
+        trans.append((s_prime, x, delta, dot))
+        trans.append((dot, x, delta, dot))
+        trans.append((dot, x, delta, t))
     merged: dict = {}
     for (src, a, w, dst) in trans:
         merged[(src, a, dst)] = merged.get((src, a, dst), Fraction(0)) + w
@@ -233,12 +195,8 @@ def gen_undecidable(pa: ProbAutomaton, generalize: bool = False) -> UndecidableI
     sim_scale = Fraction(1, 2 * k)  # 1/4 for two letters
     eq_scale = Fraction(1, k + 2)  # 1/4 for two letters
     taken = set(wa.states)
-    names = {}
-    for nm in ("s", "s'", "s''", "s0", "t"):
-        f = fresh_state(taken, nm)
-        taken.add(f)
-        names[nm] = f
-    states = wa.states + tuple(names[n] for n in ("s", "s'", "s''", "s0", "t"))
+    names = {nm: fresh_state(taken, nm) for nm in ("s", "s'", "s''", "s0", "t")}
+    states = wa.states + tuple(names.values())
     alphabet = wa.alphabet + (ACC, REJ, TICK)
     trans = []
     for (src, a, w, dst) in wa.transitions():
@@ -357,15 +315,8 @@ def value1_to_bigo(pa: ProbAutomaton) -> Value1Reduction:
     inv_finals = frozenset(wa.states) - wa.finals
     scale = Fraction(1, len(wa.alphabet) + 1)
     taken = set(wa.states)
-    names = {nm: fresh_state(taken, nm) for nm in ("s", "s'", "s0", "rej2", "acc2")}
-    for nm in names.values():
-        taken.add(nm)
     s, sp, s0, rej, acc = (
-        names["s"],
-        names["s'"],
-        names["s0"],
-        names["rej2"],
-        names["acc2"],
+        fresh_state(taken, nm) for nm in ("s", "s'", "s0", "rej2", "acc2")
     )
     states = wa.states + (s, sp, s0, rej, acc)
     alphabet = wa.alphabet + (DOLLAR,)

@@ -268,26 +268,19 @@ def annotate(
     return ann
 
 
-def degree_language(ann: AnnotatedAutomaton, x: tuple[int, int], mode: str) -> Nfa:
-    """Unary NFA accepting lengths whose degree reaches the threshold x.
+def degree_language(ann: AnnotatedAutomaton, x: tuple[int, int]) -> Nfa:
+    """Unary NFA accepting lengths where some run signature is >= x.
 
-    mode "geq": some run signature is >= x; mode "gt": strictly above.
     x is an (radius index, k) pair over the annotation's radius table and
     must be admissible.
     """
-    if mode not in ("geq", "gt"):
-        raise InputError(f"unknown degree mode {mode!r}")
     ri, k = x
     if not (0 <= ri < len(ann.table.radii)) or not (0 <= k <= ann.wa.n):
         raise InputError(f"threshold {x} is not admissible for this automaton")
     letter = ann.wa.alphabet[0]
     name = {st: f"{st[0]}~{st[1]}~{st[2]}" for st in ann.states}
-    if mode == "geq":
-        ok = lambda sig: sig >= x
-    else:
-        ok = lambda sig: sig > x
     finals = frozenset(
-        name[st] for st in ann.states if st[0] == ann.final and ok((st[1], st[2]))
+        name[st] for st in ann.states if st[0] == ann.final and (st[1], st[2]) >= x
     )
     return Nfa(
         tuple(name[st] for st in ann.states),

@@ -59,9 +59,6 @@ class UnambiguousVerdict:
     cycle: Optional[tuple] = None  # ((pair, symbol, pair), ...) edge list
     cycle_ratio: Optional[Fraction] = None
 
-    def __bool__(self):
-        return self.is_big_o
-
 
 def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
     """Boundedness for queries unambiguous from both states.
@@ -109,105 +106,56 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
         return UnambiguousVerdict(True)
 
     # live edges in (letter, transition, transition) order
-    st = wa.states
     live_edges = [
-        ((st[i], st[i2]), wa.alphabet[li], (st[j], st[j2]), Fraction(x, x2))
-        for (li, i, j, i2, j2), x, x2 in sorted(
-            ((li, pairs[u][0], pairs[v][0], pairs[u][1], pairs[v][1]), x, x2)
+        (u, li, v, Fraction(x, x2))
+        for _, u, li, v, x, x2 in sorted(
+            ((li, pairs[u][0], pairs[v][0], pairs[u][1], pairs[v][1]), u, li, v, x, x2)
             for u, (li, x, x2), v in pair_edges
             if u in live and v in live
         )
     ]
-    start = (q.s, q.s_prime)
-    live = {(st[pairs[k][0]], st[pairs[k][1]]) for k in live}
-    dist = {start: Fraction(1)}
-    pred: dict = {}
     nodes = len(live)
-    improved_node = None
+    dist = [Fraction(0)] * len(pairs)
+    dist[0] = Fraction(1)
+    pred: dict = {}
     for _ in range(nodes):
-        changed = False
-        for (u, a, v, r) in live_edges:
-            du = dist.get(u)
-            if du is None:
-                continue
-            cand = du * r
-            if cand > dist.get(v, Fraction(0)):
-                dist[v] = cand
-                pred[v] = (u, a, r)
-                changed = True
-                improved_node = v
-        if not changed:
+        changed = None
+        for (u, li, v, r) in live_edges:
+            du = dist[u]
+            if du:
+                cand = du * r
+                if cand > dist[v]:
+                    dist[v] = cand
+                    pred[v] = (u, li, r)
+                    changed = v
+        if changed is None:
             return UnambiguousVerdict(True)
-    # still improving after |V|-1 rounds: an expansive cycle is reachable
-    witness = _walk_back_cycle(pred, improved_node, nodes)
-    if witness is None or witness[1] <= 1:
-        witness = _dp_find_cycle(live_edges, live)
-    edge_list, ratio = witness
+    # still improving in round |live|: walking |live| predecessors back from
+    # the last improved pair lands on a predecessor cycle, and every such
+    # cycle has ratio product > 1
+    edge_list, ratio = _walk_back_cycle(pred, changed, nodes)
     assert ratio > 1
-    return UnambiguousVerdict(
-        False, "cycle", cycle=tuple(edge_list), cycle_ratio=ratio
-    )
+    st = wa.states
+    names = [(st[i], st[i2]) for i, i2 in pairs]
+    cycle = tuple((names[u], wa.alphabet[li], names[v]) for u, li, v in edge_list)
+    return UnambiguousVerdict(False, "cycle", cycle=cycle, cycle_ratio=ratio)
 
 
 def _walk_back_cycle(pred: dict, node, nodes: int):
     """Walk predecessors far enough to land on a predecessor-graph cycle."""
-    cur = node
     for _ in range(nodes):
-        if cur not in pred:
-            return None
-        cur = pred[cur][0]
+        node = pred[node][0]
     seen = []
-    walk = cur
-    while walk not in seen:
-        seen.append(walk)
-        if walk not in pred:
-            return None
-        walk = pred[walk][0]
-    cycle_nodes = seen[seen.index(walk):] + [walk]
+    while node not in seen:
+        seen.append(node)
+        node = pred[node][0]
     # consecutive entries satisfy cycle_nodes[i+1] = pred(cycle_nodes[i])
+    cycle_nodes = seen[seen.index(node):] + [node]
     edge_list = []
     ratio = Fraction(1)
-    for i in range(len(cycle_nodes) - 1):
-        v = cycle_nodes[i]
-        u, a, r = pred[v]
-        edge_list.append((u, a, v))
+    for v in cycle_nodes[:-1]:
+        u, li, r = pred[v]
+        edge_list.append((u, li, v))
         ratio *= r
     edge_list.reverse()
     return edge_list, ratio
-
-
-def _dp_find_cycle(live_edges, live):
-    """Exact fallback: some node on an expansive cycle has a walk of length
-    k <= |live| back to itself with product > 1; recover it by best-walk DP."""
-    by_src: dict = {}
-    for (u, a, v, r) in live_edges:
-        by_src.setdefault(u, []).append((v, a, r))
-    for v0 in sorted(live, key=repr):
-        found = _dp_cycle_from(by_src, v0, len(live))
-        if found is not None:
-            return found
-    raise AssertionError("expansive cycle reported but not found")
-
-
-def _dp_cycle_from(by_src, v0, cap):
-    levels = [{v0: (Fraction(1), None)}]
-    for _ in range(cap):
-        cur = levels[-1]
-        nxt: dict = {}
-        for u, (prod, _) in cur.items():
-            for (v, a, r) in by_src.get(u, ()):
-                cand = prod * r
-                if v not in nxt or cand > nxt[v][0]:
-                    nxt[v] = (cand, (u, a))
-        levels.append(nxt)
-        if v0 in nxt and nxt[v0][0] > 1:
-            edge_list = []
-            node = v0
-            for level in range(len(levels) - 1, 0, -1):
-                _, parent = levels[level][node]
-                u, a = parent
-                edge_list.append((u, a, node))
-                node = u
-            edge_list.reverse()
-            return edge_list, levels[-1][v0][0]
-    return None

@@ -35,9 +35,6 @@ class UnaryVerdict:
     smallest_witness: Optional[int] = None
     progression_period: Optional[int] = None
 
-    def __bool__(self):
-        return self.is_big_o
-
 
 def _prepare(q: Query):
     """Normalized automaton with cycle-free start copies and shared annotations."""
@@ -69,8 +66,8 @@ def decide_unary(q: Query) -> UnaryVerdict:
     wa, ann_s, ann_p = _prepare(q)
     thresholds = sorted(set(ann_s.admissible()) | set(ann_p.admissible()))
     for x in thresholds:
-        left = degree_language(ann_s, x, "geq")
-        right = degree_language(ann_p, x, "geq")
+        left = degree_language(ann_s, x)
+        right = degree_language(ann_p, x)
         ei: EventualInclusion = eventually_included(left, right)
         if not ei:
             ri, k = x
@@ -133,7 +130,6 @@ def _shifted(wa: WeightedAutomaton, s: str, s_prime: str):
     a = wa.alphabet[0]
     taken = set(wa.states)
     f1 = fresh_state(taken, f"{s}>")
-    taken.add(f1)
     f2 = fresh_state(taken, f"{s_prime}>")
     states = wa.states + (f1, f2)
     d, rows = wa.sparse_rows[a]

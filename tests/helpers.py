@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, lasso
+from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, lasso, weight_blocks
 from ratiobound.nfaops import ChrobakNf
 from ratiobound.spectral import scc_decompose
 from ratiobound.algebraic import AlgebraicNumber, compare, ptrim
@@ -245,6 +245,22 @@ def pmul(p, q):
     return ptrim(out)
 
 
+def poly_divmod(p, q):
+    """Long division over Q: Fraction coefficient tuples (quot, rem), both
+    trimmed, with p = quot * q + rem and deg rem < deg q."""
+    rem = [Fraction(c) for c in ptrim(p)]
+    quot = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        coef = rem[-1] / q[-1]
+        shift = len(rem) - len(q)
+        quot[shift] = coef
+        for i, c in enumerate(q):
+            rem[i + shift] -= coef * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return ptrim(quot), tuple(rem)
+
+
 @dataclass(frozen=True)
 class UnaryLasso:
     """Determinized unary language: acceptance bits on a stem and a loop."""
@@ -273,6 +289,12 @@ def lasso_difference_finite(l1: UnaryLasso, l2: UnaryLasso) -> bool:
     return not any(
         l1.accepts(n) and not l2.accepts(n) for n in range(pre, pre + period)
     )
+
+
+def weight(wa: WeightedAutomaton, s: str, word) -> Fraction:
+    """Total weight of accepting paths for `word` from `s`: each letter is a
+    block of length one.  The empty word weighs 1 if s is final, else 0."""
+    return weight_blocks(wa, s, ((a, 1) for a in word))
 
 
 def enum_paths_weight(wa: WeightedAutomaton, s: str, word) -> Fraction:

@@ -26,7 +26,6 @@ from ratiobound import (
     to_big_theta,
     validate_lmc,
     value1_to_bigo,
-    weight,
     weight_blocks,
 )
 from ratiobound.intervals import FInterval
@@ -46,6 +45,7 @@ from helpers import (
     random_restricted_chrobak,
     random_unary_nfa,
     random_wa,
+    weight,
     words_upto,
 )
 

@@ -5,6 +5,7 @@ import pytest
 
 from ratiobound.algebraic import (
     AlgebraicNumber,
+    _pdivmod,
     char_poly,
     compare,
     count_roots,
@@ -16,7 +17,7 @@ from ratiobound.algebraic import (
     sturm_sequence,
 )
 
-from helpers import dense_matrix, pmul, power_iteration_radius, random_wa
+from helpers import dense_matrix, pmul, poly_divmod, power_iteration_radius, random_wa
 
 
 def test_char_poly_fibonacci_matrix():
@@ -176,3 +177,23 @@ def test_one_by_one_radius_is_its_entry():
         got = spectral_radius_of_matrix(((a,),))
         want = largest_real_root(char_poly(((a,),)))
         assert (got.poly, got.lo, got.hi) == (want.poly, want.lo, want.hi), a
+
+
+def test_pdivmod_is_positive_scaled_long_division():
+    """The integer pseudo-division is long division over Q times |lc(q)|^k
+    for some k, so it never flips the sign of a quotient or remainder."""
+    rng = random.Random(449)
+    for _ in range(600):
+        q = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4))) + (
+            rng.choice((-3, -2, -1, 1, 2, 3)),
+        )
+        p = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 8)))
+        if rng.random() < 0.3:
+            p = pmul(q, p)  # exact division
+        quot, rem = _pdivmod(p, q)
+        want_q, want_r = poly_divmod(p, q)
+        lead = (quot or rem or (1,))[-1]
+        scale = F(lead, (want_q or want_r or (1,))[-1])
+        assert any(scale == abs(q[-1]) ** k for k in range(len(p) + 1)), (p, q)
+        assert quot == tuple(scale * c for c in want_q)
+        assert rem == tuple(scale * c for c in want_r)

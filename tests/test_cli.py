@@ -86,6 +86,35 @@ def test_dangling_state_rejected():
         parse_automaton(json.dumps(doc))
 
 
+def _doc_file(tmp_path, **changes):
+    doc = {
+        "states": ["p", "t"],
+        "alphabet": ["a"],
+        "finals": ["t"],
+        "transitions": [{"from": "p", "symbol": "a", "to": "t", "weight": "1/2"}],
+    }
+    doc.update(changes)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_duplicate_state_ids_are_a_format_error(tmp_path, capsys):
+    path = _doc_file(tmp_path, states=["p", "t", "p"])
+    with pytest.raises(FormatError):
+        parse_automaton(path.read_text(encoding="utf-8"))
+    assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
+    assert "duplicate state ids" in capsys.readouterr().err
+
+
+def test_duplicate_alphabet_symbols_are_a_format_error(tmp_path, capsys):
+    path = _doc_file(tmp_path, alphabet=["a", "a"])
+    with pytest.raises(FormatError):
+        parse_automaton(path.read_text(encoding="utf-8"))
+    assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
+    assert "duplicate alphabet symbols" in capsys.readouterr().err
+
+
 def test_check_exit_codes(capsys):
     f = data_file("unbounded_ratio.json")
     assert main(["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "unary"]) == 1
@@ -367,6 +396,21 @@ def test_reduce_eventual_and_value1_cli(tmp_path, capsys):
     doc2 = json.loads(capsys.readouterr().out)
     assert "note" in doc2
     parse_automaton(json.dumps(doc2))
+
+
+def test_reduce_value1_names_are_fresh_and_distinct(tmp_path, capsys):
+    """A start state named `s` sends the new `s` to `s0`, so the reserved
+    name `s0` must move on as well."""
+    pa = WeightedAutomaton.from_transitions(
+        ("s", "t"), ("a",), [("s", "a", 1, "t"), ("t", "a", 1, "t")], ["t"]
+    )
+    path = tmp_path / "pa.json"
+    path.write_text(serialize(pa), encoding="utf-8")
+    assert main(["reduce", "value1", "--file", str(path), "--from", "s", "--to", "s"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(set(doc["states"])) == len(doc["states"]) == 7
+    assert doc["query"] == {"s": "s0", "sPrime": "s'"}
+    parse_automaton(json.dumps(doc))
 
 
 def test_classify_spectral_dump(capsys):

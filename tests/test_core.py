@@ -14,7 +14,6 @@ from ratiobound import (
     ratio_profile,
     validate_lmc,
     validate_pa,
-    weight,
     weight_blocks,
 )
 from ratiobound.samples import relative_orderings, unbounded_ratio
@@ -26,6 +25,7 @@ from helpers import (
     mat_pow,
     random_wa,
     vec_mat,
+    weight,
     words_upto,
 )
 

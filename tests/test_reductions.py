@@ -20,7 +20,6 @@ from ratiobound import (
     validate_lmc,
     validate_pa,
     value1_to_bigo,
-    weight,
 )
 from ratiobound.nfaops import ChrobakNf
 from ratiobound.samples import unbounded_ratio
@@ -30,6 +29,7 @@ from helpers import (
     random_pa,
     random_restricted_chrobak,
     random_wa,
+    weight,
     words_upto,
 )
 
@@ -130,25 +130,6 @@ def test_complete_for_eventual_rejects_bad_delta():
         complete_for_eventual(wa, "s", "s'", delta=F(3, 4))
     with pytest.raises(InputError):
         complete_for_eventual(wa, "s", "s'", delta=F(2))
-
-
-def test_complete_for_eventual_bounded_variant():
-    from ratiobound.automata import Nfa
-
-    wa = unbounded_ratio()
-    # bound DFA accepting lengths that are multiples of 2
-    bound = Nfa(
-        ("e", "o"),
-        ("a",),
-        frozenset({("e", "a", "o"), ("o", "a", "e")}),
-        "e",
-        frozenset({"e"}),
-    )
-    out = complete_for_eventual(wa, "s", "s'", bound=bound)
-    d = out.delta
-    for n in range(1, 7):
-        extra = d**n if n % 2 == 0 else 0
-        assert weight(out.automaton, out.s_prime, "a" * n) == weight(wa, "s'", "a" * n) + extra
 
 
 def test_eventual_equivalence_property():

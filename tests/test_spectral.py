@@ -163,7 +163,7 @@ def test_degree_language_minimum_threshold_is_support():
     ann = annotate(wa, fresh)
     xs = ann.admissible()
     x = min(xs)
-    lang = degree_language(ann, x, "geq")
+    lang = degree_language(ann, x)
     from ratiobound import nfa_of
 
     support = nfa_of(wa, fresh)
@@ -175,7 +175,7 @@ def test_degree_language_different_rates_window():
     wa, fresh = prepared(different_rates(), "s")
     ann = annotate(wa, fresh)
     half_idx = ann.table.index_of(AlgebraicNumber.from_rational(F(1, 2)))
-    lang = degree_language(ann, (half_idx, 1), "geq")
+    lang = degree_language(ann, (half_idx, 1))
     for n in range(20):
         assert lang.accepts("a" * n) == (n >= 3)
 
@@ -187,16 +187,12 @@ def test_degree_geq_minus_gt_matches_brute_force():
         wa, fresh = prepared(base, "q0")
         ann = annotate(wa, fresh)
         for x in ann.admissible():
-            geq = degree_language(ann, x, "geq")
-            gt = degree_language(ann, x, "gt")
+            geq = degree_language(ann, x)
             for n in range(13):
                 sigs, _, _ = brute_unary_signatures(wa, fresh, n)
                 # ranks from the oracle match table indexing up to order
                 want_geq = any(sig >= x for sig in _translate(ann, sigs))
-                want_gt = any(sig > x for sig in _translate(ann, sigs))
-                w = "a" * n
-                assert geq.accepts(w) == want_geq
-                assert gt.accepts(w) == want_gt
+                assert geq.accepts("a" * n) == want_geq
 
 
 def _translate(ann, sigs):
@@ -210,9 +206,7 @@ def test_degree_language_rejects_bad_threshold():
     wa, fresh = prepared(unbounded_ratio(), "s")
     ann = annotate(wa, fresh)
     with pytest.raises(InputError):
-        degree_language(ann, (99, 0), "geq")
-    with pytest.raises(InputError):
-        degree_language(ann, (0, 0), "between")
+        degree_language(ann, (99, 0))
 
 
 def test_scc_debug_dump_shape():

@@ -13,7 +13,6 @@ from ratiobound import (
     decide_unary,
     is_unambiguous_from,
     ratio_profile,
-    weight,
 )
 from ratiobound.samples import unbounded_ratio
 
@@ -22,6 +21,7 @@ from helpers import (
     planted_unambiguous,
     random_block_wa,
     random_wa,
+    weight,
     words_upto,
 )
 

@@ -12,11 +12,10 @@ from ratiobound import (
     decide_unary_eventual,
     lc_check,
     ratio_profile,
-    weight,
 )
 from ratiobound.samples import different_rates, unbounded_ratio
 
-from helpers import random_wa
+from helpers import random_wa, weight
 
 
 def test_unbounded_ratio_verdicts():
