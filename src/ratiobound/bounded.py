@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, compare
+from .algebraic import AlgebraicNumber
 from .automata import (
     InputError,
     Nfa,
@@ -106,22 +106,25 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
 
     Structure: in the trimmed support NFA every cycle must be single-letter;
     the sequence interleaves SCC loop letters with cross-edge letters in
-    topological order, then the containment is verified directly.
+    topological order, then the containment is verified directly, by
+    `_in_letter_bound` over successor lists built once.
     """
     n = nfa_of(wa, s)
     live = trim({n.start}, n.finals, n.transitions)
     if not live or not (live & n.finals):
         return ()
-    trans = [(p, a, q2) for (p, a, q2) in n.transitions if p in live and q2 in live]
+    trans = sorted((p, a, q2) for (p, a, q2) in n.transitions if p in live and q2 in live)
     order = sorted(live)
     idx = {q: i for i, q in enumerate(order)}
-
-    def succ(i):
-        return [idx[q2] for (p, a, q2) in trans if p == order[i]]
+    steps: dict = {q: [] for q in order}
+    for p, a, q2 in trans:
+        steps[p].append((a, q2))
+    succ = [[idx[q2] for _, q2 in steps[q]] for q in order]
+    finals = live & n.finals
 
     from .spectral import _tarjan
 
-    comps = _tarjan(len(order), succ)
+    comps = _tarjan(len(order), succ.__getitem__)
     scc_of = {}
     for ci, comp in enumerate(comps):
         for v in comp:
@@ -167,7 +170,7 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
         if loop_letter[ci] is not None:
             seq.append(loop_letter[ci])
     collapsed = _collapse(seq)
-    if not nfa_contained(n, _star_nfa([(a,) for a in collapsed], n.alphabet)):
+    if not _in_letter_bound(n.start, steps, finals, collapsed):
         return None
     # greedy minimization: drop blocks while containment still verifies.
     # Dropping a block only shrinks the starred language, so a block that
@@ -175,7 +178,7 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
     i = 0
     while i < len(collapsed):
         merged = _collapse(collapsed[:i] + collapsed[i + 1 :])
-        if merged and nfa_contained(n, _star_nfa([(a,) for a in merged], n.alphabet)):
+        if merged and _in_letter_bound(n.start, steps, finals, merged):
             collapsed = merged
         else:
             i += 1
@@ -185,6 +188,33 @@ def detect_letter_bounded(wa: WeightedAutomaton, s: str):
 def _collapse(seq) -> tuple:
     """`seq` with each run of a repeated letter collapsed to one letter."""
     return tuple(a for a, _ in groupby(seq))
+
+
+def _in_letter_bound(start, steps, finals, letters) -> bool:
+    """Whether every word accepted from `start` lies in
+    letters[0]* ... letters[-1]*; `steps` maps a state to its
+    (letter, target) pairs.
+
+    A word lies in the bound exactly when the greedy scan, which reads each
+    letter in the first block at or after the current one that spells it,
+    never runs past the last block.  So one search over (state, block)
+    pairs decides it, block None standing for a scan that ran past."""
+    m = len(letters)
+    ahead: dict = {None: {}, m: {}}  # block -> letter -> next block
+    for p in range(m - 1, -1, -1):
+        ahead[p] = {**ahead[p + 1], letters[p]: p}
+    seen = {(start, 0)}
+    todo = [(start, 0)]
+    while todo:
+        q, p = todo.pop()
+        if p is None and q in finals:
+            return False
+        for a, q2 in steps.get(q, ()):
+            node = (q2, ahead[p].get(a))
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return True
 
 
 def _star_nfa(words, alphabet) -> Nfa:
@@ -228,18 +258,32 @@ class LetterBoundedQuery:
 
 
 def check_bounding_words(wa: WeightedAutomaton, words) -> list:
-    """The bounding words as strings: at least one, each nonempty and
-    spelled in `wa`'s alphabet; InputError otherwise."""
+    """Each bounding word as the tuple of `wa`'s alphabet symbols that spells
+    it.  InputError unless there is at least one word, and each word is
+    nonempty and splits into symbols in exactly one way (symbols may be
+    longer than one character)."""
     words = [str(w) for w in words]
     if not words:
         raise InputError("empty bounding word list")
+    out = []
     for w in words:
         if not w:
             raise InputError("bounding words must be nonempty")
-        for ch in w:
-            if ch not in wa.alphabet:
-                raise InputError(f"bounding word letter {ch!r} not in the alphabet")
-    return words
+        # splits[i]: at most two ways to spell w[i:]
+        splits = [[] for _ in w] + [[()]]
+        for i in range(len(w) - 1, -1, -1):
+            for a in wa.alphabet:
+                if a and w.startswith(a, i):
+                    splits[i] += [(a, *rest) for rest in splits[i + len(a)]]
+            del splits[i][2:]
+        if not splits[0]:
+            raise InputError(f"bounding word {w!r} is not spelled by the alphabet")
+        if len(splits[0]) > 1:
+            raise InputError(
+                f"bounding word {w!r} splits into the alphabet's symbols in more than one way"
+            )
+        out.append(splits[0][0])
+    return out
 
 
 def bounded_to_letter_bounded(
@@ -255,13 +299,25 @@ def bounded_to_letter_bounded(
     for a, w in zip(out_letters, words):
         den = 1
         rows = [{qi: 1} for qi in range(wa.n)]
-        for ch in w:
-            d, letter_rows = wa.sparse_rows[ch]
+        for sym in w:
+            d, letter_rows = wa.sparse_rows[sym]
             den *= d
             rows = [_step(vec, letter_rows) for vec in rows]
         sparse[a] = den, tuple(tuple(sorted(vec.items())) for vec in rows)
     out = WeightedAutomaton(wa.states, out_letters, sparse, wa.finals)
     return LetterBoundedQuery(out, s, s_prime, out_letters)
+
+
+@dataclass(frozen=True)
+class LetterGrowth:
+    """One source letter's components, shared by every sub-question of a
+    query: each state's component, and per component its spectral radius
+    and that radius's rank among the query's distinct positive radii (None
+    for radius 0)."""
+
+    scc_of: tuple  # source state index -> component index
+    radii: tuple  # of AlgebraicNumber
+    ranks: tuple
 
 
 @dataclass(frozen=True)
@@ -277,6 +333,8 @@ class PlusQuery:
     s_prime: str
     letters: tuple  # fresh block letters b1..bk
     source_letters: tuple  # the original letter of each block
+    levels: tuple  # per state: (source state index, blocks entered)
+    growth: tuple  # per block: the LetterGrowth of its source letter
 
 
 def letter_bounded_to_plus(
@@ -285,19 +343,30 @@ def letter_bounded_to_plus(
     """Split a starred letter bound into plus-bounded sub-questions, one per
     distinct collapsed subsequence; the query answer is the conjunction.
     Each sub-question's automaton keeps only its live `q@d` states and the
-    two starts."""
+    two starts.  Each distinct letter's components and radii are computed
+    once here and shared by every sub-question that reads the letter."""
     letters = tuple(letters)
     patterns = {}
     for mask in range(1, 2 ** len(letters)):
         sub = [letters[i] for i in range(len(letters)) if mask >> i & 1]
         patterns.setdefault(_collapse(sub), None)
-    out = []
-    for pat in sorted(patterns):
-        out.append(_plus_subquery(wa, s, s_prime, pat))
-    return out
+    dags = {a: scc_decompose(wa.sparse_rows[a]) for a in dict.fromkeys(letters)}
+    # a component's radius is positive exactly when it has a cycle (period > 0)
+    order = RadiusTable.build(
+        [info.radius for dag in dags.values() for info in dag.sccs if info.period]
+    )
+    growth = {
+        a: LetterGrowth(
+            dag.scc_of,
+            tuple(info.radius for info in dag.sccs),
+            tuple(order.index_of(info.radius) if info.period else None for info in dag.sccs),
+        )
+        for a, dag in dags.items()
+    }
+    return [_plus_subquery(wa, s, s_prime, pat, growth) for pat in sorted(patterns)]
 
 
-def _plus_subquery(wa, s, s_prime, pat) -> PlusQuery:
+def _plus_subquery(wa, s, s_prime, pat, growth) -> PlusQuery:
     """Product with the plus-bound DFA for `pat`, explored from the starts and
     trimmed to its live pairs (q, d), d the number of blocks entered.
 
@@ -335,7 +404,9 @@ def _plus_subquery(wa, s, s_prime, pat) -> PlusQuery:
         sparse,
         frozenset(f"{wa.states[nodes[i][0]]}@{k}" for i in finals),
     )
-    return PlusQuery(out, f"{s}@0", f"{s_prime}@0", fresh, pat)
+    return PlusQuery(
+        out, f"{s}@0", f"{s_prime}@0", fresh, pat, tuple(keep), tuple(growth[a] for a in pat)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,33 +462,47 @@ def _vec_lt(v, w):
 
 
 def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
+    """Radius table, block structure, monitors and their product.
+
+    Block d's components are read off its source letter's: a state `q@d`
+    with a step inside level d lies in q's letter component, whose members
+    are live together at level d because each reaches all the others inside
+    block d, so the component, its radius and its period carry over.  Every
+    other state is a component of its own with radius 0.  The table is
+    (0, delta, the positive radii met, ascending), delta half the smallest
+    of them (1/2 when there are none); each radius keeps the form it is
+    first met in, in block order."""
     wa = pq.automaton
     m = len(pq.letters)
-    dags = [scc_decompose(wa.sparse_rows[a]) for a in pq.letters]
-    radii = [info.radius for dag in dags for info in dag.sccs]
-    zero = AlgebraicNumber.from_rational(Fraction(0))
-    positives = [r for r in radii if r.sign() > 0]
-    if positives:
-        min_pos = positives[0]
-        for r in positives[1:]:
-            if compare(r, min_pos) < 0:
-                min_pos = r
-        delta = min_pos.scaled(Fraction(1, 2))
+    comps = []  # per block, per state: its letter component, or None
+    first: dict = {}  # rank -> the first radius met with that rank
+    for d, (b, g) in enumerate(zip(pq.letters, pq.growth), 1):
+        rows = wa.sparse_rows[b][1]  # a level-d state steps on b only within level d
+        comp = [
+            g.scc_of[qi] if level == d and rows[i] else None
+            for i, (qi, level) in enumerate(pq.levels)
+        ]
+        for c in comp:
+            if c is not None and g.ranks[c] is not None:
+                first.setdefault(g.ranks[c], g.radii[c])
+        comps.append(comp)
+    ranks = sorted(first)
+    if ranks:
+        delta = first[ranks[0]].scaled(Fraction(1, 2))
     else:
         delta = AlgebraicNumber.from_rational(Fraction(1, 2))
-    table = RadiusTable.build(radii + [zero, delta])
-    delta_idx = table.index_of(delta)
-    zero_idx = table.index_of(zero)
-    blocks = []
-    for dag in dags:
-        rad_idx = [table.index_of(info.radius) for info in dag.sccs]
-        blocks.append(
-            BlockInfo(
-                tuple(dag.scc_of),
-                tuple(rad_idx[dag.scc_of[qi]] for qi in range(wa.n)),
-            )
+    zero = AlgebraicNumber.from_rational(Fraction(0))
+    table = RadiusTable((zero, delta, *(first[r] for r in ranks)))
+    zero_idx, delta_idx = 0, 1
+    at = {r: i for i, r in enumerate(ranks, 2)}
+    at[None] = zero_idx
+    blocks = tuple(
+        BlockInfo(
+            tuple(~i if c is None else c for i, c in enumerate(comp)),
+            tuple(zero_idx if c is None else at[g.ranks[c]] for c in comp),
         )
-    blocks = tuple(blocks)
+        for comp, g in zip(comps, pq.growth)
+    )
     ctx = _MonitorContext(wa, pq.letters, blocks, delta_idx, zero_idx)
     det_s = _determinize_monitor(ctx, pq.s, cap)
     det_p = _determinize_monitor(ctx, pq.s_prime, cap)
@@ -783,8 +868,8 @@ def decide_bounded(
     wa, s, sp = q.automaton, q.s, q.s_prime
     base_words = None
     if words is not None:
-        base_words = check_bounding_words(wa, words)
-        _check_bound(wa, s, base_words)
+        base_words = [str(w) for w in words]
+        _check_bound(wa, s, check_bounding_words(wa, base_words))
         lb = bounded_to_letter_bounded(wa, s, sp, base_words)
         wa, letters = lb.automaton, lb.letters
     elif letters is not None:

@@ -56,6 +56,12 @@ def parse_automaton(document, warnings=None) -> WeightedAutomaton:
     for key in ("states", "alphabet", "finals", "transitions"):
         if key not in document:
             raise FormatError(f"missing required key {key!r}")
+    for key in ("states", "alphabet", "finals"):
+        value = document[key]
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise FormatError(f"{key!r} must be a list of strings")
+    if not isinstance(document["transitions"], list):
+        raise FormatError("'transitions' must be a list")
     transitions = []
     for entry in document["transitions"]:
         try:
@@ -68,10 +74,7 @@ def parse_automaton(document, warnings=None) -> WeightedAutomaton:
         transitions.append((src, sym, parse_weight(w, warnings), dst))
     try:
         return WeightedAutomaton.from_transitions(
-            [str(q) for q in document["states"]],
-            [str(a) for a in document["alphabet"]],
-            transitions,
-            [str(q) for q in document["finals"]],
+            document["states"], document["alphabet"], transitions, document["finals"]
         )
     except InputError as exc:
         raise FormatError(str(exc)) from None

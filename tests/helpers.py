@@ -566,6 +566,19 @@ def not_big_o_on_b() -> WeightedAutomaton:
     return WeightedAutomaton.from_transitions(["s", "s'", "t"], ["a", "b"], trans, ["t"])
 
 
+def two_symbol_chain() -> WeightedAutomaton:
+    """Alphabet of the two-character symbols `x1` and `x2`: `s` and `s'`
+    each loop on `x1` and leave on `x2`, `s` at rate 1/3 and `s'` at 1/2,
+    so `s` is big-O of `s'` and not the reverse."""
+    trans = [
+        ("s", "x1", Fraction(1, 3), "s"),
+        ("s", "x2", Fraction(1, 2), "t"),
+        ("s'", "x1", Fraction(1, 2), "s'"),
+        ("s'", "x2", Fraction(1, 2), "t"),
+    ]
+    return WeightedAutomaton.from_transitions(["s", "s'", "t"], ["x1", "x2"], trans, ["t"])
+
+
 def random_functional_unary(rng: random.Random, nstates=5):
     """Deterministic unary automaton (one successor per state): unambiguous
     from every state by construction."""

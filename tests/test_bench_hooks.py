@@ -53,7 +53,8 @@ def test_bounded_workload_verdicts_match_labels():
 def test_letter_bound_detection_tests_each_block_once(monkeypatch):
     """The greedy block dropping of `detect_letter_bounded` goes on from the
     dropped index: past the first check of the whole sequence, a block that
-    stays is refuted once, never retested after a later drop."""
+    stays is refuted once, never retested after a later drop.  Each check
+    is one `_in_letter_bound` search."""
     from ratiobound import bounded
 
     (q,) = [q for q in _load("workloads").build("bounded", 1, helpers) if "m4" in q.name]
@@ -61,12 +62,12 @@ def test_letter_bound_detection_tests_each_block_once(monkeypatch):
     results = []
 
     def counting(*args):
-        out = contained(*args)
-        results.append(bool(out))
+        out = check(*args)
+        results.append(out)
         return out
 
-    contained = bounded.nfa_contained
-    monkeypatch.setattr(bounded, "nfa_contained", counting)
+    check = bounded._in_letter_bound
+    monkeypatch.setattr(bounded, "_in_letter_bound", counting)
     letters = bounded.detect_letter_bounded(parse_automaton(q.document), argv["--to"])
     assert letters == ("a", "b", "c", "d")
     assert results.count(False) == len(letters)
@@ -75,12 +76,13 @@ def test_letter_bound_detection_tests_each_block_once(monkeypatch):
 
 def test_spectral_radii_of_the_bounded_pass(monkeypatch):
     """On the seed-1 `bounded` queries every component is 1x1, so its
-    radius is its entry and no characteristic polynomial is built; and
-    the radius tables find rational radii by value, so exact `compare`
-    runs only to sort them."""
-    from ratiobound import algebraic, spectral
+    radius is its entry and no characteristic polynomial is built; the
+    radius tables find rational radii by value, so exact `compare` runs
+    only to sort them; and each query decomposes each of its distinct
+    letters once, however many sub-questions read it."""
+    from ratiobound import algebraic, bounded, spectral
 
-    calls = {"char_poly": 0, "compare": 0}
+    calls = {"char_poly": 0, "compare": 0, "scc_decompose": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -93,8 +95,10 @@ def test_spectral_radii_of_the_bounded_pass(monkeypatch):
 
     counted(algebraic, "char_poly")
     counted(spectral, "compare")
+    counted(bounded, "scc_decompose")
     for q in _load("workloads").build("bounded", 1, helpers):
         argv = dict(zip(q.argv[1::2], q.argv[2::2]))
         decide_bounded(Query(parse_automaton(q.document), argv["--from"], argv["--to"]))
     assert calls["char_poly"] == 0
     assert 0 < calls["compare"] <= 400
+    assert calls["scc_decompose"] == 48

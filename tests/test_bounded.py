@@ -2,6 +2,7 @@ import json
 import os
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -26,23 +27,31 @@ from ratiobound import (
     plus_analysis,
     weight_blocks,
 )
-from ratiobound.automata import trim
+from ratiobound.algebraic import AlgebraicNumber, compare
+from ratiobound.automata import Nfa, trim
 from ratiobound.bounded import (
     PlusQuery,
+    _in_letter_bound,
+    _star_nfa,
+    check_bounding_words,
     _ratio_at,
     decide_plus,
     detector_nfa,
     realized_candidates,
 )
 from ratiobound.jsonio import parse_automaton
+from ratiobound.nfaops import nfa_contained
 from ratiobound.realexp import FAILS, HOLDS, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
+from ratiobound.spectral import RadiusTable, scc_decompose
 
+import helpers
 from helpers import (
     brute_block_degree,
     not_big_o_on_b,
     random_block_wa,
     random_wa,
+    two_symbol_chain,
     weight,
     words_upto,
 )
@@ -87,6 +96,39 @@ def test_detect_aba_shape():
         ["t"],
     )
     assert detect_letter_bounded(wa, "p") == ("a", "b", "a")
+
+
+def test_letter_bound_search_matches_containment():
+    """`_in_letter_bound` answers what the antichain containment of the NFA
+    in letters[0]* ... letters[-1]* answers: random NFAs over 1-3 letters
+    with states that reach no final, sequences of length 0-4 that may
+    repeat a letter apart, and the empty sequence from an accepting start."""
+    rng = random.Random(1303)
+    seen = {"empty, start final": 0, "letter repeated apart": 0, "dead state": 0}
+    answers = []
+    for _ in range(600):
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        states = tuple(f"q{i}" for i in range(rng.randint(1, 5)))
+        trans = frozenset(
+            (p, a, q) for p in states for a in alphabet for q in states if rng.random() < 0.2
+        )
+        finals = frozenset(q for q in states if rng.random() < 0.4)
+        n = Nfa(states, alphabet, trans, states[0], finals)
+        seq = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        steps = {}
+        for p, a, q in sorted(trans):
+            steps.setdefault(p, []).append((a, q))
+        got = _in_letter_bound(n.start, steps, finals, seq)
+        want = bool(nfa_contained(n, _star_nfa([(a,) for a in seq], alphabet)))
+        assert got == want, (sorted(trans), sorted(finals), seq)
+        answers.append(got)
+        seen["empty, start final"] += not seq and n.start in finals
+        seen["letter repeated apart"] += any(
+            seq[i] == seq[j] != seq[i + 1] for i in range(len(seq)) for j in range(i + 2, len(seq))
+        )
+        seen["dead state"] += len(trim([n.start], finals, trans)) < len(states)
+    assert all(count >= 20 for count in seen.values()), seen
+    assert 100 <= answers.count(True) <= 500
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +212,32 @@ def test_bounded_to_letter_input_errors():
         bounded_to_letter_bounded(wa, "s", "s'", ["ab"])  # b not in alphabet
 
 
+def test_bounding_words_split_into_symbols():
+    """Words are spelled in the alphabet's symbols, which may be longer than
+    one character: the word `x1x2` is the pair (x1, x2) and substitutes the
+    product of their matrices; the witness keeps the words as given."""
+    wa = two_symbol_chain()
+    assert check_bounding_words(wa, ["x1x2", "x2"]) == [("x1", "x2"), ("x2",)]
+    lb = bounded_to_letter_bounded(wa, "s", "s'", ["x1x2", "x1", "x2"])
+    for n in product(range(3), repeat=3):
+        word = ["x1", "x2"] * n[0] + ["x1"] * n[1] + ["x2"] * n[2]
+        got = weight_blocks(lb.automaton, "s", list(zip(lb.letters, n)))
+        assert got == weight(wa, "s", word)
+    for bad in (["x3"], ["x1x"], [""]):
+        with pytest.raises(InputError, match="bounding word"):
+            check_bounding_words(wa, bad)
+    ambiguous = WeightedAutomaton.from_transitions(["p"], ["x", "xx"], [], ["p"])
+    assert check_bounding_words(ambiguous, ["x"]) == [("x",)]
+    with pytest.raises(InputError, match="'xx' splits"):
+        check_bounding_words(ambiguous, ["xx"])
+    assert decide_bounded(Query(wa, "s", "s'"), words=["x1", "x2"]).verdict == "is-big-o"
+    verdict = decide_bounded(Query(wa, "s'", "s"), words=["x1", "x2"])
+    assert verdict.verdict == "not-big-o"
+    assert verdict.witness["bounding_words"] == ["x1", "x2"]
+    with pytest.raises(InputError, match="miss"):
+        decide_bounded(Query(wa, "s", "s'"), words=["x1x2"])
+
+
 # ---------------------------------------------------------------------------
 # letter-bound to plus-bound
 
@@ -239,7 +307,10 @@ def _padded(wa, pq):
         sparse[b] = d, tuple(padded_rows)
     finals = kept.finals | {f"{q}@{k}" for q in wa.finals}
     padded = WeightedAutomaton(tuple(names), pq.letters, sparse, frozenset(finals))
-    return PlusQuery(padded, pq.s, pq.s_prime, pq.letters, pq.source_letters)
+    levels = tuple((qi, d) for qi in range(wa.n) for d in range(k + 1))
+    return PlusQuery(
+        padded, pq.s, pq.s_prime, pq.letters, pq.source_letters, levels, pq.growth
+    )
 
 
 def _plus_outcome(pq):
@@ -278,6 +349,70 @@ def test_plus_subquery_padding_invariance():
             dropped += padded.automaton.n - kept.n
             assert _plus_outcome(padded) == _plus_outcome(pq)
     assert dropped > 0
+
+
+def _product_analysis(pq):
+    """Radius table, delta and zero indices, and per block each state's
+    component and radius index, from decomposing the sub-question's own
+    block rows."""
+    wa = pq.automaton
+    dags = [scc_decompose(wa.sparse_rows[b]) for b in pq.letters]
+    radii = [info.radius for dag in dags for info in dag.sccs]
+    zero = AlgebraicNumber.from_rational(F(0))
+    positives = [r for r in radii if r.sign() > 0]
+    if positives:
+        delta = min(positives, key=cmp_to_key(compare)).scaled(F(1, 2))
+    else:
+        delta = AlgebraicNumber.from_rational(F(1, 2))
+    table = RadiusTable.build(radii + [zero, delta])
+    blocks = [
+        (dag.scc_of, tuple(table.index_of(dag.sccs[c].radius) for c in dag.scc_of))
+        for dag in dags
+    ]
+    return table.radii, table.index_of(delta), table.index_of(zero), blocks
+
+
+def _same_component(scc_of):
+    return sorted(
+        sorted(i for i, c in enumerate(scc_of) if c == comp) for comp in set(scc_of)
+    )
+
+
+def test_shared_letter_analysis_matches_the_product():
+    """`plus_analysis` reads each block's components and radii off its
+    source letter's, decomposed once per query; on every sub-question (and
+    its copy with the dropped states put back) that gives the table, delta
+    and zero indices, radius indices and components that decomposing the
+    sub-question's own rows gives."""
+    from test_bench_hooks import _load
+
+    cases = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            wa = parse_automaton(fh.read())
+        cases.append((wa, "s", "s'", detect_letter_bounded(wa, "s'")))
+    for q in _load("workloads").build("bounded", 1, helpers):
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        wa = parse_automaton(q.document)
+        s, sp = argv["--from"], argv["--to"]
+        cases.append((wa, s, sp, detect_letter_bounded(wa, sp)))
+    rng = random.Random(1307)
+    for i in range(30):
+        letters = ("a", "b", "c")[: 2 + i % 2]
+        cases.append((random_block_wa(rng, letters, per=2), "L0_0", "L0_1", letters))
+    irrational = 0
+    for wa, s, sp, letters in cases:
+        for pq in letter_bounded_to_plus(wa, s, sp, letters):
+            for sub in (pq, _padded(wa, pq)):
+                analysis = plus_analysis(sub)
+                radii, delta_idx, zero_idx, blocks = _product_analysis(sub)
+                assert analysis.table.radii == radii
+                assert (analysis.delta_idx, analysis.zero_idx) == (delta_idx, zero_idx)
+                for info, (scc_of, rad_of_state) in zip(analysis.blocks, blocks):
+                    assert info.rad_of_state == rad_of_state
+                    assert _same_component(info.scc_of) == _same_component(scc_of)
+            irrational += any(not r.is_rational for r in radii)
+    assert irrational > 0
 
 
 # ---------------------------------------------------------------------------
@@ -805,3 +940,4 @@ def test_plus_analysis_monitor_cap():
             with pytest.raises(ResourceError):
                 plus_analysis(pq, cap=size - 1)
     assert max(sizes) > 1, sizes
+

@@ -9,7 +9,7 @@ from ratiobound.jsonio import parse_automaton, parse_weight, serialize
 from ratiobound.automata import FormatError, WeightedAutomaton
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
 
-from helpers import not_big_o_on_b
+from helpers import not_big_o_on_b, two_symbol_chain
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -113,6 +113,22 @@ def test_duplicate_alphabet_symbols_are_a_format_error(tmp_path, capsys):
         parse_automaton(path.read_text(encoding="utf-8"))
     assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
     assert "duplicate alphabet symbols" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"states": 5}, {"transitions": 5}, {"finals": "t"}, {"alphabet": ["a", 1]}],
+    ids=["states-int", "transitions-int", "finals-string", "alphabet-int-entry"],
+)
+def test_misshapen_documents_are_a_format_error(tmp_path, capsys, change):
+    """A string of finals is not read letter by letter, and a number where
+    a list belongs exits 65 with the key's name, not a traceback."""
+    path = _doc_file(tmp_path, **change)
+    with pytest.raises(FormatError):
+        parse_automaton(path.read_text(encoding="utf-8"))
+    assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
+    (key,) = change
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_check_exit_codes(capsys):
@@ -467,3 +483,30 @@ def test_check_rejects_words_that_miss_the_language(tmp_path, capsys):
     assert "bounding words miss 'b'" in capsys.readouterr().err
     assert main(base) == 1
     assert json.loads(capsys.readouterr().out)["witness"]["cycleRatio"] == "3/2"
+
+
+
+def test_check_words_with_multi_character_symbols(tmp_path, capsys):
+    """`--words` names multi-character symbols: `x1 x2` is read as the two
+    symbols, as the detected letter bound is, and a word that spells no
+    symbol sequence, or more than one, exits 64 and names the word."""
+    f = tmp_path / "symbols.json"
+    f.write_text(serialize(two_symbol_chain()), encoding="utf-8")
+    base = ["check", "--file", str(f), "--mode", "bounded"]
+    forward = base + ["--from", "s", "--to", "s'"]
+    assert main(forward) == 0
+    detected = json.loads(capsys.readouterr().out)
+    assert main(forward + ["--words", "x1", "x2"]) == 0
+    assert json.loads(capsys.readouterr().out) == detected
+    assert main(base + ["--from", "s'", "--to", "s", "--words", "x1", "x2"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["bounding_words"] == ["x1", "x2"]
+    assert main(forward + ["--words", "x1", "x3"]) == 64
+    assert "'x3'" in capsys.readouterr().err
+    ambiguous = WeightedAutomaton.from_transitions(
+        ["s", "t"], ["x", "xx"], [("s", "x", 1, "t")], ["t"]
+    )
+    f.write_text(serialize(ambiguous), encoding="utf-8")
+    words = ["--from", "s", "--to", "s", "--words", "xxx"]
+    assert main(["check", "--file", str(f), "--mode", "bounded", *words]) == 64
+    assert "'xxx' splits" in capsys.readouterr().err
