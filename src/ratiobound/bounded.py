@@ -43,10 +43,12 @@ from .realexp import (
     lcm_den,
     semi_decide,
 )
-from .spectral import RadiusTable, scc_decompose
+from .spectral import rank_radii, scc_decompose
 
 MONITOR_CAP = 20000
 LINEAR_SET_CAP = 10000
+# fixed slots of every plus-subquery's radius table
+ZERO, DELTA = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +251,6 @@ def _check_bound(wa: WeightedAutomaton, s: str, words) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LetterBoundedQuery:
-    automaton: WeightedAutomaton
-    s: str
-    s_prime: str
-    letters: tuple  # output block letters, one per bounding word
-
-
 def check_bounding_words(wa: WeightedAutomaton, words) -> list:
     """Each bounding word as the tuple of `wa`'s alphabet symbols that spells
     it.  InputError unless there is at least one word, and each word is
@@ -286,13 +280,11 @@ def check_bounding_words(wa: WeightedAutomaton, words) -> list:
     return out
 
 
-def bounded_to_letter_bounded(
-    wa: WeightedAutomaton, s: str, s_prime: str, words
-) -> LetterBoundedQuery:
+def bounded_to_letter_bounded(wa: WeightedAutomaton, words) -> WeightedAutomaton:
     """Substitute a fresh block letter a_i for each bounding word w_i: a_i's
     matrix is M(w_i), the product of w_i's letter matrices, over the same
     states and finals, so a1^n1...am^nm weighs exactly what w1^n1...wm^nm
-    weighs from every state."""
+    weighs from every state.  The result's alphabet is a1..am."""
     words = check_bounding_words(wa, words)
     out_letters = tuple(f"a{i+1}" for i in range(len(words)))
     sparse = {}
@@ -304,8 +296,7 @@ def bounded_to_letter_bounded(
             den *= d
             rows = [_step(vec, letter_rows) for vec in rows]
         sparse[a] = den, tuple(tuple(sorted(vec.items())) for vec in rows)
-    out = WeightedAutomaton(wa.states, out_letters, sparse, wa.finals)
-    return LetterBoundedQuery(out, s, s_prime, out_letters)
+    return WeightedAutomaton(wa.states, out_letters, sparse, wa.finals)
 
 
 @dataclass(frozen=True)
@@ -352,14 +343,16 @@ def letter_bounded_to_plus(
         patterns.setdefault(_collapse(sub), None)
     dags = {a: scc_decompose(wa.sparse_rows[a]) for a in dict.fromkeys(letters)}
     # a component's radius is positive exactly when it has a cycle (period > 0)
-    order = RadiusTable.build(
-        [info.radius for dag in dags.values() for info in dag.sccs if info.period]
-    )
+    positive = [
+        (a, c) for a, dag in dags.items() for c, info in enumerate(dag.sccs) if info.period
+    ]
+    _, ranks = rank_radii([dags[a].sccs[c].radius for a, c in positive])
+    rank_of = dict(zip(positive, ranks))
     growth = {
         a: LetterGrowth(
             dag.scc_of,
             tuple(info.radius for info in dag.sccs),
-            tuple(order.index_of(info.radius) if info.period else None for info in dag.sccs),
+            tuple(rank_of.get((a, c)) for c in range(len(dag.sccs))),
         )
         for a, dag in dags.items()
     }
@@ -422,13 +415,12 @@ class BlockInfo:
 @dataclass(frozen=True)
 class PlusAnalysis:
     """Shared data for one plus-letter-bounded question: the radius table
-    with the infinitesimal placeholder, per-block SCC structure, the two
-    determinized signature monitors and their synchronized product."""
+    (radius 0 in slot ZERO, the infinitesimal placeholder in slot DELTA),
+    per-block SCC structure, the two determinized signature monitors and
+    their synchronized product."""
 
     query: PlusQuery
-    table: RadiusTable
-    delta_idx: int
-    zero_idx: Optional[int]
+    table: tuple  # of AlgebraicNumber, strictly ascending
     blocks: tuple
     det_s: "MonitorDfa"
     det_p: "MonitorDfa"
@@ -492,20 +484,18 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     else:
         delta = AlgebraicNumber.from_rational(Fraction(1, 2))
     zero = AlgebraicNumber.from_rational(Fraction(0))
-    table = RadiusTable((zero, delta, *(first[r] for r in ranks)))
-    zero_idx, delta_idx = 0, 1
+    table = (zero, delta, *(first[r] for r in ranks))
     at = {r: i for i, r in enumerate(ranks, 2)}
-    at[None] = zero_idx
+    at[None] = ZERO
     blocks = tuple(
         BlockInfo(
             tuple(~i if c is None else c for i, c in enumerate(comp)),
-            tuple(zero_idx if c is None else at[g.ranks[c]] for c in comp),
+            tuple(ZERO if c is None else at[g.ranks[c]] for c in comp),
         )
         for comp, g in zip(comps, pq.growth)
     )
-    ctx = _MonitorContext(wa, pq.letters, blocks, delta_idx, zero_idx)
-    det_s = _determinize_monitor(ctx, pq.s, cap)
-    det_p = _determinize_monitor(ctx, pq.s_prime, cap)
+    det_s = _determinize_monitor(pq, blocks, pq.s, cap)
+    det_p = _determinize_monitor(pq, blocks, pq.s_prime, cap)
     # synchronized product over the block letters
     def psucc(pair):
         for li in range(m):
@@ -527,8 +517,6 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     return PlusAnalysis(
         pq,
         table,
-        delta_idx,
-        zero_idx,
         blocks,
         det_s,
         det_p,
@@ -538,41 +526,30 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class _MonitorContext:
-    wa: WeightedAutomaton
-    letters: tuple
-    blocks: tuple
-    delta_idx: int
-    zero_idx: int
-
-    def entry(self, j: int, qi: int):
-        ri = self.blocks[j].rad_of_state[qi]
-        if ri == self.zero_idx:
-            return (self.delta_idx, 0)
-        return (ri, 0)
-
-    def update(self, j: int, ann, qi: int, vj: int):
-        b = self.blocks[j]
-        r2 = b.rad_of_state[vj]
-        if ann == (self.delta_idx, 0):
-            if r2 == self.zero_idx:
-                return ann
-            return (r2, 0)
-        if b.scc_of[qi] == b.scc_of[vj]:
-            return ann
-        if r2 == ann[0]:
-            return (ann[0], ann[1] + 1)
-        if r2 < ann[0]:
-            return ann
-        return (r2, 0)
+def _entry(b: BlockInfo, qi: int):
+    """The annotation on entering a block at state qi: its radius, or DELTA
+    where it is 0."""
+    ri = b.rad_of_state[qi]
+    return (DELTA if ri == ZERO else ri, 0)
 
 
-def _determinize_monitor(ctx: _MonitorContext, start: str, cap: int) -> MonitorDfa:
-    wa = ctx.wa
-    m = len(ctx.letters)
+def _update(b: BlockInfo, ann, qi: int, vj: int):
+    """The annotation after a step qi -> vj inside a block; never ZERO."""
+    r2 = b.rad_of_state[vj]
+    if ann == (DELTA, 0):
+        return ann if r2 == ZERO else (r2, 0)
+    if b.scc_of[qi] == b.scc_of[vj] or r2 < ann[0]:
+        return ann
+    if r2 == ann[0]:
+        return (ann[0], ann[1] + 1)
+    return (r2, 0)
+
+
+def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> MonitorDfa:
+    wa = pq.automaton
+    m = len(pq.letters)
     succs = [
-        [[vj for vj, _ in row] for row in wa.sparse_rows[a][1]] for a in ctx.letters
+        [[vj for vj, _ in row] for row in wa.sparse_rows[a][1]] for a in pq.letters
     ]
 
     def step(mset, li):
@@ -580,20 +557,21 @@ def _determinize_monitor(ctx: _MonitorContext, start: str, cap: int) -> MonitorD
         for (qi, hist, ann) in mset:
             if ann is None:
                 if li == 0:
+                    b = blocks[0]
                     for vj in succs[0][qi]:
-                        out.add((vj, (), ctx.update(0, ctx.entry(0, qi), qi, vj)))
+                        out.add((vj, (), _update(b, _entry(b, qi), qi, vj)))
                 continue
             j = len(hist)
             if li == j:
                 for vj in succs[li][qi]:
-                    out.add((vj, hist, ctx.update(li, ann, qi, vj)))
+                    out.add((vj, hist, _update(blocks[li], ann, qi, vj)))
             elif li == j + 1 and li < m:
                 for vj in succs[li][qi]:
                     out.add(
                         (
                             vj,
                             hist + (ann,),
-                            ctx.update(li, ctx.entry(li, qi), qi, vj),
+                            _update(blocks[li], _entry(blocks[li], qi), qi, vj),
                         )
                     )
         return frozenset(out)
@@ -733,24 +711,16 @@ def emit_formula(
 ) -> RealExpFormula:
     """The divergence sentence for one candidate: over the unbounded
     coordinates U of the linear set, every compared signature's growth
-    against X must sink below every bound.
-
-    Rows with a zero radius anywhere are filtered out (they contribute no
-    weight); realized signatures always carry positive radii, so the filter
-    is a formality here.
+    against X must sink below every bound.  No signature holds ZERO: a
+    monitor enters a zero-radius block at DELTA.
     """
-    table = analysis.table.radii
-    for (ri, k) in x_sig:
-        if ri == analysis.zero_idx:
-            raise InputError("X has a zero-radius block: no witnessing path exists")
+    table = analysis.table
     u_list = sorted(u_set)
     for i in u_list:
         if lin.periods[i] <= 0:
             raise InputError("U must pick coordinates with positive periods")
     rows = []
     for y in sorted(y_sigs):
-        if any(ri == analysis.zero_idx for (ri, k) in y):
-            continue  # outside h_Y: contributes no weight
         coeffs = []
         logs = []
         for i in u_list:
@@ -774,8 +744,8 @@ def emit_formula(
 def _sig_text(analysis: PlusAnalysis, sig) -> str:
     parts = []
     for (ri, k) in sig:
-        r = analysis.table.radii[ri]
-        if ri == analysis.delta_idx:
+        r = analysis.table[ri]
+        if ri == DELTA:
             parts.append(f"(delta,{k})")
         elif r.is_rational:
             parts.append(f"({r.lo},{k})")
@@ -870,8 +840,8 @@ def decide_bounded(
     if words is not None:
         base_words = [str(w) for w in words]
         _check_bound(wa, s, check_bounding_words(wa, base_words))
-        lb = bounded_to_letter_bounded(wa, s, sp, base_words)
-        wa, letters = lb.automaton, lb.letters
+        wa = bounded_to_letter_bounded(wa, base_words)
+        letters = wa.alphabet
     elif letters is not None:
         _check_bound(wa, s, [(a,) for a in letters])
     else:

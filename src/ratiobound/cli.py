@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision-bits",
         type=int,
         default=None,
-        help="interval precision start, 16 to 2048 (env BIGO_WA_PRECISION_BITS)",
+        help="interval precision start, 16 to 2048",
     )
     p.set_defaults(fn=cmd_check)
 

@@ -13,7 +13,6 @@ solvers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -27,23 +26,12 @@ HOLDS, FAILS, UNKNOWN = "holds", "fails", "unknown"
 DEFAULT_START_BITS = 128
 MIN_BITS = 16
 MAX_BITS = 2048
-PRECISION_ENV = "BIGO_WA_PRECISION_BITS"
-
-
-def start_bits_default() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw:
-        try:
-            return min(MAX_BITS, max(MIN_BITS, int(raw)))
-        except ValueError:
-            pass
-    return DEFAULT_START_BITS
 
 
 def checked_start_bits(start_bits: Optional[int], max_bits: int = MAX_BITS) -> int:
     """`start_bits`, or the default when None; InputError when it lies
     outside MIN_BITS..max_bits."""
-    bits = start_bits if start_bits is not None else start_bits_default()
+    bits = start_bits if start_bits is not None else DEFAULT_START_BITS
     if not MIN_BITS <= bits <= max_bits:
         raise InputError(f"precision must be {MIN_BITS} to {max_bits} bits, got {bits}")
     return bits

@@ -4,7 +4,7 @@ and the annotated automaton that tracks (radius, count) signatures of runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -148,49 +148,33 @@ def scc_decompose_unary(wa: WeightedAutomaton) -> SccDag:
     return scc_decompose(wa.sparse_rows[wa.alphabet[0]])
 
 
-@dataclass(frozen=True)
-class RadiusTable:
-    """Deduplicated spectral radii, sorted ascending; annotations hold indices.
+def rank_radii(radii) -> tuple[tuple, tuple]:
+    """The distinct radii of `radii`, ascending, and each given radius's index
+    among them.  Each entry keeps the form it is first met in.
 
-    Rational radii are found by their value; exact `compare` runs only where
-    a radius is in interval form, which may still be rational (2 is the
+    Rational radii are matched by value; exact `compare` runs only where a
+    radius is in interval form, which may still be rational (2 is the
     largest root of x^2 - 2x)."""
-
-    radii: tuple  # of AlgebraicNumber, strictly ascending
-    by_value: dict = field(init=False, repr=False, compare=False)  # rational -> index
-
-    def __post_init__(self):
-        by_value = {r.lo: i for i, r in enumerate(self.radii) if r.is_rational}
-        object.__setattr__(self, "by_value", by_value)
-
-    def index_of(self, radius: AlgebraicNumber) -> int:
-        i = _position(radius, self.radii, self.by_value)
+    kept: list = []
+    by_value: dict = {}  # rational value -> index in kept
+    at = []  # per given radius: its index in kept
+    for r in radii:
+        i = by_value.get(r.lo) if r.is_rational else None
         if i is None:
-            raise InputError("radius not in table")
-        return i
-
-    @classmethod
-    def build(cls, radii) -> "RadiusTable":
-        kept: list = []
-        by_value: dict = {}
-        for r in radii:
-            if _position(r, kept, by_value) is None:
-                if r.is_rational:
-                    by_value[r.lo] = len(kept)
+            equal = (
+                j
+                for j, e in enumerate(kept)
+                if not (e.is_rational and r.is_rational) and compare(e, r) == 0
+            )
+            i = next(equal, len(kept))
+            if i == len(kept):
                 kept.append(r)
-        kept.sort(key=cmp_to_key(compare))
-        return cls(tuple(kept))
-
-
-def _position(radius: AlgebraicNumber, radii, by_value) -> Optional[int]:
-    """Index of an entry of `radii` equal to `radius`, or None; `by_value`
-    holds every rational entry's index."""
-    if radius.is_rational and radius.lo in by_value:
-        return by_value[radius.lo]
-    for i, r in enumerate(radii):
-        if not (r.is_rational and radius.is_rational) and compare(r, radius) == 0:
-            return i
-    return None
+            if r.is_rational:
+                by_value[r.lo] = i
+        at.append(i)
+    order = sorted(range(len(kept)), key=cmp_to_key(lambda i, j: compare(kept[i], kept[j])))
+    rank = {i: pos for pos, i in enumerate(order)}
+    return tuple(kept[i] for i in order), tuple(rank[i] for i in at)
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ class AnnotatedAutomaton:
     start: tuple  # (state, radius index, k)
     states: tuple  # of (state, radius index, k)
     transitions: frozenset  # of (triple, triple)
-    table: RadiusTable
+    table: tuple  # of AlgebraicNumber, strictly ascending
     final: str
 
     def admissible(self) -> list[tuple[int, int]]:
@@ -220,26 +204,27 @@ def annotate(
     wa: WeightedAutomaton,
     s: str,
     dag: Optional[SccDag] = None,
-    table: Optional[RadiusTable] = None,
+    ranked: Optional[tuple] = None,
 ) -> AnnotatedAutomaton:
     """Annotated automaton from s over a unary weighted automaton.
 
     Requires the normalized single-final shape and s off every cycle (make a
     copy of s first if needed).  States are (q, rho, k) where rho is the
     largest SCC radius seen by the run so far and k+1 the number of distinct
-    SCCs with that radius.
+    SCCs with that radius.  `ranked` is `rank_radii` of the DAG's radii, in
+    component order, when the caller has it.
     """
     if not wa.is_unary():
         raise InputError("annotation requires a unary automaton")
     if dag is None:
         dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
-    if table is None:
-        table = RadiusTable.build([info.radius for info in dag.sccs])
+    if ranked is None:
+        ranked = rank_radii([info.radius for info in dag.sccs])
+    table, rank = ranked
     finals = sorted(wa.finals)
     if len(finals) != 1:
         raise InputError("annotate requires the single-final normalized shape")
     t = finals[0]
-    rank = [table.index_of(info.radius) for info in dag.sccs]
     rows = wa.sparse_rows[wa.alphabet[0]][1]
 
     def succ(node):
@@ -275,7 +260,7 @@ def degree_language(ann: AnnotatedAutomaton, x: tuple[int, int]) -> Nfa:
     must be admissible.
     """
     ri, k = x
-    if not (0 <= ri < len(ann.table.radii)) or not (0 <= k <= ann.wa.n):
+    if not (0 <= ri < len(ann.table)) or not (0 <= k <= ann.wa.n):
         raise InputError(f"threshold {x} is not admissible for this automaton")
     letter = ann.wa.alphabet[0]
     name = {st: f"{st[0]}~{st[1]}~{st[2]}" for st in ann.states}
@@ -324,7 +309,7 @@ def scc_debug_dump(wa: WeightedAutomaton, s: Optional[str] = None) -> dict:
         nwa, fresh = copy_start_off_cycles(nwa, s)
         ann = annotate(nwa, fresh)
         out["admissible"] = [
-            {"radius": _radius_json(ann.table.radii[ri]), "k": k}
+            {"radius": _radius_json(ann.table[ri]), "k": k}
             for (ri, k) in ann.admissible()
         ]
     return out

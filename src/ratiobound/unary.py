@@ -17,10 +17,10 @@ from .automata import (
 )
 from .nfaops import EventualInclusion, eventually_included, lc_check
 from .spectral import (
-    RadiusTable,
     annotate,
     copy_start_off_cycles,
     degree_language,
+    rank_radii,
     scc_decompose,
 )
 
@@ -42,9 +42,9 @@ def _prepare(q: Query):
     wa, s_hat = copy_start_off_cycles(wa, q.s)
     wa, sp_hat = copy_start_off_cycles(wa, q.s_prime)
     dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
-    table = RadiusTable.build([info.radius for info in dag.sccs])
-    ann_s = annotate(wa, s_hat, dag, table)
-    ann_p = annotate(wa, sp_hat, dag, table)
+    ranked = rank_radii([info.radius for info in dag.sccs])
+    ann_s = annotate(wa, s_hat, dag, ranked)
+    ann_p = annotate(wa, sp_hat, dag, ranked)
     return wa, ann_s, ann_p
 
 
@@ -71,7 +71,7 @@ def decide_unary(q: Query) -> UnaryVerdict:
         ei: EventualInclusion = eventually_included(left, right)
         if not ei:
             ri, k = x
-            radius = ann_s.table.radii[ri]
+            radius = ann_s.table[ri]
             refined = radius.refined(Fraction(1, 10**12))
             return UnaryVerdict(
                 False,

@@ -244,7 +244,7 @@ def test_criterion_9_growth_envelope_property():
             any_pos = True
             ri, k = deg
             if ri not in refined_radii:
-                refined_radii[ri] = ann.table.radii[ri].refined(F(1, 10**31))
+                refined_radii[ri] = ann.table[ri].refined(F(1, 10**31))
             rho = refined_radii[ri]
             assert rho.hi - rho.lo < F(1, 10**30)
             assert rho.lo > 0

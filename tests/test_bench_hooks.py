@@ -102,3 +102,58 @@ def test_spectral_radii_of_the_bounded_pass(monkeypatch):
     assert calls["char_poly"] == 0
     assert 0 < calls["compare"] <= 400
     assert calls["scc_decompose"] == 48
+
+
+def test_traced_counts_of_the_bounded_pass():
+    """The tracer's counters read result fields of the hooked layers (the
+    monitors' `states`, `product_states`, a semi-decision's `verdict`), so
+    a renamed field fails here, not as failed queries in a traced run."""
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    tracer.resolve()
+    queries = _load("workloads").build("bounded", 1, helpers)
+    tracer.install()
+    try:
+        for q in queries:
+            argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+            decide_bounded(Query(parse_automaton(q.document), argv["--from"], argv["--to"]))
+    finally:
+        tracer.remove()
+    assert {name: tracer.counts[name] for name in spans.COUNTS} == {
+        "bounded.subqueries": 111,
+        "bounded.monitor_states": 472,
+        "bounded.product_states": 236,
+        "bounded.linear_sets": 64,
+        "bounded.candidates": 294,
+        "realexp.holds": 5,
+        "realexp.fails": 289,
+        "realexp.unknown": 0,
+        "automata.profile_words": 0,
+    }
+    assert tracer.counts["spectral.scc_decompose.calls"] == 48
+
+
+def test_unary_queries_rank_each_radius_once(monkeypatch, tmp_path, capsys):
+    """On the seed-1 `unary-oracle` check queries through the CLI, each
+    query ranks its radii in one pass and both annotations reuse the ranks,
+    so exact `compare` runs at most 320 times; a second search of the table
+    per radius and annotation would double that."""
+    from ratiobound import spectral
+    from ratiobound.cli import main
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compare(*args)
+
+    compare = spectral.compare
+    monkeypatch.setattr(spectral, "compare", counted)
+    queries = [q for q in _load("workloads").build("unary-oracle", 1, helpers) if q.command == "check"]
+    assert len(queries) == 120
+    for i, q in enumerate(queries):
+        path = tmp_path / f"{i:03d}.json"
+        path.write_text(q.document, encoding="utf-8")
+        assert main(q.argv[:1] + ["--file", str(path)] + q.argv[1:]) in (0, 1)
+    capsys.readouterr()
+    assert 0 < len(calls) <= 320

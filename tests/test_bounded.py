@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import product
@@ -30,6 +31,8 @@ from ratiobound import (
 from ratiobound.algebraic import AlgebraicNumber, compare
 from ratiobound.automata import Nfa, trim
 from ratiobound.bounded import (
+    DELTA,
+    ZERO,
     PlusQuery,
     _in_letter_bound,
     _star_nfa,
@@ -43,7 +46,7 @@ from ratiobound.jsonio import parse_automaton
 from ratiobound.nfaops import nfa_contained
 from ratiobound.realexp import FAILS, HOLDS, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
-from ratiobound.spectral import RadiusTable, scc_decompose
+from ratiobound.spectral import rank_radii, scc_decompose
 
 import helpers
 from helpers import (
@@ -150,21 +153,20 @@ def test_bounded_to_letter_single_word():
         ],
         ["t"],
     )
-    lb = bounded_to_letter_bounded(wa, "p", "q", ["ab"])
+    lb = bounded_to_letter_bounded(wa, ["ab"])
+    assert lb.alphabet == ("a1",)
     for n in range(7):
         want = weight(wa, "p", repeat_word("ab", n))
-        got = weight_blocks(lb.automaton, lb.s, [(lb.letters[0], n)])
+        got = weight_blocks(lb, "p", [("a1", n)])
         assert got == want
 
 
 def test_bounded_to_letter_distinct_letters_degenerates():
     wa = relative_orderings(F(62, 100))
-    lb = bounded_to_letter_bounded(wa, "s", "s'", ["a", "b"])
+    lb = bounded_to_letter_bounded(wa, ["a", "b"])
     for n1, n2 in product(range(5), repeat=2):
         want = weight(wa, "s", "a" * n1 + "b" * n2)
-        got = weight_blocks(
-            lb.automaton, lb.s, [(lb.letters[0], n1), (lb.letters[1], n2)]
-        )
+        got = weight_blocks(lb, "s", [("a1", n1), ("a2", n2)])
         assert got == want
 
 
@@ -182,7 +184,7 @@ def test_bounded_to_letter_overlapping_decompositions():
         ["t"],
     )
     words = ["abab", "a", "b", "ab"]
-    lb = bounded_to_letter_bounded(wa, "p", "q", words)
+    lb = bounded_to_letter_bounded(wa, words)
     target = weight(wa, "p", "abababab")
     assert target > 0
     vectors = []
@@ -200,16 +202,16 @@ def test_bounded_to_letter_overlapping_decompositions():
                         vectors.append((n1, n2, n3, n4))
     assert len(vectors) >= 3
     for vec in vectors:
-        got = weight_blocks(lb.automaton, lb.s, list(zip(lb.letters, vec)))
+        got = weight_blocks(lb, "p", list(zip(lb.alphabet, vec)))
         assert got == target, vec
 
 
 def test_bounded_to_letter_input_errors():
     wa = unbounded_ratio()
     with pytest.raises(InputError):
-        bounded_to_letter_bounded(wa, "s", "s'", [])
+        bounded_to_letter_bounded(wa, [])
     with pytest.raises(InputError):
-        bounded_to_letter_bounded(wa, "s", "s'", ["ab"])  # b not in alphabet
+        bounded_to_letter_bounded(wa, ["ab"])  # b not in alphabet
 
 
 def test_bounding_words_split_into_symbols():
@@ -218,10 +220,10 @@ def test_bounding_words_split_into_symbols():
     product of their matrices; the witness keeps the words as given."""
     wa = two_symbol_chain()
     assert check_bounding_words(wa, ["x1x2", "x2"]) == [("x1", "x2"), ("x2",)]
-    lb = bounded_to_letter_bounded(wa, "s", "s'", ["x1x2", "x1", "x2"])
+    lb = bounded_to_letter_bounded(wa, ["x1x2", "x1", "x2"])
     for n in product(range(3), repeat=3):
         word = ["x1", "x2"] * n[0] + ["x1"] * n[1] + ["x2"] * n[2]
-        got = weight_blocks(lb.automaton, "s", list(zip(lb.letters, n)))
+        got = weight_blocks(lb, "s", list(zip(lb.alphabet, n)))
         assert got == weight(wa, "s", word)
     for bad in (["x3"], ["x1x"], [""]):
         with pytest.raises(InputError, match="bounding word"):
@@ -364,12 +366,13 @@ def _product_analysis(pq):
         delta = min(positives, key=cmp_to_key(compare)).scaled(F(1, 2))
     else:
         delta = AlgebraicNumber.from_rational(F(1, 2))
-    table = RadiusTable.build(radii + [zero, delta])
-    blocks = [
-        (dag.scc_of, tuple(table.index_of(dag.sccs[c].radius) for c in dag.scc_of))
-        for dag in dags
-    ]
-    return table.radii, table.index_of(delta), table.index_of(zero), blocks
+    table, ranks = rank_radii(radii + [zero, delta])
+    blocks, at = [], 0
+    for dag in dags:
+        rank = ranks[at : at + len(dag.sccs)]
+        at += len(dag.sccs)
+        blocks.append((dag.scc_of, tuple(rank[c] for c in dag.scc_of)))
+    return table, ranks[-1], ranks[-2], blocks
 
 
 def _same_component(scc_of):
@@ -383,7 +386,8 @@ def test_shared_letter_analysis_matches_the_product():
     source letter's, decomposed once per query; on every sub-question (and
     its copy with the dropped states put back) that gives the table, delta
     and zero indices, radius indices and components that decomposing the
-    sub-question's own rows gives."""
+    sub-question's own rows gives.  No monitor signature holds ZERO, so
+    `emit_formula` needs no zero-radius filter."""
     from test_bench_hooks import _load
 
     cases = []
@@ -401,18 +405,25 @@ def test_shared_letter_analysis_matches_the_product():
         letters = ("a", "b", "c")[: 2 + i % 2]
         cases.append((random_block_wa(rng, letters, per=2), "L0_0", "L0_1", letters))
     irrational = 0
+    slots = Counter()
     for wa, s, sp, letters in cases:
         for pq in letter_bounded_to_plus(wa, s, sp, letters):
             for sub in (pq, _padded(wa, pq)):
                 analysis = plus_analysis(sub)
                 radii, delta_idx, zero_idx, blocks = _product_analysis(sub)
-                assert analysis.table.radii == radii
-                assert (analysis.delta_idx, analysis.zero_idx) == (delta_idx, zero_idx)
+                assert analysis.table == radii
+                assert (DELTA, ZERO) == (delta_idx, zero_idx)
                 for info, (scc_of, rad_of_state) in zip(analysis.blocks, blocks):
                     assert info.rad_of_state == rad_of_state
                     assert _same_component(info.scc_of) == _same_component(scc_of)
+                for det in (analysis.det_s, analysis.det_p):
+                    for sig in set().union(*det.sigsets):
+                        slots["signatures"] += 1
+                        slots["zero"] += any(ri == ZERO for ri, _ in sig)
+                        slots["delta"] += any(ri == DELTA for ri, _ in sig)
             irrational += any(not r.is_rational for r in radii)
     assert irrational > 0
+    assert slots["zero"] == 0 and 0 < slots["delta"] < slots["signatures"], slots
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +444,7 @@ def test_detector_relative_orderings_realized():
     # locate the candidate whose X matches ((3/5,0),(2/5,0)) exactly
     match = None
     for (x_sig, y_sigs) in sorted(realized):
-        radii = [analysis.table.radii[ri] for (ri, k) in x_sig]
+        radii = [analysis.table[ri] for (ri, k) in x_sig]
         if all(k == 0 for (_, k) in x_sig) and [
             r.lo for r in radii if r.is_rational
         ] == [F(3, 5), F(2, 5)]:
@@ -719,10 +730,9 @@ def test_decide_bounded_with_words_differential():
     for k, old in enumerate(_TRANSDUCER_VERDICTS):
         words = _WORD_SETS[k % len(_WORD_SETS)]
         wa = _word_chain(rng, words)
-        lb = bounded_to_letter_bounded(wa, "s", "s'", words)
-        assert lb.automaton.states == wa.states
-        assert lb.automaton.finals == wa.finals
-        assert (lb.s, lb.s_prime) == ("s", "s'")
+        lb = bounded_to_letter_bounded(wa, words)
+        assert lb.states == wa.states
+        assert lb.finals == wa.finals
         res = decide_bounded(Query(wa, "s", "s'"), words=words)
         assert res.lc_counterexample is None
         verdicts += {"is-big-o": "B", "not-big-o": "N"}[res.verdict]
@@ -730,7 +740,7 @@ def test_decide_bounded_with_words_differential():
         if res.verdict == "not-big-o":
             w = res.witness
             assert w["bounding_words"] == list(words)
-            word_of = dict(zip(lb.letters, words))
+            word_of = dict(zip(lb.alphabet, words))
             for vec, ratio in zip(w["vectors"], w["ratios"], strict=True):
                 word = "".join(word_of[b] * n for b, n in zip(w["block_letters"], vec))
                 assert weight(wa, "s", word) / weight(wa, "s'", word) == F(ratio)

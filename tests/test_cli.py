@@ -142,11 +142,51 @@ def test_check_exit_codes(capsys):
 
 
 def test_check_auto_reports_decider(capsys):
-    f = data_file("unbounded_ratio.json")
-    assert main(["check", "--file", f, "--from", "s", "--to", "s'"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["decider"] == "unambiguous"
-    assert report["verdict"] == "not-big-o"
+    """Auto mode names the decider it picked, and reports what that decider
+    reports when it is named."""
+    cases = (("unbounded_ratio.json", "unambiguous"), ("different_rates.json", "unary"))
+    for name, decider in cases:
+        base = ["check", "--file", data_file(name), "--from", "s", "--to", "s'"]
+        assert main(base) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["decider"] == decider
+        assert report["verdict"] == "not-big-o"
+        assert main(base + ["--mode", decider]) == 1
+        assert json.loads(capsys.readouterr().out) == report
+
+
+def _no_decider_file(tmp_path):
+    """Ambiguous from p (two runs accept `a`), two letters, and p's
+    language (ab)*a is not letter-bounded."""
+    wa = WeightedAutomaton.from_transitions(
+        ["p", "q", "t", "u"],
+        ["a", "b"],
+        [
+            ("p", "a", F(1, 2), "q"),
+            ("q", "b", F(1), "p"),
+            ("p", "a", F(1, 4), "t"),
+            ("p", "a", F(1, 4), "u"),
+        ],
+        ["t", "u"],
+    )
+    path = tmp_path / "none.json"
+    path.write_text(serialize(wa), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_file, message",
+    [
+        (_no_decider_file, "no decider applies"),
+        (lambda tmp_path: str(tmp_path / "absent.json"), "absent.json"),
+    ],
+    ids=["no-decider", "missing-file"],
+)
+def test_check_auto_input_errors_exit_64(tmp_path, capsys, make_file, message):
+    path = make_file(tmp_path)
+    assert main(["check", "--file", path, "--from", "p", "--to", "p"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and message in err
 
 
 def test_check_auto_detects_letter_bound_once(capsys, monkeypatch):
@@ -223,6 +263,12 @@ def test_oracle_report(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["maxRatio"] == "1600/1579"
     assert report["attainedAt"] == "aab"
+    argv = ["oracle", "--file", f, "--from", "s", "--to", "s'", "--max-len", "8", "--entries"]
+    assert main(argv) == 0
+    entries = json.loads(capsys.readouterr().out).pop("entries")
+    assert len(entries) == report["words"]
+    ((_, ws, wp),) = [e for e in entries if e[0] == "aab"]
+    assert F(ws) / F(wp) == F(1600, 1579)
 
 
 def test_classify_report(capsys):
@@ -230,6 +276,10 @@ def test_classify_report(capsys):
     assert main(["classify", "--file", f, "--from", "s'", "--human"]) == 0
     out = capsys.readouterr().out
     assert "letterBounded" in out
+    assert main(["classify", "--file", f, "--from", "s", "--to", "s'"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["unambiguousFromS"] is True
+    assert report["unambiguousFromSPrime"] is False
 
 
 def test_reduce_and_generate_round_trip(tmp_path, capsys):
@@ -412,6 +462,38 @@ def test_reduce_eventual_and_value1_cli(tmp_path, capsys):
     doc2 = json.loads(capsys.readouterr().out)
     assert "note" in doc2
     parse_automaton(json.dumps(doc2))
+
+
+@pytest.mark.parametrize("kind", ["from-big-theta", "from-value1"])
+def test_reduce_from_cli(tmp_path, capsys, kind):
+    """Both reductions out of big-O write a document that parses and names
+    states of its own automaton; the value-1 one is a probabilistic
+    automaton from its start."""
+    from ratiobound import validate_pa
+
+    chain = WeightedAutomaton.from_transitions(
+        ["s", "s'", "z", "t"],
+        ["a"],
+        [
+            ("s", "a", F(1, 2), "s"),
+            ("s", "a", F(1, 4), "t"),
+            ("s", "a", F(1, 4), "z"),
+            ("s'", "a", F(1, 2), "s'"),
+            ("s'", "a", F(1, 4), "t"),
+            ("s'", "a", F(1, 4), "z"),
+            ("z", "a", F(1), "z"),
+        ],
+        ["t"],
+    )
+    path = tmp_path / "chain.json"
+    path.write_text(serialize(chain), encoding="utf-8")
+    assert main(["reduce", kind, "--file", str(path), "--from", "s", "--to", "s'"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    wa = parse_automaton(json.dumps(doc))
+    if kind == "from-value1":
+        assert validate_pa(wa, doc["start"])
+    else:
+        assert {doc["query"]["s"], doc["query"]["sPrime"]} <= set(wa.states)
 
 
 def test_reduce_value1_names_are_fresh_and_distinct(tmp_path, capsys):

@@ -21,7 +21,6 @@ from ratiobound.realexp import (
     _pure_log_case,
     negative_direction,
     semi_decide,
-    start_bits_default,
 )
 
 
@@ -132,19 +131,6 @@ def test_formula_text_and_smt():
     assert "(check-sat)" in smt
     assert "(declare-fun ln (Real) Real)" in smt
     assert "forall" in smt
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "256")
-    assert start_bits_default() == 256
-    monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "junk")
-    assert start_bits_default() == 128
-    monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "0")
-    assert start_bits_default() == 16
-    monkeypatch.setenv("BIGO_WA_PRECISION_BITS", "4096")
-    assert start_bits_default() == 2048
-    monkeypatch.delenv("BIGO_WA_PRECISION_BITS")
-    assert start_bits_default() == 128
 
 
 def test_precision_outside_range_is_input_error():

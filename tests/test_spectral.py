@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
@@ -17,8 +18,8 @@ from ratiobound import (
 from ratiobound.algebraic import compare, AlgebraicNumber, spectral_radius_of_matrix
 from ratiobound.samples import different_rates, unbounded_ratio
 from ratiobound.spectral import (
-    RadiusTable,
     copy_start_off_cycles,
+    rank_radii,
     scc_debug_dump,
 )
 
@@ -128,7 +129,7 @@ def test_annotate_single_scc():
     assert len(finals_anns) == 1
     ((ri, k),) = finals_anns
     assert k == 0
-    assert ann.table.radii[ri].compare_rational(F(1, 2)) == 0
+    assert ann.table[ri].compare_rational(F(1, 2)) == 0
 
 
 def test_annotate_chained_equal_radius_sccs():
@@ -174,7 +175,7 @@ def test_degree_language_minimum_threshold_is_support():
 def test_degree_language_different_rates_window():
     wa, fresh = prepared(different_rates(), "s")
     ann = annotate(wa, fresh)
-    half_idx = ann.table.index_of(AlgebraicNumber.from_rational(F(1, 2)))
+    half_idx = [r.compare_rational(F(1, 2)) for r in ann.table].index(0)
     lang = degree_language(ann, (half_idx, 1))
     for n in range(20):
         assert lang.accepts("a" * n) == (n >= 3)
@@ -219,9 +220,9 @@ def test_radius_table_dedupes():
     a = AlgebraicNumber.from_rational(F(1, 2))
     b = AlgebraicNumber.from_rational(F(1, 2))
     c = AlgebraicNumber.from_rational(F(3, 4))
-    table = RadiusTable.build([c, a, b])
-    assert len(table.radii) == 2
-    assert table.index_of(a) == 0
+    table, ranks = rank_radii([c, a, b])
+    assert len(table) == 2
+    assert ranks == (1, 0, 0)
 
 
 def test_radius_table_matches_a_rational_in_interval_form():
@@ -232,10 +233,32 @@ def test_radius_table_matches_a_rational_in_interval_form():
     half = AlgebraicNumber.from_rational(F(1, 2))
     assert not two_ivl.is_rational and two_ivl.compare_rational(F(2)) == 0
     for order in ([two_ivl, two], [two, two_ivl]):
-        table = RadiusTable.build(order + [half])
-        assert len(table.radii) == 2
-        assert table.radii[1] is order[0]
-        assert table.index_of(two) == table.index_of(two_ivl) == 1
-        assert table.index_of(half) == 0
-    with pytest.raises(InputError):
-        RadiusTable.build([two_ivl]).index_of(half)
+        table, ranks = rank_radii(order + [half])
+        assert len(table) == 2
+        assert table[1] is order[0]
+        assert ranks == (1, 1, 0)
+    table, ranks = rank_radii([two_ivl, half])
+    assert table == (half, two_ivl) and ranks == (1, 0)
+
+
+def test_rank_radii_differential():
+    """Lists mixing rational radii with the interval-form radii of small
+    nonnegative matrices: the table is strictly ascending, each rank points
+    at the one entry `compare` finds equal, and each entry is the first
+    radius of the list equal to it."""
+    pool = [AlgebraicNumber.from_rational(F(n, d)) for n, d in ((0, 1), (1, 2), (1, 1), (2, 1), (3, 1))]
+    for cells in product(range(3), repeat=4):
+        r = spectral_radius_of_matrix(((F(cells[0]), F(cells[1])), (F(cells[2]), F(cells[3]))))
+        if not r.is_rational:
+            pool.append(r)
+    assert len(pool) > 20
+    rng = random.Random(1409)
+    for _ in range(500):
+        radii = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        table, ranks = rank_radii(radii)
+        assert len(ranks) == len(radii)
+        assert all(compare(x, y) < 0 for x, y in zip(table, table[1:]))
+        for r, i in zip(radii, ranks):
+            assert [j for j, e in enumerate(table) if compare(e, r) == 0] == [i]
+        for e in table:
+            assert e is next(r for r in radii if compare(r, e) == 0)
