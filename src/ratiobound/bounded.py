@@ -43,7 +43,7 @@ from .realexp import (
     lcm_den,
     semi_decide,
 )
-from .spectral import rank_radii, scc_decompose
+from .spectral import rank_radii, scc_decompose, step_signature
 
 MONITOR_CAP = 20000
 LINEAR_SET_CAP = 10000
@@ -281,11 +281,11 @@ def check_bounding_words(wa: WeightedAutomaton, words) -> list:
 
 
 def bounded_to_letter_bounded(wa: WeightedAutomaton, words) -> WeightedAutomaton:
-    """Substitute a fresh block letter a_i for each bounding word w_i: a_i's
+    """Substitute a fresh block letter a_i for each bounding word w_i, given
+    as the tuple of symbols that `check_bounding_words` splits it into: a_i's
     matrix is M(w_i), the product of w_i's letter matrices, over the same
     states and finals, so a1^n1...am^nm weighs exactly what w1^n1...wm^nm
     weighs from every state.  The result's alphabet is a1..am."""
-    words = check_bounding_words(wa, words)
     out_letters = tuple(f"a{i+1}" for i in range(len(words)))
     sparse = {}
     for a, w in zip(out_letters, words):
@@ -463,7 +463,8 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     other state is a component of its own with radius 0.  The table is
     (0, delta, the positive radii met, ascending), delta half the smallest
     of them (1/2 when there are none); each radius keeps the form it is
-    first met in, in block order."""
+    first met in, in block order.  `cap` bounds each monitor and their
+    product (ResourceError past it)."""
     wa = pq.automaton
     m = len(pq.letters)
     comps = []  # per block, per state: its letter component, or None
@@ -504,7 +505,7 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
             if ti is not None and tj is not None:
                 yield li, (ti, tj)
 
-    pstates, pedges = explore([(0, 0)], psucc)
+    pstates, pedges = explore([(0, 0)], psucc, cap)
     ptrans = {(i, li): j for i, li, j in pedges}
     dsets = []
     for (i, j) in pstates:
@@ -528,24 +529,16 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
 
 def _entry(b: BlockInfo, qi: int):
     """The annotation on entering a block at state qi: its radius, or DELTA
-    where it is 0."""
+    where it is 0.  Steps keep it off ZERO: ZERO < DELTA, and a zero-radius
+    state is alone in its component."""
     ri = b.rad_of_state[qi]
     return (DELTA if ri == ZERO else ri, 0)
 
 
-def _update(b: BlockInfo, ann, qi: int, vj: int):
-    """The annotation after a step qi -> vj inside a block; never ZERO."""
-    r2 = b.rad_of_state[vj]
-    if ann == (DELTA, 0):
-        return ann if r2 == ZERO else (r2, 0)
-    if b.scc_of[qi] == b.scc_of[vj] or r2 < ann[0]:
-        return ann
-    if r2 == ann[0]:
-        return (ann[0], ann[1] + 1)
-    return (r2, 0)
-
-
 def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> MonitorDfa:
+    """Subset construction over (state, finished block signatures, current
+    signature) triples.  The start is seeded as entering block 1: it sits at
+    level 0, so it steps on block 1 only and is never final."""
     wa = pq.automaton
     m = len(pq.letters)
     succs = [
@@ -555,29 +548,19 @@ def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> Monitor
     def step(mset, li):
         out = set()
         for (qi, hist, ann) in mset:
-            if ann is None:
-                if li == 0:
-                    b = blocks[0]
-                    for vj in succs[0][qi]:
-                        out.add((vj, (), _update(b, _entry(b, qi), qi, vj)))
+            if li == len(hist) + 1:
+                hist, ann = hist + (ann,), _entry(blocks[li], qi)
+            elif li != len(hist):
                 continue
-            j = len(hist)
-            if li == j:
-                for vj in succs[li][qi]:
-                    out.add((vj, hist, _update(blocks[li], ann, qi, vj)))
-            elif li == j + 1 and li < m:
-                for vj in succs[li][qi]:
-                    out.add(
-                        (
-                            vj,
-                            hist + (ann,),
-                            _update(blocks[li], _entry(blocks[li], qi), qi, vj),
-                        )
-                    )
+            b = blocks[li]
+            for vj in succs[li][qi]:
+                same = b.scc_of[qi] == b.scc_of[vj]
+                out.add((vj, hist, step_signature(ann, same, b.rad_of_state[vj])))
         return frozenset(out)
 
+    si = wa.index(start)
     states, edges = explore(
-        [frozenset([(wa.index(start), (), None)])],
+        [frozenset([(si, (), _entry(blocks[0], si))])],
         lambda mset: ((li, tgt) for li in range(m) if (tgt := step(mset, li))),
         cap,
     )
@@ -588,7 +571,7 @@ def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> Monitor
         sigs = frozenset(
             hist + (ann,)
             for (qi, hist, ann) in mset
-            if qi in finals_idx and ann is not None and len(hist) == m - 1
+            if qi in finals_idx and len(hist) == m - 1
         )
         sigsets.append(sigs)
     return MonitorDfa(tuple(states), trans, tuple(sigsets))
@@ -598,108 +581,68 @@ def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> Monitor
 # detectors, Parikh decomposition
 
 
-def realized_candidates(analysis: PlusAnalysis):
-    """Realized (X, D-set) pairs: X ranges over maximal signatures of the
-    first state wherever the product can accept with that exact pair."""
+def realized_candidates(analysis: PlusAnalysis) -> dict:
+    """Realized (X, D-set) pairs, each with the product states that accept
+    it: X ranges over maximal signatures of the first state wherever the
+    product can accept with that exact pair."""
     out = {}
     for pi, (d1, d2) in enumerate(analysis.dsets):
-        if not d1:
-            continue
         for x in d1:
             out.setdefault((x, d2), set()).add(pi)
     return out
 
 
-def detector_nfa(analysis: PlusAnalysis, x_sig, y_sigs) -> Nfa:
-    """Product-monitor NFA accepting exactly the block words whose first
-    state realizes signature X maximally and whose second state's maximal
-    signature set is exactly Y."""
-    y_key = tuple(sorted(y_sigs))
-    finals = frozenset(
-        f"d{pi}"
-        for pi, (d1, d2) in enumerate(analysis.dsets)
-        if x_sig in d1 and tuple(sorted(d2)) == y_key
-    )
+def detector_nfa(analysis: PlusAnalysis, finals) -> Nfa:
+    """The product of the two monitors, a DFA over the block letters whose
+    states are the product's indices, accepting at `finals` (one entry of
+    `realized_candidates`): the block words whose first state realizes X
+    maximally and whose second state's maximal signature set is exactly
+    Y."""
     letters = analysis.query.letters
-    trans = frozenset(
-        (f"d{i}", letters[li], f"d{j}")
-        for (i, li), j in analysis.product_trans.items()
-    )
-    return Nfa(
-        tuple(f"d{i}" for i in range(len(analysis.product_states))),
-        letters,
-        trans,
-        "d0",
-        finals,
-    )
+    trans = frozenset((i, letters[li], j) for (i, li), j in analysis.product_trans.items())
+    return Nfa(tuple(range(len(analysis.product_states))), letters, trans, 0, frozenset(finals))
 
 
 def parikh_linear_sets(n: Nfa, letters) -> list:
-    """Parikh image of a language inside a1+...am+ (distinct letters) as a
-    finite union of linear sets with per-coordinate unit-multiple periods.
+    """Parikh image of a deterministic automaton's language inside
+    a1+...am+ (distinct letters) as a finite union of linear sets with
+    per-coordinate unit-multiple periods.
 
-    Per block, the subset walk from the entry set is a stem-plus-loop; each
-    designated crossing state (or acceptance, for the last block) pins the
-    block count to a stem position or a loop progression, and blocks are
-    independent once the crossing state is fixed.
+    Per block, the walk from the entry state is a stem-plus-loop; each
+    position that steps on the next block's letter (or accepts, in the last
+    block) pins the block count to a stem position or a loop progression,
+    and the rest of the word depends only on the state it steps into.
     """
     letters = tuple(letters)
     m = len(letters)
     if len(set(letters)) != m:
         raise InputError("block letters must be distinct")
-    results: list = []
+    delta: dict = {}
+    for q, a, q2 in n.transitions:
+        if delta.setdefault((q, a), q2) != q2:
+            raise InputError("the Parikh walk needs a deterministic automaton")
+    results: set = set()
 
-    def positions(subsets, loop_start, pred, min_steps: int):
-        """Arithmetic progressions of step counts k >= min_steps with
-        pred(subsets[k]); loop hits recur with the loop period."""
-        period = len(subsets) - loop_start
-        progs = []
-        for k in range(len(subsets)):
-            if k < min_steps or not pred(subsets[k]):
-                continue
-            if k < loop_start:
-                progs.append((k, 0))
-            else:
-                progs.append((k, period))
-        return progs
-
-    def crossers(subset, li):
-        return sorted(
-            q for q in subset if any(
-                (q, letters[li + 1], q2) in n.transitions for q2 in n.states
-            )
-        )
-
-    def go(li: int, entry: frozenset, base, periods):
+    def go(li: int, entry, base, periods):
         if len(results) > LINEAR_SET_CAP:
             raise ResourceError("linear-set decomposition exceeded the cap")
-        subsets, loop_start = lasso(entry, lambda sub: n.step(sub, letters[li]))
-        min_steps = 1 if li == 0 else 0
-        offset = 0 if li == 0 else 1
-        if li == m - 1:
-            for (k, r) in positions(
-                subsets, loop_start, lambda sub: bool(sub & n.finals), min_steps
-            ):
-                results.append(
-                    LinearSet(base + (offset + k,), periods + (r,))
-                )
-            return
-        cands = set()
-        for sub in subsets:
-            cands.update(crossers(sub, li))
-        for u in sorted(cands):
-            for (k, r) in positions(
-                subsets, loop_start, lambda sub: u in sub, min_steps
-            ):
-                entry2 = n.step(frozenset([u]), letters[li + 1])
-                if entry2:
-                    go(li + 1, entry2, base + (offset + k,), periods + (r,))
+        # a missing step leads to None, which steps to itself
+        walk, loop_start = lasso(entry, lambda q: delta.get((q, letters[li])))
+        period = len(walk) - loop_start
+        # block 1 counts the letters read from the start; a later block is
+        # entered by reading one of its letters
+        first = 1 if li == 0 else 0
+        for k in range(first, len(walk)):
+            count = base + (k + 1 - first,)
+            per = periods + (0 if k < loop_start else period,)
+            if li == m - 1:
+                if walk[k] in n.finals:
+                    results.add((count, per))
+            elif (q2 := delta.get((walk[k], letters[li + 1]))) is not None:
+                go(li + 1, q2, count, per)
 
-    start = frozenset([n.start])
-    go(0, start, (), ())
-    # deterministic order, duplicates removed
-    uniq = sorted(set((ls.base, ls.periods) for ls in results))
-    return [LinearSet(b, p) for (b, p) in uniq]
+    go(0, n.start, (), ())
+    return [LinearSet(b, p) for (b, p) in sorted(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +724,8 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> PlusVerdict:
     analysis = plus_analysis(pq)
     letters = analysis.query.letters
     formulas = []
-    for (x_sig, y_sigs) in sorted(realized_candidates(analysis)):
-        det = detector_nfa(analysis, x_sig, y_sigs)
+    for (x_sig, y_sigs), finals in sorted(realized_candidates(analysis).items()):
+        det = detector_nfa(analysis, finals)
         for lin in parikh_linear_sets(det, letters):
             pos = [i for i in range(len(letters)) if lin.periods[i] > 0]
             for mask in range(2 ** len(pos)):
@@ -805,7 +748,6 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> PlusVerdict:
 @dataclass(frozen=True)
 class BoundedResult:
     verdict: str  # is-big-o | not-big-o | unknown
-    mode: str
     lc_counterexample: Optional[str] = None
     witness: Optional[dict] = None
     unknown_formulas: tuple = ()
@@ -820,27 +762,25 @@ def decide_bounded(
 ) -> BoundedResult:
     """Decide a query with bounded languages.
 
-    Bounding words (for general bounds) are caller-supplied; letter bounds
-    are auto-detected from the second state when neither is given.  Supplied
-    words or letters must bound the language from the first state
-    (InputError otherwise).  The
+    Bounding words (for general bounds) are caller-supplied and split into
+    symbols once, first; letter bounds are auto-detected from the second
+    state when neither is given.  Supplied words or letters must bound the
+    language from the first state (InputError otherwise).  The
     containment check runs first on the original automaton; each starred
     subsequence of the letter bound becomes an independent plus-bounded
     sub-question and the verdicts merge with divergence dominating, then
     unknown, then boundedness.
     """
     start_bits = checked_start_bits(start_bits)
+    wa, s, sp = q.automaton, q.s, q.s_prime
+    if words is not None:
+        words = check_bounding_words(wa, words)
     lc = lc_check(q)
     if not lc:
-        return BoundedResult(
-            "not-big-o", "bounded", lc_counterexample=lc.counterexample
-        )
-    wa, s, sp = q.automaton, q.s, q.s_prime
-    base_words = None
+        return BoundedResult("not-big-o", lc_counterexample=lc.counterexample)
     if words is not None:
-        base_words = [str(w) for w in words]
-        _check_bound(wa, s, check_bounding_words(wa, base_words))
-        wa = bounded_to_letter_bounded(wa, base_words)
+        _check_bound(wa, s, words)
+        wa = bounded_to_letter_bounded(wa, words)
         letters = wa.alphabet
     elif letters is not None:
         _check_bound(wa, s, [(a,) for a in letters])
@@ -853,7 +793,7 @@ def decide_bounded(
     letters = tuple(letters)
     if not letters:
         # only the empty word can be accepted; containment already holds
-        return BoundedResult("is-big-o", "bounded", subqueries=0)
+        return BoundedResult("is-big-o", subqueries=0)
     subqueries = letter_bounded_to_plus(wa, s, sp, letters)
     unknowns: list = []
     holding = None
@@ -866,27 +806,25 @@ def decide_bounded(
             break
         unknowns.extend(pv.unknowns)
     if holding is not None:
-        witness = _divergence_witness(holding_pq, holding, base_words)
+        witness = _divergence_witness(holding_pq, holding, words)
         if witness is not None:
-            return BoundedResult(
-                "not-big-o", "bounded", witness=witness, subqueries=len(subqueries)
-            )
+            return BoundedResult("not-big-o", witness=witness, subqueries=len(subqueries))
         # no exactly increasing ratio run: the divergence stays uncertified
         unknowns.append(holding)
     if unknowns:
         return BoundedResult(
             "unknown",
-            "bounded",
             unknown_formulas=tuple(c.formula for c in unknowns),
             subqueries=len(subqueries),
         )
-    return BoundedResult("is-big-o", "bounded", subqueries=len(subqueries))
+    return BoundedResult("is-big-o", subqueries=len(subqueries))
 
 
-def _divergence_witness(pq: PlusQuery, cand: Candidate, base_words) -> Optional[dict]:
+def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]:
     """Integer-grid witness: block vectors along the certified ray with
     exactly evaluated, strictly increasing weight ratios, or None when the
-    exact ratios show no strictly increasing run."""
+    exact ratios show no strictly increasing run.  `words` are the split
+    bounding words, if any."""
     ray = cand.decision.ray or ()
     lin = cand.lin
     m = len(lin.base)
@@ -923,8 +861,8 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, base_words) -> Optional[
         "ratios": [str(r) for r in ratios],
         "increasing_run": [str(ratios[i]) for i in run],
     }
-    if base_words is not None:
-        witness["bounding_words"] = list(base_words)
+    if words is not None:
+        witness["bounding_words"] = ["".join(w) for w in words]
     return witness
 
 

@@ -79,8 +79,6 @@ def cmd_check(args) -> int:
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)
-    if args.words is not None:
-        check_bounding_words(wa, args.words)
     mode = args.mode
     report = {"s": args.src, "sPrime": args.dst, "warnings": warnings}
     letters = ambiguity = None
@@ -98,6 +96,10 @@ def cmd_check(args) -> int:
                 "(supply --words for a general bound)"
             )
     report["decider"] = mode
+    if args.words is not None and mode in ("unary", "unambiguous"):
+        # the bounded decider splits its words itself; the others read none,
+        # but a bad word is still an input error
+        check_bounding_words(wa, args.words)
     if mode == "unary":
         fn = decide_unary_eventual if args.eventually else decide_unary
         v = fn(q)

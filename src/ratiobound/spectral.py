@@ -177,6 +177,19 @@ def rank_radii(radii) -> tuple[tuple, tuple]:
     return tuple(kept[i] for i in order), tuple(rank[i] for i in at)
 
 
+def step_signature(sig: tuple, same_component: bool, r2: int) -> tuple:
+    """The growth signature (radius index, count) after a step into a state
+    whose component has radius index `r2`: a step inside one component, or
+    into a smaller radius, keeps it; an equal radius in a new component
+    counts one more; a larger radius starts over at count 0."""
+    ri, k = sig
+    if same_component or r2 < ri:
+        return sig
+    if r2 == ri:
+        return (ri, k + 1)
+    return (r2, 0)
+
+
 @dataclass(frozen=True)
 class AnnotatedAutomaton:
     """Reachable (state, radius index, count) triples of a unary automaton,
@@ -231,13 +244,8 @@ def annotate(
         q, ri, k = node
         qi = wa.index(q)
         for vj, _ in rows[qi]:
-            r2 = rank[dag.scc_of[vj]]
-            if dag.scc_of[qi] == dag.scc_of[vj] or r2 < ri:
-                yield None, (wa.states[vj], ri, k)
-            elif r2 == ri:
-                yield None, (wa.states[vj], ri, k + 1)
-            else:
-                yield None, (wa.states[vj], r2, 0)
+            same = dag.scc_of[qi] == dag.scc_of[vj]
+            yield None, (wa.states[vj], *step_signature((ri, k), same, rank[dag.scc_of[vj]]))
 
     start = (s, rank[dag.scc_of[wa.index(s)]], 0)
     states, edges = explore([start], succ)

@@ -2,12 +2,17 @@
 tracer names a module attribute that exists, so a renamed or inlined layer
 fails here instead of dropping out of a traced run; and the deciders answer
 every labelled `bounded` query as its closed-form label says, so a faster
-layer that changes a verdict fails here too."""
+layer that changes a verdict fails here too; and the seed-1 reports of both
+workloads keep their pinned digests."""
 
+import hashlib
 import importlib
 import importlib.util
 import os
+import signal
 import sys
+
+import pytest
 
 import helpers
 from ratiobound import Query, decide_bounded
@@ -157,3 +162,34 @@ def test_unary_queries_rank_each_radius_once(monkeypatch, tmp_path, capsys):
         assert main(q.argv[:1] + ["--file", str(path)] + q.argv[1:]) in (0, 1)
     capsys.readouterr()
     assert 0 < len(calls) <= 320
+
+
+# run digests of the seed-1 passes, as `bench/run.py` prints them
+SEED_1_DIGESTS = {
+    "bounded": "1f44e644d4527ef10165aa151a336de28cf3cbeed8b0fc1412a6a20f7f93718a",
+    "unary-oracle": "dee3a3082190004e898000795eebcc258e875a2cf3a9460b97bfc877e08e1077",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_1_DIGESTS))
+def test_seed_1_report_digests(tmp_path, workload):
+    """Every seed-1 query of both workloads, run and checked as the bench
+    runs and checks it, gives the same reports: the run digest over them
+    is pinned, so a change to any report, verdict or witness fails here."""
+    from ratiobound import cli
+
+    run, workloads = _load("run"), _load("workloads")
+    digests = []
+    previous = signal.signal(signal.SIGALRM, run._on_alarm)
+    try:
+        for i, q in enumerate(workloads.build(workload, 1, helpers)):
+            path = tmp_path / f"{i:03d}.json"
+            path.write_text(q.document, encoding="utf-8")
+            q.argv = q.argv[:1] + ["--file", str(path)] + q.argv[1:]
+            _, code, text, problem = run.call(cli, q, workloads.CAPS[workload])
+            report, reason = run.verify(q, code, text, problem)
+            assert reason is None, (q.name, reason)
+            digests.append(run.digest(report, reason))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SEED_1_DIGESTS[workload]

@@ -29,7 +29,7 @@ from ratiobound import (
     weight_blocks,
 )
 from ratiobound.algebraic import AlgebraicNumber, compare
-from ratiobound.automata import Nfa, trim
+from ratiobound.automata import Nfa, explore, trim
 from ratiobound.bounded import (
     DELTA,
     ZERO,
@@ -209,9 +209,9 @@ def test_bounded_to_letter_overlapping_decompositions():
 def test_bounded_to_letter_input_errors():
     wa = unbounded_ratio()
     with pytest.raises(InputError):
-        bounded_to_letter_bounded(wa, [])
+        bounded_to_letter_bounded(wa, check_bounding_words(wa, []))
     with pytest.raises(InputError):
-        bounded_to_letter_bounded(wa, ["ab"])  # b not in alphabet
+        bounded_to_letter_bounded(wa, check_bounding_words(wa, ["ab"]))  # b not in alphabet
 
 
 def test_bounding_words_split_into_symbols():
@@ -220,7 +220,7 @@ def test_bounding_words_split_into_symbols():
     product of their matrices; the witness keeps the words as given."""
     wa = two_symbol_chain()
     assert check_bounding_words(wa, ["x1x2", "x2"]) == [("x1", "x2"), ("x2",)]
-    lb = bounded_to_letter_bounded(wa, ["x1x2", "x1", "x2"])
+    lb = bounded_to_letter_bounded(wa, check_bounding_words(wa, ["x1x2", "x1", "x2"]))
     for n in product(range(3), repeat=3):
         word = ["x1", "x2"] * n[0] + ["x1"] * n[1] + ["x2"] * n[2]
         got = weight_blocks(lb, "s", list(zip(lb.alphabet, n)))
@@ -452,7 +452,7 @@ def test_detector_relative_orderings_realized():
     assert match is not None
     x_sig, y_sigs = match
     assert y_sigs, "realized degree set should be nonempty"
-    det = detector_nfa(analysis, x_sig, y_sigs)
+    det = detector_nfa(analysis, realized[match])
     # the detector accepts the a a b b region
     assert det.accepts([pq.letters[0]] * 2 + [pq.letters[1]] * 2)
     assert det.accepts([pq.letters[0]] * 3 + [pq.letters[1]] * 4)
@@ -467,8 +467,8 @@ def test_detector_membership_matches_brute_force():
         pq = [x for x in subs if x.source_letters == ("a", "b")][0]
         analysis = plus_analysis(pq)
         realized = realized_candidates(analysis)
-        for (x_sig, y_sigs) in realized:
-            det = detector_nfa(analysis, x_sig, y_sigs)
+        for (x_sig, y_sigs), finals in realized.items():
+            det = detector_nfa(analysis, finals)
             for n1 in range(1, 5):
                 for n2 in range(1, 5):
                     word = [pq.letters[0]] * n1 + [pq.letters[1]] * n2
@@ -508,6 +508,17 @@ def test_parikh_spec_examples():
     assert parikh_linear_sets(two, ("a", "b")) == [LinearSet((1, 2), (2, 3))]
 
 
+def _subset_dfa(n: Nfa) -> Nfa:
+    """The subset construction of `n`, its states numbered in discovery
+    order; the empty subset is left out."""
+    subsets, edges = explore(
+        [frozenset([n.start])],
+        lambda sub: ((a, t) for a in n.alphabet if (t := n.step(sub, a))),
+    )
+    finals = frozenset(i for i, sub in enumerate(subsets) if sub & n.finals)
+    return Nfa(tuple(range(len(subsets))), n.alphabet, frozenset(edges), 0, finals)
+
+
 def test_parikh_union_matches_enumeration():
     rng = random.Random(331)
     for _ in range(5):
@@ -517,7 +528,7 @@ def test_parikh_union_matches_enumeration():
         from ratiobound import nfa_of
 
         n = nfa_of(pq.automaton, pq.s)
-        sets = parikh_linear_sets(n, pq.letters)
+        sets = parikh_linear_sets(_subset_dfa(n), pq.letters)
         members = set()
         for ls in sets:
             for lam in product(range(9), repeat=len(ls.base)):
@@ -530,10 +541,45 @@ def test_parikh_union_matches_enumeration():
                 assert ((n1, n2) in members) == n.accepts(word)
 
 
+def test_parikh_rejects_a_nondeterministic_automaton():
+    trans = frozenset({("S", "a", "A"), ("S", "a", "B")})
+    n = Nfa(("S", "A", "B"), ("a",), trans, "S", frozenset({"A"}))
+    with pytest.raises(InputError, match="deterministic"):
+        parikh_linear_sets(n, ("a",))
+    assert parikh_linear_sets(_subset_dfa(n), ("a",)) == [LinearSet((1,), (0,))]
+
+
+def test_parikh_sets_of_random_detectors_match_membership():
+    """On the detectors of seeded letter-bounded queries, in both directions
+    and for every plus-subquery, the block vectors with all counts 1..6 that
+    some linear set holds are exactly those the detector accepts."""
+    rng = random.Random(331)
+    checks = 0
+    for _ in range(40):
+        wa = random_block_wa(rng, per=2)
+        for s, sp in (("L0_0", "L0_1"), ("L0_1", "L0_0")):
+            for pq in letter_bounded_to_plus(wa, s, sp, ("a", "b")):
+                m = len(pq.letters)
+                analysis = plus_analysis(pq)
+                for finals in realized_candidates(analysis).values():
+                    det = detector_nfa(analysis, finals)
+                    members = {
+                        vec
+                        for ls in parikh_linear_sets(det, pq.letters)
+                        for lam in product(range(7), repeat=m)
+                        if max(vec := ls.member(lam)) <= 6
+                    }
+                    for vec in product(range(1, 7), repeat=m):
+                        word = [b for b, k in zip(pq.letters, vec) for _ in range(k)]
+                        assert (vec in members) == det.accepts(word), (pq.source_letters, vec)
+                        checks += 1
+    assert checks == 2448
+
+
 def test_parikh_round_trip_with_detector():
     pq, analysis = analysis_ab()
-    for (x_sig, y_sigs) in realized_candidates(analysis):
-        det = detector_nfa(analysis, x_sig, y_sigs)
+    for finals in realized_candidates(analysis).values():
+        det = detector_nfa(analysis, finals)
         sets = parikh_linear_sets(det, pq.letters)
         for ls in sets:
             for lam in product(range(4), repeat=len(ls.base)):
@@ -934,6 +980,21 @@ def test_witness_without_increasing_run_is_unknown(monkeypatch, tmp_path, capsys
     assert main(argv + ["--emit-smt", str(smt)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert len(report["smtFiles"]) == len(os.listdir(smt)) == len(res.unknown_formulas)
+
+
+def test_plus_analysis_caps_the_product_of_the_monitors():
+    """Draw 188 of these has an (a, b) sub-question whose monitors have 4
+    and 6 states and whose product has 7: the cap holds the product too."""
+    rng = random.Random(5)
+    for _ in range(189):
+        wa = random_block_wa(rng, per=2)
+    subs = letter_bounded_to_plus(wa, "L0_0", "L0_1", ("a", "b"))
+    (pq,) = [s for s in subs if s.source_letters == ("a", "b")]
+    analysis = plus_analysis(pq, cap=7)
+    sizes = len(analysis.det_s.states), len(analysis.det_p.states), len(analysis.product_states)
+    assert sizes == (4, 6, 7)
+    with pytest.raises(ResourceError):
+        plus_analysis(pq, cap=6)
 
 
 def test_plus_analysis_monitor_cap():

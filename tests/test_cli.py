@@ -555,6 +555,35 @@ def test_check_rejects_bad_words_in_every_mode(capsys, mode):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "mode, name, words",
+    [
+        ("bounded", "relative_orderings_p62.json", ["a", "b"]),
+        ("unambiguous", "unbounded_ratio.json", ["a"]),
+    ],
+)
+def test_check_splits_bounding_words_once(monkeypatch, capsys, mode, name, words):
+    """The bounded decider splits `--words` itself and passes the split words
+    down; for the other deciders the front end checks them.  Either way
+    they are split once per query."""
+    import ratiobound.bounded
+    import ratiobound.cli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    split = ratiobound.bounded.check_bounding_words
+    monkeypatch.setattr(ratiobound.bounded, "check_bounding_words", counting)
+    monkeypatch.setattr(ratiobound.cli, "check_bounding_words", counting)
+    argv = ["check", "--file", data_file(name), "--from", "s", "--to", "s'", "--mode", mode]
+    assert main(argv + ["--words", *words]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_check_rejects_words_that_miss_the_language(tmp_path, capsys):
     """`--words a` does not bound L(s), which holds b^n a as well, so the
     bounded decider refuses it instead of answering for a^n alone."""

@@ -16,11 +16,13 @@ from ratiobound import (
     scc_decompose_unary,
 )
 from ratiobound.algebraic import compare, AlgebraicNumber, spectral_radius_of_matrix
+from ratiobound.bounded import DELTA, ZERO
 from ratiobound.samples import different_rates, unbounded_ratio
 from ratiobound.spectral import (
     copy_start_off_cycles,
     rank_radii,
     scc_debug_dump,
+    step_signature,
 )
 
 from helpers import (
@@ -156,6 +158,22 @@ def test_annotate_admissible_bound_and_determinism():
         a2 = annotate(wa, fresh)
         assert a1.states == a2.states and a1.transitions == a2.transitions
         assert len(a1.admissible()) <= wa.n * wa.n
+
+
+def test_step_signature():
+    """Inside one component, or into a smaller radius, the signature stays;
+    an equal radius in a new component counts once more; a larger radius
+    starts over.  A monitor enters a zero-radius state at (DELTA, 0); such a
+    state is alone in its component and every radius index but ZERO exceeds
+    DELTA, so the same rule gives what a special case for (DELTA, 0) gave:
+    it stays on a step to radius 0 and yields to a positive one."""
+    assert step_signature((3, 1), True, 5) == (3, 1)
+    assert step_signature((3, 1), False, 2) == (3, 1)
+    assert step_signature((3, 1), False, 3) == (3, 2)
+    assert step_signature((3, 1), False, 5) == (5, 0)
+    for r2 in (ZERO, 2, 3, 4):
+        want = (DELTA, 0) if r2 == ZERO else (r2, 0)
+        assert step_signature((DELTA, 0), False, r2) == want
 
 
 def test_degree_language_minimum_threshold_is_support():
