@@ -43,7 +43,7 @@ from .realexp import (
     lcm_den,
     semi_decide,
 )
-from .spectral import rank_radii, scc_decompose, step_signature
+from .spectral import rank_radii, scc_decompose, step_signature, strong_components
 
 MONITOR_CAP = 20000
 LINEAR_SET_CAP = 10000
@@ -106,72 +106,60 @@ class DeltaTuple:
 def detect_letter_bounded(wa: WeightedAutomaton, s: str):
     """A letter sequence whose starred blocks cover L_s, or None.
 
-    Structure: in the trimmed support NFA every cycle must be single-letter;
-    the sequence interleaves SCC loop letters with cross-edge letters in
-    topological order, then the containment is verified directly, by
+    Structure: in the trimmed support NFA every cycle must be single-letter.
+    Each live transition is classified once, as its component's loop letter
+    or as a letter entering another component along a DAG edge.  The
+    sequence interleaves entering and loop letters in topological order of
+    the SCC DAG, then the containment is verified directly, by
     `_in_letter_bound` over successor lists built once.
     """
     n = nfa_of(wa, s)
     live = trim({n.start}, n.finals, n.transitions)
     if not live or not (live & n.finals):
         return ()
-    trans = sorted((p, a, q2) for (p, a, q2) in n.transitions if p in live and q2 in live)
     order = sorted(live)
     idx = {q: i for i, q in enumerate(order)}
     steps: dict = {q: [] for q in order}
-    for p, a, q2 in trans:
-        steps[p].append((a, q2))
-    succ = [[idx[q2] for _, q2 in steps[q]] for q in order]
-    finals = live & n.finals
-
-    from .spectral import _tarjan
-
-    comps = _tarjan(len(order), succ.__getitem__)
-    scc_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            scc_of[order[v]] = ci
-    loop_letter = {}
-    for ci, comp in enumerate(comps):
-        letters = {
-            a
-            for (p, a, q2) in trans
-            if scc_of[p] == ci and scc_of[q2] == ci
-        }
-        if len(letters) > 1:
-            return None
-        loop_letter[ci] = letters.pop() if letters else None
-    incoming: dict = {ci: set() for ci in range(len(comps))}
-    dag_edges = set()
-    for (p, a, q2) in trans:
-        if scc_of[p] != scc_of[q2]:
-            incoming[scc_of[q2]].add(a)
-            dag_edges.add((scc_of[p], scc_of[q2]))
-    # topological order, greedily continuing the current letter so parallel
-    # same-letter branches share blocks
-    indeg = {ci: 0 for ci in range(len(comps))}
-    for (u, v) in dag_edges:
-        indeg[v] += 1
-    ready = [ci for ci in range(len(comps)) if indeg[ci] == 0]
-    topo = []
+    for p, a, q2 in sorted(n.transitions):
+        if p in live and q2 in live:
+            steps[p].append((a, q2))
+    comps, scc_of = strong_components([[idx[q2] for _, q2 in steps[q]] for q in order])
+    loop: list = [None] * len(comps)  # the letter of a component's cycles
+    incoming: list = [set() for _ in comps]  # letters entering a component
+    after: list = [set() for _ in comps]  # DAG successors
+    for p, pairs in steps.items():
+        cp = scc_of[idx[p]]
+        for a, q2 in pairs:
+            cq = scc_of[idx[q2]]
+            if cp != cq:
+                incoming[cq].add(a)
+                after[cp].add(cq)
+            elif loop[cp] in (None, a):
+                loop[cp] = a
+            else:
+                return None
+    indeg = [0] * len(comps)
+    for succs in after:
+        for c in succs:
+            indeg[c] += 1
+    ready = [c for c in range(len(comps)) if not indeg[c]]
+    seq: list = []
     last = None
     while ready:
-        ready.sort(key=lambda ci: (loop_letter[ci] != last, str(loop_letter[ci]), ci))
-        ci = ready.pop(0)
-        topo.append(ci)
-        if loop_letter[ci] is not None:
-            last = loop_letter[ci]
-        for (u, v) in sorted(dag_edges):
-            if u == ci:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-    seq: list = []
-    for ci in topo:
-        seq.extend(sorted(incoming[ci]))
-        if loop_letter[ci] is not None:
-            seq.append(loop_letter[ci])
+        # continue the current letter so parallel same-letter branches share
+        # blocks
+        c = min(ready, key=lambda c: (loop[c] != last, str(loop[c]), c))
+        ready.remove(c)
+        seq += sorted(incoming[c])
+        if loop[c] is not None:
+            seq.append(loop[c])
+            last = loop[c]
+        for c2 in after[c]:
+            indeg[c2] -= 1
+            if not indeg[c2]:
+                ready.append(c2)
     collapsed = _collapse(seq)
+    finals = live & n.finals
     if not _in_letter_bound(n.start, steps, finals, collapsed):
         return None
     # greedy minimization: drop blocks while containment still verifies.
@@ -437,20 +425,13 @@ class MonitorDfa:
 
 
 def _maximal(signatures):
+    """The signatures that no other one bounds coordinate-wise, sorted."""
     sigs = sorted(signatures)
-    out = []
-    for v in sigs:
-        if not any(_vec_lt(v, w) for w in sigs if w != v):
-            out.append(v)
-    return tuple(out)
-
-
-def _vec_le(v, w):
-    return all(a <= b for a, b in zip(v, w))
-
-
-def _vec_lt(v, w):
-    return _vec_le(v, w) and v != w
+    return tuple(
+        v
+        for v in sigs
+        if not any(w != v and all(a <= b for a, b in zip(v, w)) for w in sigs)
+    )
 
 
 def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
@@ -707,42 +688,25 @@ class Candidate:
     decision: SemiDecision
 
 
-@dataclass(frozen=True)
-class PlusVerdict:
-    verdict: str  # is-big-o | not-big-o | unknown
-    holding: Optional[Candidate] = None
-    unknowns: tuple = ()
-    candidates: tuple = ()  # every decided Candidate, in decision order
-
-
-def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> PlusVerdict:
-    """Semi-decide all realized candidates of one plus-bounded sub-question.
-
-    Candidate order is deterministic; any certified divergence wins, then
-    any unknown, and boundedness needs every candidate refuted.
-    """
+def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
+    """Every realized candidate of one plus-bounded sub-question, emitted and
+    semi-decided in a deterministic order.  A `holds` candidate is a
+    divergence, an `unknown` one leaves the sub-question open, and
+    boundedness needs every candidate to fail."""
     analysis = plus_analysis(pq)
-    letters = analysis.query.letters
-    formulas = []
+    letters = pq.letters
+    decided = []
     for (x_sig, y_sigs), finals in sorted(realized_candidates(analysis).items()):
         det = detector_nfa(analysis, finals)
         for lin in parikh_linear_sets(det, letters):
             pos = [i for i in range(len(letters)) if lin.periods[i] > 0]
             for mask in range(2 ** len(pos)):
                 u_set = tuple(pos[i] for i in range(len(pos)) if mask >> i & 1)
-                formula = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
-                formulas.append((x_sig, y_sigs, lin, u_set, formula))
-    decided = tuple(
-        Candidate(x_sig, y_sigs, lin, u_set, f, semi_decide(f, start_bits=start_bits))
-        for (x_sig, y_sigs, lin, u_set, f) in formulas
-    )
-    unknowns = tuple(c for c in decided if c.decision.verdict == UNKNOWN)
-    for cand in decided:
-        if cand.decision.verdict == HOLDS:
-            return PlusVerdict("not-big-o", cand, unknowns, decided)
-    if unknowns:
-        return PlusVerdict("unknown", None, unknowns, decided)
-    return PlusVerdict("is-big-o", None, (), decided)
+                f = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
+                decided.append(
+                    Candidate(x_sig, y_sigs, lin, u_set, f, semi_decide(f, start_bits=start_bits))
+                )
+    return tuple(decided)
 
 
 @dataclass(frozen=True)
@@ -796,21 +760,17 @@ def decide_bounded(
         return BoundedResult("is-big-o", subqueries=0)
     subqueries = letter_bounded_to_plus(wa, s, sp, letters)
     unknowns: list = []
-    holding = None
-    holding_pq = None
     for pq in subqueries:
-        pv = decide_plus(pq, start_bits=start_bits)
-        if pv.verdict == "not-big-o":
-            holding = pv.holding
-            holding_pq = pq
+        decided = decide_plus(pq, start_bits=start_bits)
+        holding = next((c for c in decided if c.decision.verdict == HOLDS), None)
+        if holding is not None:
+            witness = _divergence_witness(pq, holding, words)
+            if witness is not None:
+                return BoundedResult("not-big-o", witness=witness, subqueries=len(subqueries))
+            # no exactly increasing ratio run: the divergence stays uncertified
+            unknowns.append(holding)
             break
-        unknowns.extend(pv.unknowns)
-    if holding is not None:
-        witness = _divergence_witness(holding_pq, holding, words)
-        if witness is not None:
-            return BoundedResult("not-big-o", witness=witness, subqueries=len(subqueries))
-        # no exactly increasing ratio run: the divergence stays uncertified
-        unknowns.append(holding)
+        unknowns += [c for c in decided if c.decision.verdict == UNKNOWN]
     if unknowns:
         return BoundedResult(
             "unknown",

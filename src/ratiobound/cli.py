@@ -42,6 +42,7 @@ from .reductions import (
     to_big_theta,
     value1_to_bigo,
 )
+from .spectral import scc_debug_dump
 from .unambiguous import decide_unambiguous, is_unambiguous_from
 from .unary import decide_unary, decide_unary_eventual
 
@@ -123,7 +124,7 @@ def cmd_check(args) -> int:
                 "cycle": [list(e) for e in v.cycle] if v.cycle else None,
                 "cycleRatio": format_weight(v.cycle_ratio) if v.cycle_ratio else None,
             }
-    elif mode == "bounded":
+    else:
         v = decide_bounded(q, args.words, letters, start_bits=args.precision_bits)
         report["verdict"] = v.verdict
         report["subqueries"] = v.subqueries
@@ -142,8 +143,6 @@ def cmd_check(args) -> int:
                     fh.write(formula.to_smt2())
                 paths.append(path)
             report["smtFiles"] = paths
-    else:
-        raise InputError(f"unknown mode {mode!r}")
     _emit(report, args.human)
     return _verdict_exit(report["verdict"])
 
@@ -165,8 +164,6 @@ def cmd_classify(args) -> int:
     if args.dst:
         report["unambiguousFromSPrime"] = bool(is_unambiguous_from(wa, args.dst))
     if args.spectral and wa.is_unary():
-        from .spectral import scc_debug_dump
-
         report["spectral"] = scc_debug_dump(wa, args.src)
     _emit(report, args.human)
     return 0
@@ -202,7 +199,10 @@ def cmd_reduce(args) -> int:
         out = from_big_theta(Query(wa, args.src, args.dst), letter=args.letter)
         doc = serialize(out.automaton, {"query": {"s": out.s, "sPrime": out.s_prime}})
     elif kind == "eventual":
-        delta = Fraction(args.delta) if args.delta else None
+        try:
+            delta = Fraction(args.delta) if args.delta else None
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"--delta {args.delta!r} is not a rational number") from None
         out = complete_for_eventual(wa, args.src, args.dst, delta=delta)
         doc = serialize(
             out.automaton,
@@ -221,7 +221,7 @@ def cmd_reduce(args) -> int:
                 "note": "value-1 holds iff s is NOT big-O of sPrime",
             },
         )
-    elif kind == "from-value1":
+    else:
         out = bigo_to_value1(Query(wa, args.src, args.dst))
         doc = serialize(
             out.underlying,
@@ -230,8 +230,6 @@ def cmd_reduce(args) -> int:
                 "note": "value-1 holds iff s was NOT big-O of sPrime",
             },
         )
-    else:
-        raise InputError(f"unknown reduction {kind!r}")
     sys.stdout.write(doc)
     return 0
 
@@ -254,14 +252,20 @@ def cmd_generate(args) -> int:
                 },
             },
         )
-    elif args.kind == "hardness":
+    else:
         with open(args.file, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        cnf = ChrobakNf(
-            tuple(bool(b) for b in spec["stem"]),
-            tuple((int(l), frozenset(int(o) for o in offs)) for l, offs in spec["cycles"]),
-        )
-        inst = gen_hardness(cnf)
+            try:
+                spec = json.load(fh)
+                stem = tuple(bool(b) for b in spec["stem"])
+                cycles = tuple(
+                    (int(l), frozenset(int(o) for o in offs)) for l, offs in spec["cycles"]
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(
+                    'a Chrobak spec is {"stem": [flags], "cycles": [[length, [offsets]]]}: '
+                    f"{type(exc).__name__} {exc}"
+                ) from None
+        inst = gen_hardness(ChrobakNf(stem, cycles))
         doc = serialize(
             inst.lmc.underlying,
             {
@@ -270,8 +274,6 @@ def cmd_generate(args) -> int:
                 "universal": inst.universal,
             },
         )
-    else:
-        raise InputError(f"unknown generator {args.kind!r}")
     sys.stdout.write(doc)
     return 0
 
@@ -290,7 +292,7 @@ def cmd_export_formula(args) -> int:
     index = []
     lc = lc_check(q)
     for pq in letter_bounded_to_plus(wa, args.src, args.dst, letters):
-        for cand in decide_plus(pq).candidates:
+        for cand in decide_plus(pq):
             verdict = cand.decision.verdict
             path = os.path.join(args.out, f"candidate_{len(index):04d}.smt2")
             with open(path, "w", encoding="utf-8") as fh:
@@ -308,11 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, query=True):
+    def common(p):
         p.add_argument("--file", required=True, help="automaton JSON document")
-        if query:
-            p.add_argument("--from", dest="src", required=True, help="first state")
-            p.add_argument("--to", dest="dst", required=True, help="second state")
+        p.add_argument("--from", dest="src", required=True, help="first state")
+        p.add_argument("--to", dest="dst", required=True, help="second state")
         p.add_argument("--human", action="store_true", help="text output")
 
     p = sub.add_parser("check", help="decide whether s is big-O of s'")
@@ -380,7 +381,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare
@@ -345,11 +346,9 @@ def _pure_log_case(formula: RealExpFormula, bits: int) -> SemiDecision:
 
 
 def lcm_den(vals) -> int:
-    from math import lcm as _lcm
-
     out = 1
     for v in vals:
-        out = _lcm(out, Fraction(v).denominator)
+        out = lcm(out, Fraction(v).denominator)
     return out
 
 

@@ -18,6 +18,7 @@ from .automata import (
     fresh_state,
     normalize_single_final,
     trim,
+    validate_lmc,
 )
 from .nfaops import ChrobakNf
 
@@ -349,8 +350,6 @@ def bigo_to_value1(q: Query) -> ProbAutomaton:
     long words vanishes.
     """
     wa = q.automaton
-    from .automata import validate_lmc
-
     report = validate_lmc(wa)
     if not report:
         raise InputError(f"value-1 reduction expects an LMC: {report.reason}")

@@ -17,6 +17,7 @@ from .automata import (
     WeightedAutomaton,
     explore,
     fresh_state,
+    normalize_single_final,
 )
 
 
@@ -34,18 +35,23 @@ class SccDag:
     edges: frozenset  # of (scc index, scc index), positive cross transitions
 
 
-def _tarjan(n: int, succ) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as lists of vertex indices."""
+def strong_components(succ) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the digraph whose vertex v has the
+    successors `succ[v]`, by iterative Tarjan in linear time: the components
+    as lists of vertices, in reverse topological order, and each vertex's
+    component index."""
+    n = len(succ)
     index = [None] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
+    scc_of = [0] * n
     counter = 0
     for root in range(n):
         if index[root] is not None:
             continue
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -59,7 +65,7 @@ def _tarjan(n: int, succ) -> list[list[int]]:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(succ(w))))
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
                 elif on_stack[w]:
@@ -75,11 +81,12 @@ def _tarjan(n: int, succ) -> list[list[int]]:
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
+                    scc_of[w] = len(sccs)
                     comp.append(w)
                     if w == v:
                         break
                 sccs.append(comp)
-    return sccs
+    return sccs, scc_of
 
 
 def _scc_period(members: list[int], succ) -> int:
@@ -112,15 +119,13 @@ def scc_decompose(letter) -> SccDag:
     d, rows = letter
     n = len(rows)
     succ = [[j for j, _ in row] for row in rows]
-    comps = _tarjan(n, succ.__getitem__)
-    scc_of = [0] * n
+    comps, scc_of = strong_components(succ)
     infos = []
     zero = Fraction(0)
-    for ci, comp in enumerate(comps):
+    for comp in comps:
         pos = {v: k for k, v in enumerate(comp)}
         sub = []
         for u in comp:
-            scc_of[u] = ci
             cells = [zero] * len(comp)
             for j, x in rows[u]:
                 if j in pos:
@@ -303,7 +308,7 @@ def scc_debug_dump(wa: WeightedAutomaton, s: Optional[str] = None) -> dict:
         "sccs": [
             {
                 "members": sorted(wa.states[i] for i in info.members),
-                "radius": _radius_json(info.radius),
+                "radius": radius_json(info.radius),
                 "period": info.period,
             }
             for info in dag.sccs
@@ -311,19 +316,19 @@ def scc_debug_dump(wa: WeightedAutomaton, s: Optional[str] = None) -> dict:
         "edges": sorted([a, b] for (a, b) in dag.edges),
     }
     if s is not None:
-        from .automata import normalize_single_final
-
         nwa = normalize_single_final(wa)
         nwa, fresh = copy_start_off_cycles(nwa, s)
         ann = annotate(nwa, fresh)
         out["admissible"] = [
-            {"radius": _radius_json(ann.table[ri]), "k": k}
+            {"radius": radius_json(ann.table[ri]), "k": k}
             for (ri, k) in ann.admissible()
         ]
     return out
 
 
-def _radius_json(r: AlgebraicNumber) -> dict:
+def radius_json(r: AlgebraicNumber) -> dict:
+    """JSON-ready radius: its polynomial, an enclosing interval of width at
+    most 1e-12, and a float."""
     refined = r.refined(Fraction(1, 10**12))
     return {
         "poly": list(r.poly),

@@ -5,7 +5,6 @@ languages are eventually included."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .automata import (
@@ -13,13 +12,16 @@ from .automata import (
     Query,
     WeightedAutomaton,
     fresh_state,
+    nfa_of,
     normalize_single_final,
 )
 from .nfaops import EventualInclusion, eventually_included, lc_check
+from .reductions import complete_for_eventual
 from .spectral import (
     annotate,
     copy_start_off_cycles,
     degree_language,
+    radius_json,
     rank_radii,
     scc_decompose,
 )
@@ -71,17 +73,11 @@ def decide_unary(q: Query) -> UnaryVerdict:
         ei: EventualInclusion = eventually_included(left, right)
         if not ei:
             ri, k = x
-            radius = ann_s.table[ri]
-            refined = radius.refined(Fraction(1, 10**12))
+            radius = radius_json(ann_s.table[ri])
             return UnaryVerdict(
                 False,
                 "degree",
-                threshold={
-                    "radius_poly": list(radius.poly),
-                    "radius_interval": [str(refined.lo), str(refined.hi)],
-                    "radius_approx": radius.to_float(),
-                    "k": k,
-                },
+                threshold={**{f"radius_{key}": v for key, v in radius.items()}, "k": k},
                 witness_length=ei.witness_length,
                 smallest_witness=ei.smallest_witness,
                 progression_period=ei.period,
@@ -97,10 +93,6 @@ def decide_unary_eventual(q: Query) -> UnaryVerdict:
     second state.  A fresh one-step prefix state keeps the empty word out of
     the containment check, which the completion cannot repair.
     """
-    from .nfaops import eventually_included as ev_incl
-    from .automata import nfa_of
-    from .reductions import complete_for_eventual
-
     if not q.automaton.is_unary():
         raise InputError("decide_unary_eventual requires a unary automaton")
     if q.s == q.s_prime:
@@ -109,7 +101,7 @@ def decide_unary_eventual(q: Query) -> UnaryVerdict:
     shifted = Query(wa, s_hat[0], s_hat[1])
     n1 = nfa_of(shifted.automaton, shifted.s)
     n2 = nfa_of(shifted.automaton, shifted.s_prime)
-    diff = ev_incl(n1, n2)
+    diff = eventually_included(n1, n2)
     if not diff:
         return UnaryVerdict(
             False,

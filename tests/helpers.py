@@ -195,10 +195,10 @@ def dense_scc_decompose(m: Matrix):
     from math import gcd
 
     from ratiobound.algebraic import spectral_radius_of_matrix
-    from ratiobound.spectral import SccDag, SccInfo, _tarjan
+    from ratiobound.spectral import SccDag, SccInfo, strong_components
 
     n = len(m)
-    comps = _tarjan(n, lambda u: [v for v in range(n) if m[u][v] > 0])
+    comps, _ = strong_components([[v for v in range(n) if m[u][v] > 0] for u in range(n)])
     scc_of = [0] * n
     infos = []
     for ci, comp in enumerate(comps):

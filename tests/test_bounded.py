@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -99,6 +100,37 @@ def test_detect_aba_shape():
         ["t"],
     )
     assert detect_letter_bounded(wa, "p") == ("a", "b", "a")
+
+
+def test_detect_letter_bounded_pinned_draws():
+    """Detection on 20,000 random automata (1-3 letters, 1-7 states, edge
+    density 0.1, 0.2 or 0.35, weights 1/2, finals with probability 0.4,
+    a random query state) returns the recorded results: a digest over the
+    `repr` of each, one per line, so that a rewrite of the detector keeps
+    every letter sequence, its order and every None."""
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    shapes = Counter()
+    for _ in range(20000):
+        k, n, density = rng.randint(1, 3), rng.randint(1, 7), rng.choice((0.1, 0.2, 0.35))
+        letters = "abc"[:k]
+        states = [f"q{i}" for i in range(n)]
+        trans = [
+            (q, a, F(1, 2), q2)
+            for q in states
+            for a in letters
+            for q2 in states
+            if rng.random() < density
+        ]
+        finals = [q for q in states if rng.random() < 0.4] or [states[-1]]
+        wa = WeightedAutomaton.from_transitions(states, letters, trans, finals)
+        got = detect_letter_bounded(wa, rng.choice(states))
+        shapes[got if not got else "letters"] += 1
+        digest.update(repr(got).encode() + b"\n")
+    assert shapes == {(): 8220, None: 6730, "letters": 5050}
+    assert digest.hexdigest() == (
+        "b4e1d5baf59afc305dfaabb8e6e16b7f6355ae126858c533f6990ca698c9e9d8"
+    )
 
 
 def test_letter_bound_search_matches_containment():
@@ -316,10 +348,9 @@ def _padded(wa, pq):
 
 
 def _plus_outcome(pq):
-    pv = decide_plus(pq)
-    return pv.verdict, [
+    return [
         (c.x_sig, c.y_sigs, c.lin, c.u_set, c.formula.to_smt2(), c.decision.verdict)
-        for c in pv.candidates
+        for c in decide_plus(pq)
     ]
 
 

@@ -257,6 +257,43 @@ def test_malformed_json_is_format_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_os_errors_are_input_errors(tmp_path, capsys):
+    """A path the command cannot read or write exits 64, not with a
+    traceback and the not-big-o code 1."""
+    assert main(["check", "--file", str(tmp_path), "--from", "s", "--to", "s'"]) == 64
+    assert "input error" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    f = data_file("relative_orderings_p62.json")
+    argv = ["export-formula", "--file", f, "--from", "s", "--to", "s'", "--out", str(taken)]
+    assert main(argv) == 64
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["abc", "1/0"])
+def test_reduce_eventual_malformed_delta_exits_64(capsys, delta):
+    f = data_file("unbounded_ratio.json")
+    argv = ["reduce", "eventual", "--file", f, "--from", "s", "--to", "s'", "--delta", delta]
+    assert main(argv) == 64
+    assert repr(delta) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "{not json",
+        json.dumps({"stem": [True]}),
+        json.dumps({"stem": [True], "cycles": [["x", [0]]]}),
+    ],
+    ids=["not-json", "no-cycles", "non-integer-length"],
+)
+def test_generate_hardness_malformed_spec_is_format_error(tmp_path, capsys, spec):
+    path = tmp_path / "cnf.json"
+    path.write_text(spec, encoding="utf-8")
+    assert main(["generate", "hardness", "--file", str(path)]) == 65
+    assert "format error" in capsys.readouterr().err
+
+
 def test_oracle_report(capsys):
     f = data_file("relative_orderings_p62.json")
     assert main(["oracle", "--file", f, "--from", "s", "--to", "s'", "--max-len", "8"]) == 0
@@ -352,7 +389,7 @@ def test_export_formula(tmp_path, capsys, monkeypatch):
     expected = [
         cand.decision.verdict
         for pq in letter_bounded_to_plus(wa, "s", "s'", detect_letter_bounded(wa, "s'"))
-        for cand in decide_plus(pq).candidates
+        for cand in decide_plus(pq)
     ]
     assert [entry["verdict"] for entry in report["index"]] == expected
 

@@ -1,5 +1,6 @@
 """Static checks of the package source: it imports nothing outside the
-standard library, uses every name it imports, and reaches every definition."""
+standard library, imports at module level only, uses every name it imports,
+and reaches every definition."""
 
 import ast
 import os
@@ -49,6 +50,25 @@ def test_modules_use_every_name_they_import():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{name}:{line}: {b}" for b, line in imported.items() if b not in read]
     assert unused == []
+
+
+def test_no_function_imports():
+    """Imports sit at module level, where each module's dependencies show;
+    the package has no import cycle that a function-level import breaks."""
+    inside = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [
+                    f"{name}:{node.lineno}: {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert inside == []
 
 
 # Modules, classes and functions that nothing in the package reaches, on
