@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber
@@ -40,7 +41,6 @@ from .realexp import (
     RealExpFormula,
     SemiDecision,
     checked_start_bits,
-    lcm_den,
     semi_decide,
 )
 from .spectral import rank_radii, scc_decompose, step_signature, strong_components
@@ -778,6 +778,13 @@ def decide_bounded(
             subqueries=len(subqueries),
         )
     return BoundedResult("is-big-o", subqueries=len(subqueries))
+
+
+def lcm_den(vals) -> int:
+    out = 1
+    for v in vals:
+        out = lcm(out, Fraction(v).denominator)
+    return out
 
 
 def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]:

@@ -56,7 +56,11 @@ EXIT_RESOURCE = 66
 
 def _load(path: str, warnings):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_automaton(fh.read(), warnings)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8: {exc}") from None
+    return parse_automaton(text, warnings)
 
 
 def _emit(report: dict, human: bool):
@@ -83,6 +87,11 @@ def cmd_check(args) -> int:
     mode = args.mode
     report = {"s": args.src, "sPrime": args.dst, "warnings": warnings}
     letters = ambiguity = None
+    if args.eventually:
+        # only the unary decider ignores finitely many words
+        if mode not in ("auto", "unary") or not wa.is_unary():
+            raise InputError("--eventually needs the unary decider and a unary automaton")
+        mode = "unary"
     if mode == "auto":
         amb = is_unambiguous_from(wa, args.src)
         if amb and (amb_p := is_unambiguous_from(wa, args.dst)):

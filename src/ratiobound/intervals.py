@@ -61,9 +61,6 @@ class FInterval:
     def strictly_negative(self) -> bool:
         return self.hi < 0
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 

@@ -2,11 +2,16 @@
 three-valued semi-decision procedure.
 
 The sentences assert that a system of linear-plus-logarithmic forms can be
-driven below every bound over a shifted positive cone.  "holds" is answered
-only with a certified diverging ray and interval-verified witness points;
-"fails" with an exact sign argument (a row whose every term is bounded below,
-read off the exact signs of its coefficients), an exact log-exponent program,
-or a certified direction covering; every borderline case is answered
+driven below every bound over a shifted positive cone.  Each verdict rests
+on one exact certificate.  "holds" is answered with a certified diverging
+ray: along it every row's linear part has an interval enclosure strictly
+below 0, or vanishes exactly with log exponents summing below 0.  "fails" is
+answered with an exact sign argument (a row whose every term is bounded
+below, read off the exact signs of its coefficients), an exact log-exponent
+program, or one linear program over the enclosures' lower bounds that has
+no solution, so that along every direction some row's linear part grows
+(Ville's alternative).  Both programs are solved exactly by Fourier-Motzkin
+elimination pruned with Chernikov's rule.  Every borderline case is answered
 "unknown" and can be exported as SMT-LIB 2 text for external delta-complete
 solvers.
 """
@@ -15,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare
 from .automata import InputError
-from .intervals import FInterval, ivl_sum, ln_algebraic, ln_fraction_bounds
+from .intervals import FInterval, ivl_sum, ln_algebraic
 
 HOLDS, FAILS, UNKNOWN = "holds", "fails", "unknown"
 
@@ -186,55 +190,48 @@ def render_smt2(formula: RealExpFormula) -> str:
 # exact rational linear feasibility (Fourier-Motzkin, tiny dimensions)
 
 
-def negative_direction(rows, nvars: int) -> Optional[list]:
-    """A rational d >= 0 with row . d <= -1 for every row, or None.
+def fm_solve(cons, nvars: int) -> Optional[list]:
+    """A rational d with c . d >= rhs for every (c, rhs) in `cons`, or None.
 
-    Exact Fourier-Motzkin over the scaled system; complete for the strict
-    feasibility question because the cone is scale-invariant.
+    Exact Fourier-Motzkin, last variable first, then back-substitution.  Each
+    derived constraint carries the set of input constraints it combines;
+    after j eliminations one built from more than j + 1 of them is implied
+    by the others (Chernikov's rule) and is dropped.  Every stage stays
+    equivalent to the unpruned one, so back-substitution picks the same d.
     """
-    # constraints: sum c_i d_i >= rhs
-    cons = []
-    for i in range(nvars):
-        e = [Fraction(0)] * nvars
-        e[i] = Fraction(1)
-        cons.append((e, Fraction(0)))
-    for row in rows:
-        cons.append(([Fraction(-c) for c in row], Fraction(1)))
+    current = [(c, rhs, 1 << i) for i, (c, rhs) in enumerate(cons)]
     stages = []
-    current = cons
-    for k in range(nvars - 1, -1, -1):
+    for j, k in enumerate(range(nvars - 1, -1, -1), start=1):
         stages.append(current)
-        lowers, uppers, rest = [], [], []
-        for (c, rhs) in current:
-            if c[k] > 0:
-                lowers.append((c, rhs))
-            elif c[k] < 0:
-                uppers.append((c, rhs))
+        lowers, uppers, new = [], [], []
+        for con in current:
+            if con[0][k] > 0:
+                lowers.append(con)
+            elif con[0][k] < 0:
+                uppers.append(con)
             else:
-                rest.append((c, rhs))
-        new = list(rest)
-        for (cl, rl) in lowers:
-            for (cu, ru) in uppers:
+                new.append(con)
+        for (cl, rl, hl) in lowers:
+            for (cu, ru, hu) in uppers:
+                used = hl | hu
+                if used.bit_count() > j + 1:
+                    continue
                 # d_k >= (rl - rest_l)/cl_k  and  d_k <= (rest_u - ru)/(-cu_k)
-                coef = []
-                for i in range(nvars):
-                    coef.append(cl[i] * (-cu[k]) + cu[i] * cl[k])
-                rhs = rl * (-cu[k]) + ru * cl[k]
+                coef = [cl[i] * (-cu[k]) + cu[i] * cl[k] for i in range(nvars)]
                 coef[k] = Fraction(0)
-                new.append((coef, rhs))
+                new.append((coef, rl * (-cu[k]) + ru * cl[k], used))
         current = new
-    for (c, rhs) in current:
-        if all(x == 0 for x in c) and rhs > 0:
-            return None
+    # every coefficient is eliminated: what is left reads 0 >= rhs
+    if any(rhs > 0 for (_, rhs, _) in current):
+        return None
     # back-substitute: var k is pinned from the stage where vars 0..k remain
     d: list = [None] * nvars
     for k, stage in zip(range(nvars), reversed(stages)):
         lo, hi = None, None
-        for (c, rhs) in stage:
+        for (c, rhs, _) in stage:
             if c[k] == 0:
                 continue
-            rest = rhs - sum(c[i] * d[i] for i in range(k))
-            bound = rest / c[k]
+            bound = (rhs - sum(c[i] * d[i] for i in range(k))) / c[k]
             if c[k] > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:
@@ -252,6 +249,31 @@ def negative_direction(rows, nvars: int) -> Optional[list]:
     return d
 
 
+def _nonnegative(nvars: int) -> list:
+    return [
+        ([Fraction(int(i == k)) for i in range(nvars)], Fraction(0)) for k in range(nvars)
+    ]
+
+
+def negative_direction(rows, nvars: int) -> Optional[list]:
+    """A rational d >= 0 with row . d <= -1 for every row, or None.
+
+    Complete for the strict feasibility question because the cone is
+    scale-invariant.
+    """
+    cons = _nonnegative(nvars) + [([Fraction(-c) for c in row], Fraction(1)) for row in rows]
+    return fm_solve(cons, nvars)
+
+
+def every_direction_grows(enc, nvars: int) -> bool:
+    """True when no d >= 0 with sum(d) >= 1 has `lo . d <= 0` on every row
+    of enclosures: then along every direction some row's linear part grows
+    (Ville's alternative), exactly, since each true coefficient is >= lo."""
+    cons = _nonnegative(nvars) + [([Fraction(1)] * nvars, Fraction(1))]
+    cons += [([-e.lo for e in row], Fraction(0)) for row in enc]
+    return fm_solve(cons, nvars) is None
+
+
 # ---------------------------------------------------------------------------
 # semi-decision
 
@@ -260,7 +282,6 @@ def negative_direction(rows, nvars: int) -> Optional[list]:
 class SemiDecision:
     verdict: str  # holds | fails | unknown
     ray: Optional[tuple] = None
-    witnesses: tuple = ()  # ((x-vector, value upper bound str), ...)
     detail: Optional[str] = None
 
 
@@ -288,71 +309,35 @@ def semi_decide(
                 )
     zero = [[s == 0 for s in row] for row in signs]
     if all(all(z) for z in zero):
-        return _pure_log_case(formula, bits)
+        return _pure_log_case(sysd)
 
     while bits <= max_bits:
         enc = [
             [row.coeffs[i].enclosure(bits) for i in range(n)] for row in sysd.rows
         ]
-        # both certificates are sound, so at most one succeeds; the cheap
-        # covering goes first
-        if _covering_fails(sysd, enc, bits):
-            return SemiDecision(FAILS, detail=f"direction covering at {bits} bits")
-        found = _find_certified_ray(sysd, enc, zero, bits)
-        if found is not None:
-            ray, support = found
-            wit = _grid_witnesses(sysd, enc, ray, bits)
-            if wit is not None:
-                return SemiDecision(HOLDS, ray=tuple(ray), witnesses=tuple(wit))
+        # both certificates are exact, so at most one exists; the single
+        # linear program goes first
+        if every_direction_grows(enc, n):
+            return SemiDecision(FAILS, detail=f"every direction has a growing row at {bits} bits")
+        ray = _find_certified_ray(sysd, enc, zero)
+        if ray is not None:
+            return SemiDecision(HOLDS, ray=tuple(ray))
         bits *= 2
     return SemiDecision(UNKNOWN, detail=f"precision exhausted at {max_bits} bits")
 
 
-def _pure_log_case(formula: RealExpFormula, bits: int) -> SemiDecision:
-    """All linear coefficients vanish exactly: an integer linear program on
-    the log exponents decides outright."""
-    sysd = formula.system
-    n = sysd.nvars
-    rows = [[Fraction(p) for p in row.logs] for row in sysd.rows]
-    d = negative_direction(rows, n)
+def _pure_log_case(sysd: DivergenceSystem) -> SemiDecision:
+    """All linear coefficients vanish exactly: the log exponents decide
+    outright.  The ray d is a direction in log coordinates: every row's
+    exponents sum to <= -1 along it, so every row sinks at least like -t
+    along x = c * exp(t * d), for any constant c >= lower."""
+    d = negative_direction([[Fraction(p) for p in row.logs] for row in sysd.rows], sysd.nvars)
     if d is None:
         return SemiDecision(FAILS, detail="log-exponent cone is empty (exact)")
-    scale = lcm_den(d)
-    dint = [int(x * scale) for x in d]
-    base = int(sysd.lower) + 2
-    witnesses = []
-    t = 1
-    thresholds = [Fraction(-10), Fraction(-100), Fraction(-1000)]
-    while thresholds and t < 10**6:
-        x = [max(base, base ** max(1, t * di)) for di in dint]
-        vals = []
-        for j, row in enumerate(sysd.rows):
-            terms = [
-                ln_fraction_bounds(Fraction(x[i]), bits) for i in range(n)
-            ]
-            iv = ivl_sum(
-                FInterval(lo, hi).scale(row.logs[i])
-                for i, (lo, hi) in enumerate(terms)
-            )
-            vals.append(iv)
-        top = max((v.hi for v in vals))
-        if top < thresholds[0]:
-            witnesses.append((tuple(x), str(top)))
-            thresholds.pop(0)
-        t *= 2
-    if thresholds:
-        return SemiDecision(UNKNOWN, detail="log witnesses did not converge")
-    return SemiDecision(HOLDS, ray=tuple(Fraction(v) for v in dint), witnesses=tuple(witnesses))
+    return SemiDecision(HOLDS, ray=tuple(d))
 
 
-def lcm_den(vals) -> int:
-    out = 1
-    for v in vals:
-        out = lcm(out, Fraction(v).denominator)
-    return out
-
-
-def _find_certified_ray(sysd: DivergenceSystem, enc, zero, bits: int):
+def _find_certified_ray(sysd: DivergenceSystem, enc, zero):
     """Search supports and rational directions; certify every row strictly.
 
     Certification per row along direction d with support S: either the
@@ -387,11 +372,7 @@ def _find_certified_ray(sysd: DivergenceSystem, enc, zero, bits: int):
                     skip = True
                     break
                 continue
-            mid = [
-                (enc[j][i].lo + enc[j][i].hi) / 2 if i in support else None
-                for i in range(n)
-            ]
-            sub_rows.append([mid[i] for i in support])
+            sub_rows.append([(enc[j][i].lo + enc[j][i].hi) / 2 for i in support])
         if skip:
             continue
         if sub_rows:
@@ -415,7 +396,7 @@ def _find_certified_ray(sysd: DivergenceSystem, enc, zero, bits: int):
             continue
         for simplified in _simplify_ray(d):
             if certify(simplified):
-                return simplified, [i for i in range(n) if simplified[i] > 0]
+                return simplified
     return None
 
 
@@ -464,93 +445,3 @@ def _grid_directions(n: int, grid):
                 out.append([a, Fraction(1), b])
                 out.append([a, b, Fraction(1)])
     return out
-
-
-def _grid_witnesses(sysd: DivergenceSystem, enc, ray, bits: int):
-    """Integer points along the ray with certified values below -10, -100,
-    -1000 and three consecutive strictly decreasing values."""
-    n = sysd.nvars
-    scale = lcm_den(ray)
-    dint = [int(r * scale) for r in ray]
-    base = max(1, -(-int(sysd.lower) // 1)) + 1
-    thresholds = [Fraction(-10), Fraction(-100), Fraction(-1000)]
-    witnesses = []
-    decreasing = []
-    t = 1
-    steps = 0
-    prev = None
-    # rows that sink only logarithmically need x beyond e^1000, so the walk
-    # doubles for thousands of steps; fast rows exit after a handful
-    while (thresholds or len(decreasing) < 3) and steps < 7000:
-        x = [base + t * di for di in dint]
-        vals = []
-        for j, row in enumerate(sysd.rows):
-            parts = []
-            for i in range(n):
-                parts.append(enc[j][i].scale(x[i]))
-                if row.logs[i]:
-                    lo, hi = ln_fraction_bounds(Fraction(x[i]), bits)
-                    parts.append(FInterval(lo, hi).scale(row.logs[i]))
-            vals.append(ivl_sum(parts))
-        top_hi = max(v.hi for v in vals)
-        top_lo = max(v.lo for v in vals)
-        if prev is not None and top_hi < prev:
-            decreasing.append((tuple(x), str(top_hi)))
-        else:
-            decreasing = [(tuple(x), str(top_hi))]
-        prev = top_lo
-        while thresholds and top_hi < thresholds[0]:
-            witnesses.append((tuple(x), str(top_hi)))
-            thresholds.pop(0)
-        t *= 2
-        steps += 1
-    if thresholds or len(decreasing) < 3:
-        return None
-    return witnesses + decreasing[:3]
-
-
-def _covering_fails(sysd: DivergenceSystem, enc, bits: int) -> bool:
-    """Certified covering of every escape direction: on each face of the
-    sup-norm unit boundary, some row's linear form stays above a positive
-    bound, interval-verified over a finite box subdivision."""
-    n = sysd.nvars
-    rows = range(len(sysd.rows))
-    max_depth = 10
-
-    def box_certified(fixed: int, box) -> bool:
-        # direction d has d_fixed = 1 and d_i in box[i] for the others
-        for j in rows:
-            parts = [enc[j][fixed]]
-            for i in range(n):
-                if i == fixed:
-                    continue
-                lo, hi = box[i]
-                parts.append(enc[j][i] * FInterval(lo, hi))
-            if ivl_sum(parts).strictly_positive():
-                return True
-        return False
-
-    def split(fixed: int, box, depth: int) -> bool:
-        if box_certified(fixed, box):
-            return True
-        if depth >= max_depth:
-            return False
-        widths = [
-            (box[i][1] - box[i][0], i) for i in range(n) if i != fixed
-        ]
-        w, i = max(widths, default=(0, None))
-        if w == 0:
-            return False
-        mid = (box[i][0] + box[i][1]) / 2
-        left = dict(box)
-        left[i] = (box[i][0], mid)
-        right = dict(box)
-        right[i] = (mid, box[i][1])
-        return split(fixed, left, depth + 1) and split(fixed, right, depth + 1)
-
-    for fixed in range(n):
-        box = {i: (Fraction(0), Fraction(1)) for i in range(n) if i != fixed}
-        box[fixed] = (Fraction(1), Fraction(1))
-        if not split(fixed, box, 0):
-            return False
-    return True

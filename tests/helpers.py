@@ -12,6 +12,7 @@ from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, lasso, weight_bl
 from ratiobound.nfaops import ChrobakNf
 from ratiobound.spectral import scc_decompose
 from ratiobound.algebraic import AlgebraicNumber, compare, ptrim
+from ratiobound.intervals import FInterval, ivl_sum
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +515,98 @@ def brute_block_degree(wa, s, letters, nvec):
 
 def _pointwise_lt(v, w):
     return all(a <= b for a, b in zip(v, w)) and v != w
+
+
+def negative_direction_unpruned(rows, nvars: int):
+    """A rational d >= 0 with row . d <= -1 for every row, or None, by plain
+    Fourier-Motzkin: every pair of bounds is combined, none is pruned, so
+    the stages grow doubly exponentially."""
+    # constraints: sum c_i d_i >= rhs
+    cons = []
+    for i in range(nvars):
+        e = [Fraction(0)] * nvars
+        e[i] = Fraction(1)
+        cons.append((e, Fraction(0)))
+    for row in rows:
+        cons.append(([Fraction(-c) for c in row], Fraction(1)))
+    stages = []
+    current = cons
+    for k in range(nvars - 1, -1, -1):
+        stages.append(current)
+        lowers = [(c, r) for (c, r) in current if c[k] > 0]
+        uppers = [(c, r) for (c, r) in current if c[k] < 0]
+        new = [(c, r) for (c, r) in current if c[k] == 0]
+        for (cl, rl) in lowers:
+            for (cu, ru) in uppers:
+                coef = [cl[i] * (-cu[k]) + cu[i] * cl[k] for i in range(nvars)]
+                coef[k] = Fraction(0)
+                new.append((coef, rl * (-cu[k]) + ru * cl[k]))
+        current = new
+    if any(rhs > 0 for (_, rhs) in current):
+        return None
+    d = [None] * nvars
+    for k, stage in zip(range(nvars), reversed(stages)):
+        lo, hi = None, None
+        for (c, rhs) in stage:
+            if c[k] == 0:
+                continue
+            bound = (rhs - sum(c[i] * d[i] for i in range(k))) / c[k]
+            if c[k] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            d[k] = Fraction(0)
+        elif lo is None:
+            d[k] = min(Fraction(0), hi)
+        elif hi is None:
+            d[k] = lo
+        else:
+            if lo > hi:
+                return None
+            d[k] = (lo + hi) / 2
+    return d
+
+
+def covering_fails(nvars: int, enc, max_depth=10) -> bool:
+    """Certified covering of every escape direction: on each face of the
+    sup-norm unit boundary, some row's linear form, with its coefficients'
+    enclosures `enc[j][i]`, stays above 0 over every box of a bisection at
+    most `max_depth` deep."""
+
+    def box_certified(fixed, box) -> bool:
+        # direction d has d_fixed = 1 and d_i in box[i] for the others
+        for row in enc:
+            parts = [row[fixed]] + [
+                row[i] * FInterval(*box[i]) for i in range(nvars) if i != fixed
+            ]
+            if ivl_sum(parts).lo > 0:
+                return True
+        return False
+
+    def split(fixed, box, depth) -> bool:
+        if box_certified(fixed, box):
+            return True
+        if depth >= max_depth:
+            return False
+        w, i = max(
+            ((box[i][1] - box[i][0], i) for i in range(nvars) if i != fixed),
+            default=(0, None),
+        )
+        if w == 0:
+            return False
+        mid = (box[i][0] + box[i][1]) / 2
+        left, right = dict(box), dict(box)
+        left[i] = (box[i][0], mid)
+        right[i] = (mid, box[i][1])
+        return split(fixed, left, depth + 1) and split(fixed, right, depth + 1)
+
+    for fixed in range(nvars):
+        box = {i: (Fraction(0), Fraction(1)) for i in range(nvars) if i != fixed}
+        box[fixed] = (Fraction(1), Fraction(1))
+        if not split(fixed, box, 0):
+            return False
+    return True
 
 
 def random_block_wa(rng: random.Random, letters=("a", "b"), per=2, density=0.6):

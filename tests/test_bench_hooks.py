@@ -55,6 +55,18 @@ def test_bounded_workload_verdicts_match_labels():
     assert not wrong, wrong
 
 
+@pytest.mark.parametrize("seed, name", [(32, "006-m3"), (47, "010-m3")])
+def test_near_tie_bounded_queries_are_decided(seed, name):
+    """Two labelled holding chains whose sentences only just fail: the
+    linear program certifies them at the start precision, where a box
+    covering of fixed depth left them `unknown` at every precision."""
+    (q,) = [q for q in _load("workloads").build("bounded", seed, helpers) if q.name == name]
+    argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+    query = Query(parse_automaton(q.document), argv["--from"], argv["--to"])
+    assert q.label == "is-big-o"
+    assert decide_bounded(query).verdict == q.label
+
+
 def test_letter_bound_detection_tests_each_block_once(monkeypatch):
     """The greedy block dropping of `detect_letter_bounded` goes on from the
     dropped index: past the first check of the whole sequence, a block that

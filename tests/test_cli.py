@@ -464,6 +464,54 @@ def test_check_eventually_flag(capsys):
         capsys.readouterr()
 
 
+def _ambiguous_at_a_only():
+    """Unary and unambiguous from both `s` and `s'`: only `s` accepts `a`,
+    and on every longer word the two weights are equal."""
+    trans = [
+        ("s", "a", F(1), "t"),
+        ("s", "a", F(1), "p"),
+        ("p", "a", F(1, 2), "p"),
+        ("p", "a", F(1, 2), "t"),
+        ("s'", "a", F(1), "q"),
+        ("q", "a", F(1, 2), "q"),
+        ("q", "a", F(1, 2), "t"),
+    ]
+    return WeightedAutomaton.from_transitions(["s", "p", "s'", "q", "t"], ["a"], trans, ["t"])
+
+
+def test_check_eventually_picks_the_unary_decider(tmp_path, capsys):
+    """Auto mode would pick the unambiguous decider, which answers every
+    word; `--eventually` is answered by the unary decider only."""
+    path = tmp_path / "wa.json"
+    path.write_text(serialize(_ambiguous_at_a_only()), encoding="utf-8")
+    argv = ["check", "--file", str(path), "--from", "s", "--to", "s'"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["decider"] == "unambiguous"
+    assert main(argv + ["--eventually"]) == 0
+    assert json.loads(capsys.readouterr().out)["decider"] == "unary"
+    for mode in ("unambiguous", "bounded"):
+        assert main(argv + ["--mode", mode, "--eventually"]) == 64
+        assert "--eventually" in capsys.readouterr().err
+
+
+def test_check_eventually_on_a_non_unary_automaton_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "wa.json"
+    path.write_text(serialize(not_big_o_on_b()), encoding="utf-8")
+    for mode in ("auto", "unary"):
+        argv = ["check", "--file", str(path), "--from", "s", "--to", "s'", "--mode", mode]
+        assert main(argv + ["--eventually"]) == 64
+        assert "--eventually" in capsys.readouterr().err
+
+
+def test_files_that_are_not_utf8_are_a_format_error(tmp_path, capsys):
+    path = tmp_path / "wa.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", "--file", str(path), "--from", "s", "--to", "t"]) == 65
+    assert "not UTF-8" in capsys.readouterr().err
+    assert main(["generate", "undecidable", "--file", str(path), "--start", "s"]) == 65
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_generate_undecidable_cli(tmp_path, capsys):
     import random as _random
     from helpers import random_pa

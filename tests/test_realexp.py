@@ -1,9 +1,10 @@
-import os
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from ratiobound.algebraic import AlgebraicNumber, largest_real_root
 from ratiobound.automata import InputError
 from ratiobound.realexp import (
@@ -14,11 +15,9 @@ from ratiobound.realexp import (
     DivergenceSystem,
     LogCoeff,
     RealExpFormula,
-    SemiDecision,
-    _covering_fails,
     _find_certified_ray,
-    _grid_witnesses,
     _pure_log_case,
+    every_direction_grows,
     negative_direction,
     semi_decide,
 )
@@ -63,7 +62,7 @@ def test_single_negative_log_coefficient_holds():
     f = formula([(([coeff((1, 2), 1)]), [0])])
     res = semi_decide(f)
     assert res.verdict == HOLDS
-    assert len(res.witnesses) >= 3
+    assert res.ray == (1,)
 
 
 def test_positive_log_coefficient_fails():
@@ -156,7 +155,8 @@ def test_unknown_is_reachable_for_knife_edge():
     row_b = ([coeff((1, 2), 1), coeff(2, 1)], [0, 0])  # -ln2 x1 + ln2 x2
     res = semi_decide(formula([row_a, row_b]), max_bits=256)
     # along x1 = x2 both rows are exactly 0, anywhere else one is positive:
-    # neither a certified ray nor a covering exists
+    # neither a certified ray nor a certificate of growth on every
+    # direction exists
     assert res.verdict == UNKNOWN
 
 
@@ -194,8 +194,8 @@ def test_sign_rule_needs_only_a_positive_lower_bound():
 
 
 def test_single_variable_coefficient_near_zero():
-    """ln(1 +- 10^-50) straddles 0 at 128 bits; the covering of a single
-    variable has nothing to split and must not raise."""
+    """ln(1 +- 10^-50) straddles 0 at 128 bits, so both verdicts wait for
+    a precision at which the enclosure leaves 0."""
     up = formula([([coeff(10**50 + 1, 10**50)], [0])])
     assert semi_decide(up).verdict == FAILS
     down = formula([([coeff(10**50, 10**50 + 1)], [0])])
@@ -203,62 +203,32 @@ def test_single_variable_coefficient_near_zero():
     assert res.verdict == HOLDS and res.ray == (1,)
 
 
-def test_pure_log_case_uses_the_requested_precision(monkeypatch):
-    import ratiobound.realexp as realexp
-
-    seen = []
-    inner = realexp.ln_fraction_bounds
-
-    def recording(x, bits):
-        seen.append(bits)
-        return inner(x, bits)
-
-    monkeypatch.setattr(realexp, "ln_fraction_bounds", recording)
-    res = semi_decide(formula([([coeff(1, 1)], [-1])]), start_bits=256)
-    assert res.verdict == HOLDS
-    assert seen and set(seen) == {256}
-
-
-def _ray_first(f, bits, max_bits, grid_witnesses=_grid_witnesses):
-    """The semi-decision with the ray search ahead of the covering and no
-    sign rule beyond all-zero rows, as it stood before the exact signs."""
+def _ray_first(f, bits, max_bits):
+    """The semi-decision with the ray search ahead of the linear program and
+    no sign rule beyond all-zero rows, as (verdict, ray)."""
     sysd = f.system
     zero = [[co.exactly_zero() for co in row.coeffs] for row in sysd.rows]
     for j, row in enumerate(sysd.rows):
         if all(zero[j]) and all(p >= 0 for p in row.logs):
-            return SemiDecision(FAILS)
+            return FAILS, None
     if all(all(z) for z in zero):
-        return _pure_log_case(f, bits)
+        res = _pure_log_case(sysd)
+        return res.verdict, res.ray
     while bits <= max_bits:
         enc = [[co.enclosure(bits) for co in row.coeffs] for row in sysd.rows]
-        found = _find_certified_ray(sysd, enc, zero, bits)
-        if found is not None:
-            wit = grid_witnesses(sysd, enc, found[0], bits)
-            if wit is not None:
-                return SemiDecision(HOLDS, ray=tuple(found[0]), witnesses=tuple(wit))
-        if _covering_fails(sysd, enc, bits):
-            return SemiDecision(FAILS)
+        ray = _find_certified_ray(sysd, enc, zero)
+        if ray is not None:
+            return HOLDS, tuple(ray)
+        if every_direction_grows(enc, sysd.nvars):
+            return FAILS, None
         bits *= 2
-    return SemiDecision(UNKNOWN)
+    return UNKNOWN, None
 
 
-def test_sign_rule_and_covering_first_agree_with_ray_first(monkeypatch):
+def test_sign_rule_and_covering_first_agree_with_ray_first():
     """Seeded small systems with forced exact ties: wherever the sign rule
     fires no ray is certified, and every verdict the ray-first order
-    certifies is given again, with the same ray and witnesses."""
-    import ratiobound.realexp as realexp
-
-    # witnesses depend on the system, ray and precision only; rows that sink
-    # logarithmically take a second to walk, so both orders share one walk
-    memo = {}
-
-    def grid_witnesses(sysd, enc, ray, bits):
-        key = (sysd, tuple(ray), bits)
-        if key not in memo:
-            memo[key] = _grid_witnesses(sysd, enc, ray, bits)
-        return memo[key]
-
-    monkeypatch.setattr(realexp, "_grid_witnesses", grid_witnesses)
+    certifies is given again, with the same ray."""
     rng = random.Random(6)
     values = [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
     fired = 0
@@ -286,14 +256,92 @@ def test_sign_rule_and_covering_first_agree_with_ray_first(monkeypatch):
             zero = [[s == 0 for s in sj] for sj in signs]
             for bits in (128, 256):
                 enc = [[co.enclosure(bits) for co in row.coeffs] for row in sysd.rows]
-                assert _find_certified_ray(sysd, enc, zero, bits) is None, rows
-        old = _ray_first(f, 128, 256, grid_witnesses)
-        if old.verdict == UNKNOWN:
+                assert _find_certified_ray(sysd, enc, zero) is None, rows
+        old = _ray_first(f, 128, 256)
+        if old[0] == UNKNOWN:
             assert new.verdict == UNKNOWN or rule, rows
         else:
-            assert (new.verdict, new.ray, new.witnesses) == (
-                old.verdict,
-                old.ray,
-                old.witnesses,
-            ), rows
+            assert (new.verdict, new.ray) == old, rows
     assert fired >= 15
+
+
+def _random_linear_system(rng, n, m, values):
+    rows = []
+    for _ in range(m):
+        cs = []
+        for _ in range(n):
+            num = rng.choice(values)
+            cs.append(coeff(num, rng.choice(values), rng.choice([1, 2, -1])))
+        rows.append((cs, [0] * n))
+    return formula(rows)
+
+
+def test_linear_program_certifies_wherever_the_box_covering_does():
+    """The box covering (depth 10) and the linear program both certify that
+    every direction has a growing row; on seeded systems the program never
+    misses a covering."""
+    rng = random.Random(12)
+    values = [F(1, 2), F(2, 3), F(3, 4), F(1), F(4, 3), F(3, 2), F(2)]
+    covered = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        sysd = _random_linear_system(rng, n, m, values).system
+        enc = [[co.enclosure(128) for co in row.coeffs] for row in sysd.rows]
+        if helpers.covering_fails(n, enc):
+            covered += 1
+            assert every_direction_grows(enc, n), sysd
+    assert covered >= 40
+
+
+def test_pruned_elimination_picks_the_unpruned_direction():
+    """Chernikov's rule drops only implied constraints, so back-substitution
+    picks exactly the direction of plain Fourier-Motzkin; shapes stay small
+    enough for the unpruned oracle to finish."""
+    rng = random.Random(13)
+    feasible = 0
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(m)]
+        d = negative_direction(rows, n)
+        assert d == helpers.negative_direction_unpruned(rows, n), rows
+        if d is not None:
+            feasible += 1
+            assert all(x >= 0 for x in d)
+            assert all(sum(r * x for r, x in zip(row, d)) <= -1 for row in rows)
+    assert 20 <= feasible <= 180
+
+
+def test_near_tie_fails_at_the_start_precision():
+    """Rows with signs [-, -, +] and [+, +, -] whose best direction keeps
+    the larger row about 5e-5 above 0: box bisection to depth 10 never
+    separates that, the linear program does at 128 bits."""
+    rows = [
+        ([coeff((53, 57), 1), coeff((51, 53), 1), coeff((69, 59), 1)], [0, 0, 0]),
+        ([coeff((61, 57), 1), coeff((69, 53), 1), coeff((51, 59), 1)], [0, 0, 0]),
+    ]
+    res = semi_decide(formula(rows), start_bits=128, max_bits=128)
+    assert res.verdict == FAILS
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("semi_decide took longer than 5 s")
+
+
+def test_eight_by_five_ray_search_is_quick():
+    """Unpruned elimination over all 31 supports of this 8x5 draw took
+    23.6 s; with Chernikov's rule the search takes a fraction of a second
+    and certifies the same ray."""
+    rng = random.Random(2)
+    ks = [k for k in range(31, 98) if k % 2 and k % 5]
+    rows = [
+        ([coeff((rng.choice(ks), 100), (rng.choice(ks), 100)) for _ in range(5)], [0] * 5)
+        for _ in range(8)
+    ]
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(5)
+    try:
+        res = semi_decide(formula(rows, lower=2), max_bits=128)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (res.verdict, res.ray) == (HOLDS, (1, F(1, 4), F(1, 4), 1, 0))
