@@ -8,7 +8,7 @@ leading coefficient and content 1 where normalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -152,15 +152,15 @@ class AlgebraicNumber:
     poly: tuple
     lo: Fraction
     hi: Fraction
+    is_rational: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_rational", self.lo == self.hi)
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicNumber":
         q = Fraction(q)
         return cls((-q.numerator, q.denominator), q, q)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.lo == self.hi
 
     def _chain(self):
         return sturm_sequence(self.poly)

@@ -10,7 +10,7 @@ numerator row, and decides them with the same `realexp.semi_decide`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
@@ -323,12 +323,18 @@ def letter_bounded_to_plus(
     distinct collapsed subsequence; the query answer is the conjunction.
     Each sub-question's automaton keeps only its live `q@d` states and the
     two starts.  Each distinct letter's components and radii are computed
-    once here and shared by every sub-question that reads the letter."""
+    once here and shared by every sub-question that reads the letter.
+
+    A pattern that no word accepted from either start collapses to gets
+    the two starts alone, with no step and no final, without a product
+    search: `_read_patterns` finds the patterns read in one search for all
+    of them."""
     letters = tuple(letters)
     patterns = {}
     for mask in range(1, 2 ** len(letters)):
         sub = [letters[i] for i in range(len(letters)) if mask >> i & 1]
         patterns.setdefault(_collapse(sub), None)
+    read = _read_patterns(wa, (s, s_prime), patterns)
     dags = {a: scc_decompose(wa.sparse_rows[a]) for a in dict.fromkeys(letters)}
     # a component's radius is positive exactly when it has a cycle (period > 0)
     positive = [
@@ -344,12 +350,39 @@ def letter_bounded_to_plus(
         )
         for a, dag in dags.items()
     }
-    return [_plus_subquery(wa, s, s_prime, pat, growth) for pat in sorted(patterns)]
+    return [
+        _plus_subquery(wa, s, s_prime, pat, growth, pat in read) for pat in sorted(patterns)
+    ]
 
 
-def _plus_subquery(wa, s, s_prime, pat, growth) -> PlusQuery:
+def _read_patterns(wa, starts, patterns) -> set:
+    """The patterns that some word accepted from one of `starts` collapses
+    to.  A word lies in p1+...pk+ (adjacent letters distinct) exactly when
+    it collapses to (p1, ..., pk), so one search over (state, collapsed
+    prefix) pairs decides every pattern.  `patterns` is closed under
+    nonempty prefixes, and the search extends a prefix only into a pattern,
+    so it ends even where a state steps outside the bound."""
+    letters = dict.fromkeys(a for pat in patterns for a in pat)
+    steps = [(a, wa.sparse_rows[a][1]) for a in letters]
+
+    def succ(node):
+        qi, pre = node
+        for a, rows in steps:
+            nxt = pre if pre and pre[-1] == a else pre + (a,)
+            if nxt in patterns:
+                for qj, _ in rows[qi]:
+                    yield None, (qj, nxt)
+
+    nodes, _ = explore([(wa.index(q), ()) for q in starts], succ)
+    finals = {wa.index(f) for f in wa.finals}
+    return {pre for qi, pre in nodes if pre and qi in finals}
+
+
+def _plus_subquery(wa, s, s_prime, pat, growth, read: bool) -> PlusQuery:
     """Product with the plus-bound DFA for `pat`, explored from the starts and
-    trimmed to its live pairs (q, d), d the number of blocks entered.
+    trimmed to its live pairs (q, d), d the number of blocks entered.  When
+    no start reads `pat` (not `read`), no pair is live and the product is
+    neither explored nor trimmed.
 
     Adjacent letters of `pat` differ, so a pair fixes its block: a step into
     block d2 reads `pat[d2 - 1]` and is relabelled with the fresh `b{d2}`."""
@@ -363,10 +396,12 @@ def _plus_subquery(wa, s, s_prime, pat, growth) -> PlusQuery:
                     yield (d2, x), (qj, d2)
 
     starts = sorted({(wa.index(s), 0), (wa.index(s_prime), 0)})
-    nodes, edges = explore(starts, succ)
-    finals_idx = {wa.index(f) for f in wa.finals}
-    finals = [i for i, (qi, d) in enumerate(nodes) if d == k and qi in finals_idx]
-    live = trim(range(len(starts)), finals, edges)
+    nodes, edges, finals, live = starts, [], [], set()
+    if read:
+        nodes, edges = explore(starts, succ)
+        finals_idx = {wa.index(f) for f in wa.finals}
+        finals = [i for i, (qi, d) in enumerate(nodes) if d == k and qi in finals_idx]
+        live = trim(range(len(starts)), finals, edges)
     keep = sorted({nodes[i] for i in live}.union(starts))
     index = {node: i for i, node in enumerate(keep)}
     # explore lists each source's steps into one block by ascending target
@@ -405,7 +440,8 @@ class PlusAnalysis:
     """Shared data for one plus-letter-bounded question: the radius table
     (radius 0 in slot ZERO, the infinitesimal placeholder in slot DELTA),
     per-block SCC structure, the two determinized signature monitors and
-    their synchronized product."""
+    their synchronized product.  The coefficients and signature texts of
+    its candidates' sentences are built once each, on first use."""
 
     query: PlusQuery
     table: tuple  # of AlgebraicNumber, strictly ascending
@@ -415,6 +451,33 @@ class PlusAnalysis:
     product_states: tuple  # of (i, j) pairs
     product_trans: dict  # (state index, letter index) -> state index
     dsets: tuple  # per product state: (D_s tuple, D_p tuple) of signatures
+    _coeffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sig_texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def coeff(self, yi: int, xi: int, period: int) -> LogCoeff:
+        """period * log(table[yi] / table[xi]), one object per key."""
+        key = (yi, xi, period)
+        co = self._coeffs.get(key)
+        if co is None:
+            co = LogCoeff(self.table[yi], self.table[xi], Fraction(period))
+            self._coeffs[key] = co
+        return co
+
+    def sig_text(self, sig) -> str:
+        """A signature as provenance text, rendered once per signature."""
+        text = self._sig_texts.get(sig)
+        if text is None:
+            parts = []
+            for (ri, k) in sig:
+                r = self.table[ri]
+                if ri == DELTA:
+                    parts.append(f"(delta,{k})")
+                elif r.is_rational:
+                    parts.append(f"({r.lo},{k})")
+                else:
+                    parts.append(f"(alg{list(r.poly)},{k})")
+            text = self._sig_texts[sig] = "(" + " ".join(parts) + ")"
+        return text
 
 
 @dataclass(frozen=True)
@@ -638,44 +701,28 @@ def emit_formula(
     against X must sink below every bound.  No signature holds ZERO: a
     monitor enters a zero-radius block at DELTA.
     """
-    table = analysis.table
     u_list = sorted(u_set)
     for i in u_list:
         if lin.periods[i] <= 0:
             raise InputError("U must pick coordinates with positive periods")
-    rows = []
-    for y in sorted(y_sigs):
-        coeffs = []
-        logs = []
-        for i in u_list:
-            sigma = table[y[i][0]]
-            rho = table[x_sig[i][0]]
-            coeffs.append(LogCoeff(sigma, rho, Fraction(lin.periods[i])))
-            logs.append(y[i][1] - x_sig[i][1])
-        rows.append(DivergenceRow(tuple(coeffs), tuple(logs)))
+    y_sigs = sorted(y_sigs)
+    rows = [
+        DivergenceRow(
+            tuple(analysis.coeff(y[i][0], x_sig[i][0], lin.periods[i]) for i in u_list),
+            tuple(y[i][1] - x_sig[i][1] for i in u_list),
+        )
+        for y in y_sigs
+    ]
     lower = Fraction(max(lin.base)) if lin.base else Fraction(0)
     lower = max(lower, Fraction(1))
     system = DivergenceSystem(tuple(rows), lower, len(u_list))
     provenance = {
-        "X": _sig_text(analysis, x_sig),
-        "Y": "{" + ", ".join(_sig_text(analysis, y) for y in sorted(y_sigs)) + "}",
+        "X": analysis.sig_text(x_sig),
+        "Y": "{" + ", ".join(analysis.sig_text(y) for y in y_sigs) + "}",
         "linear_set": f"base={list(lin.base)} periods={list(lin.periods)}",
         "U": [i + 1 for i in u_list],
     }
     return RealExpFormula(system, provenance)
-
-
-def _sig_text(analysis: PlusAnalysis, sig) -> str:
-    parts = []
-    for (ri, k) in sig:
-        r = analysis.table[ri]
-        if ri == DELTA:
-            parts.append(f"(delta,{k})")
-        elif r.is_rational:
-            parts.append(f"({r.lo},{k})")
-        else:
-            parts.append(f"(alg{list(r.poly)},{k})")
-    return "(" + " ".join(parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -692,7 +739,14 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
     """Every realized candidate of one plus-bounded sub-question, emitted and
     semi-decided in a deterministic order.  A `holds` candidate is a
     divergence, an `unknown` one leaves the sub-question open, and
-    boundedness needs every candidate to fail."""
+    boundedness needs every candidate to fail.
+
+    When `s@0` has no step, no word of the pattern is read from `s`: there
+    is no signature X and no candidate, so the analysis is skipped.  This
+    covers every sub-question whose pattern no start reads."""
+    wa = pq.automaton
+    if not wa.sparse_rows[pq.letters[0]][1][wa.index(pq.s)]:
+        return ()
     analysis = plus_analysis(pq)
     letters = pq.letters
     decided = []

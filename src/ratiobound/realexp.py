@@ -11,15 +11,17 @@ below, read off the exact signs of its coefficients), an exact log-exponent
 program, or one linear program over the enclosures' lower bounds that has
 no solution, so that along every direction some row's linear part grows
 (Ville's alternative).  Both programs are solved exactly by Fourier-Motzkin
-elimination pruned with Chernikov's rule.  Every borderline case is answered
-"unknown" and can be exported as SMT-LIB 2 text for external delta-complete
-solvers.
+elimination in integers, pruned with Chernikov's rule.  Every borderline
+case is answered "unknown" and can be exported as SMT-LIB 2 text for
+external delta-complete solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare
@@ -48,14 +50,20 @@ def checked_start_bits(start_bits: Optional[int], max_bits: int = MAX_BITS) -> i
 
 @dataclass(frozen=True)
 class LogCoeff:
-    """scale * log(num/den) for positive algebraic num, den."""
+    """scale * log(num/den) for positive algebraic num, den.  Its exact sign
+    is computed once, and its enclosure once per precision."""
 
     num: AlgebraicNumber
     den: AlgebraicNumber
     scale: Fraction
+    _enclosures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sign(self) -> int:
         """The exact sign of scale * log(num/den), with no interval."""
+        return self._sign
+
+    @cached_property
+    def _sign(self) -> int:
         if self.scale == 0:
             return 0
         return (1 if self.scale > 0 else -1) * compare(self.num, self.den)
@@ -64,11 +72,15 @@ class LogCoeff:
         return self.sign() == 0
 
     def enclosure(self, bits: int) -> FInterval:
-        if self.exactly_zero():
-            return FInterval.point(0)
-        return (ln_algebraic(self.num, bits) - ln_algebraic(self.den, bits)).scale(
-            self.scale
-        )
+        enc = self._enclosures.get(bits)
+        if enc is None:
+            if self.exactly_zero():
+                enc = FInterval.point(0)
+            else:
+                diff = ln_algebraic(self.num, bits) - ln_algebraic(self.den, bits)
+                enc = diff.scale(self.scale)
+            self._enclosures[bits] = enc
+        return enc
 
 
 @dataclass(frozen=True)
@@ -193,13 +205,23 @@ def render_smt2(formula: RealExpFormula) -> str:
 def fm_solve(cons, nvars: int) -> Optional[list]:
     """A rational d with c . d >= rhs for every (c, rhs) in `cons`, or None.
 
-    Exact Fourier-Motzkin, last variable first, then back-substitution.  Each
-    derived constraint carries the set of input constraints it combines;
-    after j eliminations one built from more than j + 1 of them is implied
-    by the others (Chernikov's rule) and is dropped.  Every stage stays
-    equivalent to the unpruned one, so back-substitution picks the same d.
+    Fourier-Motzkin, last variable first, then back-substitution.  Each
+    input constraint is scaled to integers by the lcm of its denominators,
+    each derived one combines two in integers and is divided by the gcd of
+    its entries (fraction-free elimination), and back-substitution runs in
+    Fractions.  Each derived constraint carries the set of input
+    constraints it combines; after j eliminations one built from more than
+    j + 1 of them is implied by the others (Chernikov's rule) and is
+    dropped.  Positive scaling keeps every constraint's feasible set and
+    tags, and every stage stays equivalent to the unpruned one, so
+    back-substitution picks the same d as elimination over Fractions.
     """
-    current = [(c, rhs, 1 << i) for i, (c, rhs) in enumerate(cons)]
+    current = []
+    for i, (c, rhs) in enumerate(cons):
+        entries = [Fraction(x) for x in (*c, rhs)]
+        scale = lcm(*(x.denominator for x in entries))
+        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        current.append((ints[:-1], ints[-1], 1 << i))
     stages = []
     for j, k in enumerate(range(nvars - 1, -1, -1), start=1):
         stages.append(current)
@@ -217,9 +239,15 @@ def fm_solve(cons, nvars: int) -> Optional[list]:
                 if used.bit_count() > j + 1:
                     continue
                 # d_k >= (rl - rest_l)/cl_k  and  d_k <= (rest_u - ru)/(-cu_k)
-                coef = [cl[i] * (-cu[k]) + cu[i] * cl[k] for i in range(nvars)]
-                coef[k] = Fraction(0)
-                new.append((coef, rl * (-cu[k]) + ru * cl[k], used))
+                a, b = -cu[k], cl[k]
+                coef = [cl[i] * a + cu[i] * b for i in range(nvars)]
+                coef[k] = 0
+                rhs = rl * a + ru * b
+                g = gcd(*coef, rhs)
+                if g > 1:
+                    coef = [x // g for x in coef]
+                    rhs //= g
+                new.append((coef, rhs, used))
         current = new
     # every coefficient is eliminated: what is left reads 0 >= rhs
     if any(rhs > 0 for (_, rhs, _) in current):
@@ -231,7 +259,7 @@ def fm_solve(cons, nvars: int) -> Optional[list]:
         for (c, rhs, _) in stage:
             if c[k] == 0:
                 continue
-            bound = (rhs - sum(c[i] * d[i] for i in range(k))) / c[k]
+            bound = (rhs - sum(c[i] * d[i] for i in range(k))) / Fraction(c[k])
             if c[k] > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:
@@ -361,37 +389,33 @@ def _find_certified_ray(sysd: DivergenceSystem, enc, zero):
                 return False
         return True
 
-    candidates = []
-    for support in _supports(n):
-        # exact LP on midpoints, restricted to the support
-        sub_rows = []
-        skip = False
-        for j, row in enumerate(rows):
-            if all(zero[j][i] for i in support):
-                if sum(row.logs[i] for i in support) >= 0:
-                    skip = True
-                    break
-                continue
-            sub_rows.append([(enc[j][i].lo + enc[j][i].hi) / 2 for i in support])
-        if skip:
-            continue
-        if sub_rows:
-            d_sub = negative_direction(sub_rows, len(support))
-            if d_sub is not None:
-                d = [Fraction(0)] * n
-                for pos, i in enumerate(support):
-                    d[i] = d_sub[pos]
-                candidates.append(d)
-        else:
-            d = [Fraction(0)] * n
-            for i in support:
-                d[i] = Fraction(1)
-            candidates.append(d)
-    # coarse grid fallback over the full support
-    grid = [Fraction(k, 4) for k in range(5)]
-    if n <= 3:
-        candidates.extend(_grid_directions(n, grid))
-    for d in candidates:
+    def candidates():
+        """Directions in search order, each made only when the ones before
+        it failed to certify: per support, largest first, the exact LP on
+        midpoints restricted to it; then a coarse grid over the full
+        support."""
+        for support in _supports(n):
+            sub_rows = []
+            for j, row in enumerate(rows):
+                if all(zero[j][i] for i in support):
+                    if sum(row.logs[i] for i in support) >= 0:
+                        break  # the row cannot sink on this support
+                    continue
+                sub_rows.append([(enc[j][i].lo + enc[j][i].hi) / 2 for i in support])
+            else:
+                if sub_rows:
+                    d_sub = negative_direction(sub_rows, len(support))
+                else:
+                    d_sub = [Fraction(1)] * len(support)
+                if d_sub is not None:
+                    d = [Fraction(0)] * n
+                    for pos, i in enumerate(support):
+                        d[i] = d_sub[pos]
+                    yield d
+        if n <= 3:
+            yield from _grid_directions(n, [Fraction(k, 4) for k in range(5)])
+
+    for d in candidates():
         if any(x < 0 for x in d):
             continue
         for simplified in _simplify_ray(d):

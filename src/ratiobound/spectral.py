@@ -115,14 +115,20 @@ def _scc_period(members: list[int], succ) -> int:
 def scc_decompose(letter) -> SccDag:
     """SCCs of the support digraph of one letter's sparse rows `(d, rows)`
     (as in `WeightedAutomaton.sparse_rows`), with exact spectral radius and
-    period per component."""
+    period per component.  A component with no internal edge has radius 0,
+    and its matrix is not built."""
     d, rows = letter
     n = len(rows)
     succ = [[j for j, _ in row] for row in rows]
     comps, scc_of = strong_components(succ)
     infos = []
     zero = Fraction(0)
+    radius0 = AlgebraicNumber.from_rational(zero)
     for comp in comps:
+        period = _scc_period(comp, succ)
+        if not period:
+            infos.append(SccInfo(frozenset(comp), radius0, 0))
+            continue
         pos = {v: k for k, v in enumerate(comp)}
         sub = []
         for u in comp:
@@ -132,11 +138,7 @@ def scc_decompose(letter) -> SccDag:
                     cells[pos[j]] = Fraction(x, d)
             sub.append(tuple(cells))
         infos.append(
-            SccInfo(
-                frozenset(comp),
-                spectral_radius_of_matrix(tuple(sub)),
-                _scc_period(comp, succ),
-            )
+            SccInfo(frozenset(comp), spectral_radius_of_matrix(tuple(sub)), period)
         )
     edges = frozenset(
         (scc_of[u], scc_of[v])

@@ -568,6 +568,53 @@ def negative_direction_unpruned(rows, nvars: int):
     return d
 
 
+def fm_solve_fractions(cons, nvars: int):
+    """A rational d with c . d >= rhs for every (c, rhs) in `cons` (entries
+    Fractions), or None: Fourier-Motzkin over Fractions, pruned by
+    Chernikov's rule, with the elimination order and back-substitution of
+    `realexp.fm_solve`."""
+    current = [(c, rhs, 1 << i) for i, (c, rhs) in enumerate(cons)]
+    stages = []
+    for j, k in enumerate(range(nvars - 1, -1, -1), start=1):
+        stages.append(current)
+        lowers = [con for con in current if con[0][k] > 0]
+        uppers = [con for con in current if con[0][k] < 0]
+        new = [con for con in current if con[0][k] == 0]
+        for (cl, rl, hl) in lowers:
+            for (cu, ru, hu) in uppers:
+                used = hl | hu
+                if used.bit_count() > j + 1:
+                    continue
+                coef = [cl[i] * (-cu[k]) + cu[i] * cl[k] for i in range(nvars)]
+                coef[k] = Fraction(0)
+                new.append((coef, rl * (-cu[k]) + ru * cl[k], used))
+        current = new
+    if any(rhs > 0 for (_, rhs, _) in current):
+        return None
+    d = [None] * nvars
+    for k, stage in zip(range(nvars), reversed(stages)):
+        lo, hi = None, None
+        for (c, rhs, _) in stage:
+            if c[k] == 0:
+                continue
+            bound = (rhs - sum(c[i] * d[i] for i in range(k))) / c[k]
+            if c[k] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            d[k] = Fraction(0)
+        elif lo is None:
+            d[k] = min(Fraction(0), hi)
+        elif hi is None:
+            d[k] = lo
+        else:
+            if lo > hi:
+                return None
+            d[k] = (lo + hi) / 2
+    return d
+
+
 def covering_fails(nvars: int, enc, max_depth=10) -> bool:
     """Certified covering of every escape direction: on each face of the
     sup-norm unit boundary, some row's linear form, with its coefficients'

@@ -121,6 +121,26 @@ def test_spectral_radii_of_the_bounded_pass(monkeypatch):
     assert calls["scc_decompose"] == 48
 
 
+def test_bounded_pass_analyses_only_the_sub_questions_read_from_s(monkeypatch):
+    """Of the 111 sub-questions of the seed-1 `bounded` pass, the 94 whose
+    pattern no start reads, and any other whose `s@0` has no step, are
+    answered without monitors: `plus_analysis` runs 17 times."""
+    from ratiobound import bounded
+
+    calls = []
+    analyse = bounded.plus_analysis
+
+    def counted(*args):
+        calls.append(args)
+        return analyse(*args)
+
+    monkeypatch.setattr(bounded, "plus_analysis", counted)
+    for q in _load("workloads").build("bounded", 1, helpers):
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        decide_bounded(Query(parse_automaton(q.document), argv["--from"], argv["--to"]))
+    assert len(calls) == 17
+
+
 def test_traced_counts_of_the_bounded_pass():
     """The tracer's counters read result fields of the hooked layers (the
     monitors' `states`, `product_states`, a semi-decision's `verdict`), so
@@ -138,8 +158,8 @@ def test_traced_counts_of_the_bounded_pass():
         tracer.remove()
     assert {name: tracer.counts[name] for name in spans.COUNTS} == {
         "bounded.subqueries": 111,
-        "bounded.monitor_states": 472,
-        "bounded.product_states": 236,
+        "bounded.monitor_states": 290,
+        "bounded.product_states": 145,
         "bounded.linear_sets": 64,
         "bounded.candidates": 294,
         "realexp.holds": 5,

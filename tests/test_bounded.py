@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
@@ -382,6 +383,88 @@ def test_plus_subquery_padding_invariance():
             dropped += padded.automaton.n - kept.n
             assert _plus_outcome(padded) == _plus_outcome(pq)
     assert dropped > 0
+
+
+def test_unread_patterns_skip_the_analysis(monkeypatch):
+    """A pattern that no word accepted from either start collapses to gets
+    the two starts alone, with no step and no final; and wherever `s@0`
+    has no step, `decide_plus` answers with no candidate and no analysis,
+    as the analysis would.  A pattern counts as read when some block word
+    with blocks of length 1 to the state count has positive weight from a
+    start: a shortest accepted word of the pattern visits each product
+    state at most once."""
+    from ratiobound import bounded
+
+    calls = []
+    analyse = bounded.plus_analysis
+
+    def counted(pq, *args):
+        calls.append(pq)
+        return analyse(pq, *args)
+
+    monkeypatch.setattr(bounded, "plus_analysis", counted)
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(40):
+        letters = rng.choice([("a", "b"), ("a", "b", "c")])
+        wa = random_block_wa(rng, letters, per=2)
+        s, sp = rng.choice(wa.states), rng.choice(wa.states)
+        for pq in letter_bounded_to_plus(wa, s, sp, letters):
+            kept = pq.automaton
+            read = any(
+                weight_blocks(wa, q, list(zip(pq.source_letters, lengths))) > 0
+                for q in (s, sp)
+                for lengths in product(range(1, wa.n + 1), repeat=len(pq.letters))
+            )
+            if not read:
+                assert set(kept.states) == {pq.s, pq.s_prime}
+                assert not kept.transitions() and not kept.finals
+            else:
+                assert kept.finals
+            before = len(calls)
+            decided = decide_plus(pq)
+            if kept.sparse_rows[pq.letters[0]][1][kept.index(pq.s)]:
+                assert len(calls) == before + 1
+                seen["analysed"] += 1
+            else:
+                assert decided == () and len(calls) == before
+                # the analysis it skips realizes no candidate
+                assert not realized_candidates(analyse(pq))
+                seen["skipped, read" if read else "skipped, unread"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_pattern_search_ends_outside_the_bound():
+    """States that read words outside the bound, off the live part, stop the
+    search over (state, collapsed prefix) pairs at the first prefix that is
+    no pattern: `z` reads (ab)* from `s` but reaches no final."""
+    wa = WeightedAutomaton.from_transitions(
+        ["s", "t", "z"],
+        ["a", "b"],
+        [
+            ("s", "a", F(1, 2), "s"),
+            ("s", "b", F(1, 2), "t"),
+            ("s", "a", F(1, 2), "z"),
+            ("z", "b", F(1, 2), "z"),
+            ("z", "a", F(1, 2), "z"),
+        ],
+        ["t"],
+    )
+    assert detect_letter_bounded(wa, "s") == ("a", "b")
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("the pattern search did not end")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(5)
+    try:
+        subs = letter_bounded_to_plus(wa, "s", "s", ("a", "b"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [pq.source_letters for pq in subs] == [("a",), ("a", "b"), ("b",)]
+    assert [bool(pq.automaton.finals) for pq in subs] == [False, True, True]
+    assert decide_bounded(Query(wa, "s", "s")).verdict == "is-big-o"
 
 
 def _product_analysis(pq):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction as F
@@ -392,6 +393,52 @@ def test_export_formula(tmp_path, capsys, monkeypatch):
         for cand in decide_plus(pq)
     ]
     assert [entry["verdict"] for entry in report["index"]] == expected
+
+
+# sha256 of the `export-formula` index (as printed) and of each `.smt2`
+# file, in file order, for `--out smt{p}` run from an empty directory
+EXPORT_FORMULA_DIGESTS = {
+    "relative_orderings_p61.json": (
+        "89f444714bb3b9c8453c2f56c7b4344b7e1f3ba05ba622b8efccbc07238e55a5",
+        [
+            "f1c29c764dbb1b1f65125cae13f7cf199aadcb082fc716ed725bcd2291bec766",
+            "e788e8d15acb06564e1597a4b1671959bc93ad223c25190ad58661399491f76c",
+            "181998be73c3717013dc4533ca27c61860f6c748fa90a141faade57e37a7cf03",
+            "63624098feea331a3489bf2bf145aadbd12cb5aa29850922009daef0712a52ed",
+            "f970cf5f033a3426cd4ea3fe7b1dcdc439086c043133b2f28f3a43cf8e402a5f",
+            "b16aef5f4b9a06fc0bf3474732ff40c4957fed15a0bf878e492dd7a1ce6b8455",
+        ],
+    ),
+    "relative_orderings_p62.json": (
+        "83c587b3af24ff93465db844d18163c173b8598acb8371ecaa2e76ab2be2074d",
+        [
+            "315aff4b8310d29faa919574d00844757da98ec9abe55f83503377e808bcb273",
+            "eff8aeb77e5d4c323f21b326bc0f0ae480f3732657c3427ec6d68dc3371e9528",
+            "6fa062b471c24a9a255a7d07afbd000eebc8510677cf90300c09054206f8fe6c",
+            "d666e602235aa5a1a8e2ea61ef550d49fd5b25d1c44b66b2c9f6fc65203d3a63",
+            "c84b0803570fc494ce9adb493c6c9ec9cc4afc711cc4d10f6b6d4c057dc690d4",
+            "8cc6ca88a8b8798c4a715108bc1aa1c8ec49c02f8b29c38462114adcc1e49519",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_FORMULA_DIGESTS))
+def test_export_formula_output_is_pinned(tmp_path, capsys, monkeypatch, name):
+    """The index and every sentence file of both bundled relative-orderings
+    queries keep their recorded bytes, so a faster emission or decision
+    path that changes a formula, its order or its verdict fails here."""
+    out = "smt" + name[-7:-5]
+    monkeypatch.chdir(tmp_path)
+    argv = ["export-formula", "--file", data_file(name), "--from", "s", "--to", "s'"]
+    assert main(argv + ["--out", out]) == 0
+    index, files = EXPORT_FORMULA_DIGESTS[name]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == index
+    got = [
+        hashlib.sha256((tmp_path / out / f).read_bytes()).hexdigest()
+        for f in sorted(os.listdir(tmp_path / out))
+    ]
+    assert got == files
 
 
 def test_check_precision_outside_range_is_input_error(capsys):

@@ -16,8 +16,10 @@ from ratiobound.realexp import (
     LogCoeff,
     RealExpFormula,
     _find_certified_ray,
+    _nonnegative,
     _pure_log_case,
     every_direction_grows,
+    fm_solve,
     negative_direction,
     semi_decide,
 )
@@ -311,6 +313,36 @@ def test_pruned_elimination_picks_the_unpruned_direction():
     assert 20 <= feasible <= 180
 
 
+def test_integer_elimination_matches_fraction_elimination():
+    """`fm_solve` eliminates in integers; on the inputs its two callers
+    build from 128-bit enclosures (the midpoint rows of `negative_direction`
+    and the lower-bound rows of `every_direction_grows`) it returns the
+    direction that elimination over Fractions returns, or None with it."""
+    rng = random.Random(14)
+    values = [rat(v) for v in (F(1, 2), F(2, 3), F(3, 4), 1, F(4, 3), F(3, 2), 2)]
+    values.append(largest_real_root((-2, 0, 1)))  # sqrt 2
+    outcomes = {"direction": 0, "none": 0}
+    for _ in range(120):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        enc = [
+            [
+                LogCoeff(*rng.sample(values, 2), F(rng.choice([1, 2, -1]))).enclosure(128)
+                for _ in range(n)
+            ]
+            for _ in range(m)
+        ]
+        midpoint = [[-(e.lo + e.hi) / 2 for e in row] for row in enc]
+        grows = [[-e.lo for e in row] for row in enc]
+        for cons in (
+            _nonnegative(n) + [(row, F(1)) for row in midpoint],
+            _nonnegative(n) + [([F(1)] * n, F(1))] + [(row, F(0)) for row in grows],
+        ):
+            d = fm_solve(cons, n)
+            assert d == helpers.fm_solve_fractions(cons, n), cons
+            outcomes["none" if d is None else "direction"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
 def test_near_tie_fails_at_the_start_precision():
     """Rows with signs [-, -, +] and [+, +, -] whose best direction keeps
     the larger row about 5e-5 above 0: box bisection to depth 10 never
@@ -327,10 +359,22 @@ def _on_alarm(signum, frame):
     raise TimeoutError("semi_decide took longer than 5 s")
 
 
-def test_eight_by_five_ray_search_is_quick():
+def test_eight_by_five_ray_search_is_quick(monkeypatch):
     """Unpruned elimination over all 31 supports of this 8x5 draw took
     23.6 s; with Chernikov's rule the search takes a fraction of a second
-    and certifies the same ray."""
+    and certifies the same ray.  Candidate directions are made lazily, so
+    the first one, on the full support, certifies after one linear program
+    where solving all of them first took 29."""
+    from ratiobound import realexp
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = realexp.negative_direction
+    monkeypatch.setattr(realexp, "negative_direction", counted)
     rng = random.Random(2)
     ks = [k for k in range(31, 98) if k % 2 and k % 5]
     rows = [
@@ -345,3 +389,4 @@ def test_eight_by_five_ray_search_is_quick():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert (res.verdict, res.ray) == (HOLDS, (1, F(1, 4), F(1, 4), 1, 0))
+    assert len(calls) == 1
