@@ -27,7 +27,6 @@ from .bounded import (
     decide_finitely_ambiguous,
     detect_letter_bounded,
     emit_formula,
-    finitely_ambiguous_formula,
     letter_bounded_to_plus,
     parikh_linear_sets,
     plus_analysis,

@@ -3,14 +3,14 @@ plus-letter-bounded core, per-block growth-signature detectors, Parikh
 decompositions into linear sets, and emission/semi-decision of divergence
 sentences over the reals with logarithms.
 
-Also hosts the finitely-ambiguous check, which turns externally supplied
-growth tuples into divergence sentences of the same kind, one per tuple and
-numerator row, and decides them with the same `realexp.semi_decide`.
+Also hosts the finitely-ambiguous check: each externally supplied growth
+tuple is the block chain `DeltaTuple.chain` builds, decided by
+`decide_bounded` like any other bounded query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
@@ -32,7 +32,6 @@ from .automata import (
 )
 from .nfaops import lc_check, nfa_contained
 from .realexp import (
-    FAILS,
     HOLDS,
     UNKNOWN,
     DivergenceRow,
@@ -96,7 +95,31 @@ class DeltaTuple:
 
     @property
     def dim(self) -> int:
-        return len(self.q_rows[0]) if self.q_rows else 0
+        # the second sum always has a row; the first may have none
+        return len(self.s_rows[0])
+
+    def chain(self) -> WeightedAutomaton:
+        """The tuple as a block chain over letters a1..a{dim}: `s` branches
+        with weight p_j into a path that reads a1^n1 ... ad^nd with weight
+        q_j[i] on every a_i, and `s'` likewise with r_l and s_l.  So on that
+        word (every n_i >= 1) nu_s / nu_s' is exactly the tuple's ratio at
+        n.  A chain of dimension 0 accepts no word: its ratio is constant."""
+        letters = [f"a{i + 1}" for i in range(self.dim)]
+        states, trans, finals = ["s", "s'"], [], []
+        for start, tag, weights, rows in (
+            ("s", "n", self.p, self.q_rows),
+            ("s'", "d", self.r, self.s_rows),
+        ):
+            for j, (w, row) in enumerate(zip(weights, rows)):
+                prev, into = start, Fraction(w)
+                for a, x in zip(letters, row):
+                    q = f"{tag}{j}.{a}"
+                    states.append(q)
+                    trans += [(prev, a, into * Fraction(x), q), (q, a, x, q)]
+                    prev, into = q, 1
+                if letters:
+                    finals.append(prev)
+        return WeightedAutomaton.from_transitions(states, letters, trans, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -902,100 +925,18 @@ def _increasing_run(ratios):
 # finitely ambiguous comparison from supplied growth tuples
 
 
-@dataclass(frozen=True)
-class ExpSumDecision:
-    verdict: str
-    tuple_index: Optional[int] = None
-    direction: Optional[tuple] = None
-    witnesses: tuple = ()
-    detail: Optional[str] = None
-
-
-def finitely_ambiguous_formula(deltas) -> list:
-    """One divergence sentence per DeltaTuple and numerator row.
-
-    The ratio sum_j p_j q_j^x / sum_l r_l s_l^x is unbounded on x >= 0
-    exactly when, for some row j, every form <ln(s_l/q_j), x> goes below
-    every bound at once.  The sentence for (tuple, j) has one row per
-    denominator row l, coefficients ln(s_l[i]/q_j[i]) and no log terms; a
-    shift of x moves a linear form by a constant only, so it ranges over
-    [2, inf) like every sentence of the bounded decider.  The comparison
-    is negative exactly when some sentence holds.
-    """
-    rat = AlgebraicNumber.from_rational
-    formulas = []
-    for idx, d in enumerate(deltas):
-        for j, qrow in enumerate(d.q_rows):
-            rows = tuple(
-                DivergenceRow(
-                    tuple(LogCoeff(rat(s), rat(q), Fraction(1)) for s, q in zip(srow, qrow)),
-                    (0,) * d.dim,
-                )
-                for srow in d.s_rows
-            )
-            system = DivergenceSystem(rows, Fraction(2), d.dim)
-            formulas.append(RealExpFormula(system, {"tuple": idx, "numerator_row": j}))
-    return formulas
-
-
-def decide_finitely_ambiguous(
-    deltas, start_bits: Optional[int] = None
-) -> ExpSumDecision:
-    """Three-valued check over all supplied tuples: `semi_decide` on each
-    sentence of `finitely_ambiguous_formula`.  A holding sentence becomes
-    `not-big-o` only once the exact ratio at integer points along its
-    certified ray passes 10, 100 and 1000; otherwise it is `unknown`.
-    `is-big-o` needs every sentence to fail."""
+def decide_finitely_ambiguous(deltas, start_bits: Optional[int] = None) -> BoundedResult:
+    """Three-valued check over supplied growth tuples: `decide_bounded` on
+    each tuple's block chain.  A `not-big-o` from any tuple wins, with the
+    tuple's index added to its witness as "tuple"; then the first
+    `unknown`; `is-big-o` needs every tuple bounded."""
     start_bits = checked_start_bits(start_bits)
     deltas = [d if isinstance(d, DeltaTuple) else DeltaTuple(*d) for d in deltas]
     first_unknown = None
-    for f in finitely_ambiguous_formula(deltas):
-        idx = f.provenance["tuple"]
-        res = semi_decide(f, start_bits=start_bits)
-        detail = res.detail
-        if res.verdict == HOLDS:
-            witnesses = _ratio_witnesses(deltas[idx], res.ray)
-            if witnesses is not None:
-                return ExpSumDecision("not-big-o", idx, res.ray, witnesses)
-            detail = "exact ratios along the ray did not pass 10, 100 and 1000"
-        if res.verdict != FAILS and first_unknown is None:
-            row = f.provenance["numerator_row"]
-            first_unknown = ExpSumDecision(
-                "unknown", idx, detail=f"numerator row {row}: {detail}"
-            )
-    return first_unknown or ExpSumDecision("is-big-o", detail="all tuples refuted")
-
-
-def _ratio_at(d: DeltaTuple, x) -> Fraction:
-    num = sum(
-        Fraction(p) * _powprod(qrow, x) for p, qrow in zip(d.p, d.q_rows)
-    )
-    den = sum(
-        Fraction(r) * _powprod(srow, x) for r, srow in zip(d.r, d.s_rows)
-    )
-    return num / den
-
-
-def _powprod(row, x) -> Fraction:
-    out = Fraction(1)
-    for base, e in zip(row, x):
-        out *= Fraction(base) ** e
-    return out
-
-
-def _ratio_witnesses(d: DeltaTuple, ray) -> Optional[tuple]:
-    """The integer points t * ray (t = 1, 2, 4, ...) where the exact ratio
-    first passes 10, 100 and 1000, with the ratios, or None."""
-    den = lcm_den(ray)
-    dint = [int(r * den) for r in ray]
-    thresholds = [Fraction(10), Fraction(100), Fraction(1000)]
-    witnesses = []
-    t = 1
-    while thresholds and t * max(dint) <= 10**7:
-        x = tuple(t * di for di in dint)
-        ratio = _ratio_at(d, x)
-        while thresholds and ratio > thresholds[0]:
-            witnesses.append((x, str(ratio)))
-            thresholds.pop(0)
-        t *= 2
-    return None if thresholds else tuple(witnesses)
+    for idx, d in enumerate(deltas):
+        res = decide_bounded(Query(d.chain(), "s", "s'"), start_bits=start_bits)
+        if res.verdict == "not-big-o":
+            return replace(res, witness={**res.witness, "tuple": idx})
+        if res.verdict == "unknown" and first_unknown is None:
+            first_unknown = res
+    return first_unknown or BoundedResult("is-big-o")

@@ -298,6 +298,22 @@ def weight(wa: WeightedAutomaton, s: str, word) -> Fraction:
     return weight_blocks(wa, s, ((a, 1) for a in word))
 
 
+def tuple_ratio(d, v) -> Fraction:
+    """A growth tuple's ratio sum_j p_j prod_i q_j[i]^v_i over
+    sum_l r_l prod_i s_l[i]^v_i, from the tuple's entries alone."""
+
+    def total(weights, rows):
+        out = Fraction(0)
+        for w, row in zip(weights, rows):
+            term = Fraction(w)
+            for base, e in zip(row, v, strict=True):
+                term *= Fraction(base) ** e
+            out += term
+        return out
+
+    return total(d.p, d.q_rows) / total(d.r, d.s_rows)
+
+
 def enum_paths_weight(wa: WeightedAutomaton, s: str, word) -> Fraction:
     """Brute-force path enumeration: sum over accepting state sequences of
     the product of transition weights."""

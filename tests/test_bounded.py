@@ -24,7 +24,6 @@ from ratiobound import (
     decide_unary,
     detect_letter_bounded,
     emit_formula,
-    finitely_ambiguous_formula,
     letter_bounded_to_plus,
     parikh_linear_sets,
     plus_analysis,
@@ -39,7 +38,6 @@ from ratiobound.bounded import (
     _in_letter_bound,
     _star_nfa,
     check_bounding_words,
-    _ratio_at,
     decide_plus,
     detector_nfa,
     realized_candidates,
@@ -928,16 +926,66 @@ def test_deciders_reject_out_of_range_start_bits():
 # finitely ambiguous
 
 
+def _check_tuple_witness(d, idx, res):
+    """A not-big-o names its tuple, reads the chain's letters in order, and
+    ships ratios that the tuple's own sums give exactly at the reported
+    vectors, with a strictly increasing run among them."""
+    w = res.witness
+    assert w["tuple"] == idx
+    assert w["block_letters"] == [f"a{i + 1}" for i in range(d.dim)]
+    ratios = [helpers.tuple_ratio(d, v) for v in w["vectors"]]
+    assert [F(r) for r in w["ratios"]] == ratios
+    run = [F(r) for r in w["increasing_run"]]
+    assert len(run) == 3 and run[0] < run[1] < run[2]
+    assert set(run) <= set(ratios)
+
+
 def test_finitely_ambiguous_identical_sides():
     d = DeltaTuple((F(1), F(2)), ((F(2), F(3)), (F(1, 2), F(1))), (F(1), F(2)), ((F(2), F(3)), (F(1, 2), F(1))))
     assert decide_finitely_ambiguous([d]).verdict == "is-big-o"
 
 
 def test_finitely_ambiguous_single_growing():
+    """2^n over 1 diverges along the one coordinate, the ray (1); the
+    precision range is checked as in `decide_bounded`."""
     d = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
     res = decide_finitely_ambiguous([d])
     assert res.verdict == "not-big-o"
-    assert res.witnesses
+    _check_tuple_witness(d, 0, res)
+    assert res.witness["ray"] == ["1"]
+    with pytest.raises(InputError):
+        decide_finitely_ambiguous([d], start_bits=8)
+
+
+def test_finitely_ambiguous_tuples_without_letters_to_read():
+    """An empty first sum and dimension 0 leave no letter to read from `s`:
+    both are is-big-o.  The dimension comes from either side's rows."""
+    empty_num = DeltaTuple((), (), (F(1),), ((F(2), F(3)),))
+    assert empty_num.dim == 2
+    assert empty_num.chain().alphabet == ("a1", "a2")
+    flat = DeltaTuple((F(1),), ((),), (F(2),), ((),))
+    assert flat.dim == 0 and flat.chain().finals == frozenset()
+    for d in (empty_num, flat):
+        assert decide_finitely_ambiguous([d]).verdict == "is-big-o"
+
+
+def test_finitely_ambiguous_not_big_o_wins_then_first_unknown(monkeypatch):
+    """Tuples are decided in order: any not-big-o wins and names its tuple;
+    otherwise the first unknown is returned."""
+    import ratiobound.bounded
+    from ratiobound.bounded import BoundedResult
+
+    flat = DeltaTuple((F(1),), ((F(1),),), (F(1),), ((F(1),),))
+    growing = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
+    res = decide_finitely_ambiguous([flat, growing, flat])
+    assert res.verdict == "not-big-o"
+    _check_tuple_witness(growing, 1, res)
+    assert decide_finitely_ambiguous([flat, flat]).verdict == "is-big-o"
+    assert decide_finitely_ambiguous([]).verdict == "is-big-o"
+    first, second = BoundedResult("unknown", subqueries=1), BoundedResult("unknown", subqueries=2)
+    answers = iter([BoundedResult("is-big-o"), first, second])
+    monkeypatch.setattr(ratiobound.bounded, "decide_bounded", lambda *a, **k: next(answers))
+    assert decide_finitely_ambiguous([flat, flat, flat]) is first
 
 
 def test_finitely_ambiguous_rejects_nonpositive():
@@ -961,43 +1009,22 @@ def test_finitely_ambiguous_grid_confirmation():
     for d in tuples:
         res = decide_finitely_ambiguous([d])
         assert res.verdict == "not-big-o"
-        from ratiobound.bounded import _ratio_at
-
-        best = F(0)
-        grown = False
-        for n1 in range(0, 61, 10):
-            for n2 in range(0, 61, 10):
-                r = _ratio_at(d, (n1, n2))
-                if r > 1000:
-                    grown = True
-        assert grown
+        _check_tuple_witness(d, 0, res)
+        grid = range(0, 61, 10)
+        assert any(helpers.tuple_ratio(d, (n1, n2)) > 1000 for n1 in grid for n2 in grid)
 
 
-def test_finitely_ambiguous_formula_export():
-    d = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
-    (f,) = finitely_ambiguous_formula([d])
-    smt = f.to_smt2()
-    assert "(check-sat)" in smt and "expf" in smt
-
-
-def test_finitely_ambiguous_exports_the_sentence_it_decides():
-    d = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
-    (f,) = finitely_ambiguous_formula([d])
-    assert f.provenance == {"tuple": 0, "numerator_row": 0}
-    (row,) = f.system.rows
-    assert f.system.lower == 2 and f.system.nvars == 1 and row.logs == (0,)
-    (co,) = row.coeffs
-    assert co.scale == 1
-    # ln(s/q): the denominator base over the numerator base
-    assert (co.num.lo, co.den.lo) == (1, 2)
-    # rho is the numerator base 2, sig the denominator base 1
-    assert "(assert (<= 2.0 rho_1))" in f.to_smt2()
-    assert semi_decide(f).verdict == HOLDS
-    res = decide_finitely_ambiguous([d])
-    assert res.verdict == "not-big-o"
-    assert res.direction == semi_decide(f).ray
-    with pytest.raises(InputError):
-        decide_finitely_ambiguous([d], start_bits=8)
+def test_block_chain_weighs_the_tuple_ratio():
+    """On a1^n1 ... ad^nd (every n_i >= 1) the chain's two weights are the
+    tuple's two sums, so their ratio is the tuple's ratio at n."""
+    rng = random.Random(3)
+    for d in _draw_wide_delta_tuples()[:40]:
+        wa = d.chain()
+        for _ in range(3):
+            n = [rng.randint(1, 6) for _ in range(d.dim)]
+            blocks = list(zip(wa.alphabet, n))
+            ratio = weight_blocks(wa, "s", blocks) / weight_blocks(wa, "s'", blocks)
+            assert ratio == helpers.tuple_ratio(d, n), (d, n)
 
 
 def _draw_delta_tuples(count=400, seed=2026):
@@ -1020,6 +1047,30 @@ def _draw_delta_tuples(count=400, seed=2026):
     return out
 
 
+def _draw_wide_delta_tuples(count=300, seed=7):
+    """Dimension 1-4, 1-4 rows a side; in 40% of draws one denominator row
+    copies a numerator row, and in 20% one row ties another coordinate-wise
+    on all but one coordinate."""
+    rng = random.Random(seed)
+    vals = (F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3))
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        nq, ns = rng.randint(1, 4), rng.randint(1, 4)
+        q_rows = tuple(tuple(rng.choice(vals) for _ in range(dim)) for _ in range(nq))
+        s_rows = [tuple(rng.choice(vals) for _ in range(dim)) for _ in range(ns)]
+        if rng.random() < 0.4:
+            s_rows[rng.randrange(ns)] = rng.choice(q_rows)
+        if rng.random() < 0.2:
+            row = list(rng.choice(q_rows))
+            row[rng.randrange(dim)] = rng.choice(vals)
+            s_rows[rng.randrange(ns)] = tuple(row)
+        p = tuple(rng.choice(vals) for _ in range(nq))
+        r = tuple(rng.choice(vals) for _ in range(ns))
+        out.append(DeltaTuple(p, q_rows, r, tuple(s_rows)))
+    return out
+
+
 # verdicts of the former single-precision slope search on the draws above:
 # N not-big-o, B is-big-o, U unknown
 _SLOPE_SEARCH_VERDICTS = (
@@ -1033,30 +1084,48 @@ _SLOPE_SEARCH_VERDICTS = (
 
 
 def test_finitely_ambiguous_differential_against_slope_search():
-    """One `semi_decide` per numerator row keeps every verdict the former
-    slope search certified, settles all of its unknowns, and answers
-    is-big-o exactly when every sentence fails."""
+    """The block chains keep every verdict the former slope search
+    certified and settle all of its unknowns; every not-big-o ships an
+    exactly evaluated increasing run."""
     code = {"not-big-o": "N", "is-big-o": "B", "unknown": "U"}
     verdicts = []
     for d, old in zip(_draw_delta_tuples(), _SLOPE_SEARCH_VERDICTS):
         res = decide_finitely_ambiguous([d])
         new = code[res.verdict]
         assert new == old or old == "U", (d, old, new)
-        formulas = finitely_ambiguous_formula([d])
-        assert [f.provenance["numerator_row"] for f in formulas] == list(
-            range(len(d.q_rows))
-        )
-        all_fail = all(semi_decide(f).verdict == FAILS for f in formulas)
-        assert all_fail == (new == "B"), d
         if new == "N":
-            ratios = [_ratio_at(d, x) for x, _ in res.witnesses]
-            assert [str(r) for r in ratios] == [r for _, r in res.witnesses]
-            assert [r > t for r, t in zip(ratios, (10, 100, 1000))] == [True] * 3
+            _check_tuple_witness(d, 0, res)
         verdicts.append(new)
     assert len(verdicts) == 400
     counts = {c: verdicts.count(c) for c in "NBU"}
     assert counts == {"N": 226, "B": 174, "U": 0}
     assert _SLOPE_SEARCH_VERDICTS.count("U") == 29
+
+
+# verdicts of the former one-sentence-per-numerator-row check on
+# `_draw_wide_delta_tuples()`: N not-big-o, B is-big-o
+_ROW_SENTENCE_VERDICTS = (
+    "NBNBNNNNNNNBNBBBBNNNNNBBNNNBBBBNNBNNBNBNNBNNBNNNBNBBNBNNNNNBNBNNBNBNNBNBBN"
+    "BBNNBNNBNBBNBNNNBNNNNNBBNBNNBNBNNNBNBBNNBBBNBBNBNNNNNNNBBBNNNNNBBBNBBNNBBN"
+    "NBNBNBBNNNBNBBBNNNNBNNNNBNNBBNBNBBNBNBBNNNBNBBBNBBBBNNNNNBNNBBBBNBBNBNBBBB"
+    "NNNNNNNBBBNBNBNNNNBNBBNNNBBBBNBNNNBNNBNNNBNBBBNNNNBNBNBNBBBNNNNBNNNNNNNNNB"
+    "NNNN"
+)
+
+
+def test_finitely_ambiguous_differential_on_wide_draws():
+    """Dimension up to 4 with exact ties: the block chains give the verdicts
+    the former per-row sentences gave, and every not-big-o ships an exactly
+    evaluated increasing run."""
+    code = {"not-big-o": "N", "is-big-o": "B", "unknown": "U"}
+    verdicts = ""
+    for d in _draw_wide_delta_tuples():
+        res = decide_finitely_ambiguous([d])
+        if res.verdict == "not-big-o":
+            _check_tuple_witness(d, 0, res)
+        verdicts += code[res.verdict]
+    assert verdicts == _ROW_SENTENCE_VERDICTS
+    assert (verdicts.count("N"), verdicts.count("B")) == (174, 126)
 
 
 def test_realized_degree_sets_are_antichains():

@@ -10,7 +10,7 @@ from ratiobound.jsonio import parse_automaton, parse_weight, serialize
 from ratiobound.automata import FormatError, WeightedAutomaton
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
 
-from helpers import not_big_o_on_b, two_symbol_chain
+from helpers import not_big_o_on_b, random_block_wa, two_symbol_chain
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -46,6 +46,9 @@ def test_weight_canonicalization_warns():
     warnings = []
     assert parse_weight("3/6", warnings) == F(1, 2)
     assert warnings and "1/2" in warnings[0]
+    warnings = []
+    assert parse_weight("2", warnings) == 2
+    assert warnings == ["weight '2' canonicalized to '2/1'"]
 
 
 def test_negative_weight_rejected():
@@ -54,9 +57,22 @@ def test_negative_weight_rejected():
     assert "negative" in str(err.value)
 
 
-def test_decimal_weight_rejected():
-    with pytest.raises(FormatError):
-        parse_weight("0.5")
+def test_decimal_weight_rejected(tmp_path, capsys):
+    """Decimals, non-integer parts and zero denominators are format errors,
+    and `check` exits 65 on them."""
+    path = tmp_path / "w.json"
+    for text in ("0.5", "1/x", "2/0", "x"):
+        with pytest.raises(FormatError):
+            parse_weight(text)
+        doc = {
+            "states": ["p", "t"],
+            "alphabet": ["a"],
+            "finals": ["t"],
+            "transitions": [{"from": "p", "symbol": "a", "to": "t", "weight": text}],
+        }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
+        assert repr(text) in capsys.readouterr().err
 
 
 def test_duplicate_transition_rejected():
@@ -176,16 +192,22 @@ def _no_decider_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "make_file, message",
+    "make_file, command, message",
     [
-        (_no_decider_file, "no decider applies"),
-        (lambda tmp_path: str(tmp_path / "absent.json"), "absent.json"),
+        (_no_decider_file, ["check"], "no decider applies"),
+        (
+            _no_decider_file,
+            ["check", "--mode", "bounded"],
+            "not letter-bounded; supply bounding words",
+        ),
+        (_no_decider_file, ["oracle", "--max-len", "-1"], "non-negative"),
+        (lambda tmp_path: str(tmp_path / "absent.json"), ["check"], "absent.json"),
     ],
-    ids=["no-decider", "missing-file"],
+    ids=["no-decider", "bounded-not-letter-bounded", "oracle-negative-length", "missing-file"],
 )
-def test_check_auto_input_errors_exit_64(tmp_path, capsys, make_file, message):
+def test_check_auto_input_errors_exit_64(tmp_path, capsys, make_file, command, message):
     path = make_file(tmp_path)
-    assert main(["check", "--file", path, "--from", "p", "--to", "p"]) == 64
+    assert main(command + ["--file", path, "--from", "p", "--to", "p"]) == 64
     err = capsys.readouterr().err
     assert err.startswith("input error") and message in err
 
@@ -508,6 +530,7 @@ def test_check_eventually_flag(capsys):
         assert main(
             ["check", "--file", path, "--from", "s", "--to", "s2", "--mode", "unary", "--eventually"]
         ) == 0
+        assert main(["check", "--file", path, "--from", "s", "--to", "s", "--eventually"]) == 0
         capsys.readouterr()
 
 
@@ -661,6 +684,27 @@ def test_check_monitor_cap_exits_66(capsys, monkeypatch):
     args = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]
     assert main(args) == 66
     assert "resource error" in capsys.readouterr().err
+
+
+def test_check_linear_set_cap_exits_66(tmp_path, capsys, monkeypatch):
+    """Draw 0 of these decomposes into linear sets; with no linear set
+    allowed the decomposition raises, and `check` exits 66."""
+    import random
+
+    import ratiobound.bounded
+    from ratiobound import Query, ResourceError, decide_bounded
+
+    wa = random_block_wa(random.Random(11), per=2)
+    q = Query(wa, "L0_0", "L0_1")
+    decide_bounded(q)
+    monkeypatch.setattr(ratiobound.bounded, "LINEAR_SET_CAP", 0)
+    with pytest.raises(ResourceError):
+        decide_bounded(q)
+    path = tmp_path / "block.json"
+    path.write_text(serialize(wa), encoding="utf-8")
+    args = ["check", "--file", str(path), "--from", "L0_0", "--to", "L0_1", "--mode", "bounded"]
+    assert main(args) == 66
+    assert "linear-set decomposition exceeded the cap" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -77,6 +77,13 @@ def test_pure_log_exponent_cases():
     assert semi_decide(holds).verdict == HOLDS
     fails = formula([(([coeff(1, 1)]), [1])])
     assert semi_decide(fails).verdict == FAILS
+    # every coefficient is exactly zero and no row is bounded below by
+    # signs alone, but no direction sinks both rows at once
+    zeros = [coeff(1, 1), coeff(1, 1)]
+    crossed = formula([(zeros, [-1, 1]), (zeros, [1, -1])])
+    res = semi_decide(crossed)
+    assert res.verdict == FAILS
+    assert res.detail == "log-exponent cone is empty (exact)"
 
 
 def test_relative_ordering_systems():
