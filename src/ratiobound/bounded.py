@@ -32,6 +32,7 @@ from .automata import (
 )
 from .nfaops import lc_check, nfa_contained
 from .realexp import (
+    FAILS,
     HOLDS,
     UNKNOWN,
     DivergenceRow,
@@ -750,19 +751,51 @@ def emit_formula(
 
 @dataclass(frozen=True)
 class Candidate:
+    """One realized candidate with its semi-decision.  Its divergence
+    sentence is emitted by `emit_formula` when `formula` is first read, so a
+    candidate decided by its signatures alone builds none unless asked."""
+
     x_sig: tuple
     y_sigs: tuple
     lin: LinearSet
     u_set: tuple
-    formula: RealExpFormula
     decision: SemiDecision
+    analysis: PlusAnalysis = field(repr=False, compare=False)
+    _formula: Optional[RealExpFormula] = field(default=None, repr=False, compare=False)
+
+    @property
+    def formula(self) -> RealExpFormula:
+        if self._formula is None:
+            f = emit_formula(self.analysis, self.x_sig, self.y_sigs, self.lin, self.u_set)
+            object.__setattr__(self, "_formula", f)
+        return self._formula
+
+
+def _signature_decision(x_sig, y_sigs, u_set) -> Optional[SemiDecision]:
+    """The `fails` that `semi_decide` would read off the candidate's
+    sentence by exact signs, or None when that takes the sentence.
+
+    Row j (the j-th Y in sorted order) has, at each i in U, coefficient
+    period_i * log(table[y_i] / table[x_i]) and log exponent k(y_i) - k(x_i).
+    Every period in U is positive and the radius table strictly ascending,
+    so the coefficient's sign is that of the slot difference, and the row
+    is bounded below exactly when y[i] >= x[i] as tuples at every i in U."""
+    if not u_set:
+        return SemiDecision(FAILS, detail="no unbounded coordinates")
+    for j, y in enumerate(sorted(y_sigs)):
+        if all(y[i] >= x_sig[i] for i in u_set):
+            return SemiDecision(FAILS, detail=f"row {j} is bounded below by exact signs")
+    return None
 
 
 def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
-    """Every realized candidate of one plus-bounded sub-question, emitted and
-    semi-decided in a deterministic order.  A `holds` candidate is a
-    divergence, an `unknown` one leaves the sub-question open, and
-    boundedness needs every candidate to fail.
+    """Every realized candidate of one plus-bounded sub-question, decided in
+    a deterministic order.  A `holds` candidate is a divergence, an
+    `unknown` one leaves the sub-question open, and boundedness needs every
+    candidate to fail.  A candidate with no unbounded coordinate, or whose
+    X some Y bounds at every unbounded coordinate, is decided from its
+    signatures (`_signature_decision`); every other one has its sentence
+    emitted and semi-decided.
 
     When `s@0` has no step, no word of the pattern is read from `s`: there
     is no signature X and no candidate, so the analysis is skipped.  This
@@ -770,6 +803,7 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
     wa = pq.automaton
     if not wa.sparse_rows[pq.letters[0]][1][wa.index(pq.s)]:
         return ()
+    start_bits = checked_start_bits(start_bits)
     analysis = plus_analysis(pq)
     letters = pq.letters
     decided = []
@@ -779,10 +813,12 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
             pos = [i for i in range(len(letters)) if lin.periods[i] > 0]
             for mask in range(2 ** len(pos)):
                 u_set = tuple(pos[i] for i in range(len(pos)) if mask >> i & 1)
-                f = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
-                decided.append(
-                    Candidate(x_sig, y_sigs, lin, u_set, f, semi_decide(f, start_bits=start_bits))
-                )
+                decision = _signature_decision(x_sig, y_sigs, u_set)
+                f = None
+                if decision is None:
+                    f = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
+                    decision = semi_decide(f, start_bits=start_bits)
+                decided.append(Candidate(x_sig, y_sigs, lin, u_set, decision, analysis, f))
     return tuple(decided)
 
 

@@ -312,21 +312,15 @@ def cmd_export_formula(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ratiobound",
-        description="Deciders for weight-ratio boundedness between automaton states",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p):
+    p.add_argument("--file", required=True, help="automaton JSON document")
+    p.add_argument("--from", dest="src", required=True, help="first state")
+    p.add_argument("--to", dest="dst", required=True, help="second state")
+    p.add_argument("--human", action="store_true", help="text output")
 
-    def common(p):
-        p.add_argument("--file", required=True, help="automaton JSON document")
-        p.add_argument("--from", dest="src", required=True, help="first state")
-        p.add_argument("--to", dest="dst", required=True, help="second state")
-        p.add_argument("--human", action="store_true", help="text output")
 
-    p = sub.add_parser("check", help="decide whether s is big-O of s'")
-    common(p)
+def _check_arguments(p):
+    _common(p)
     p.add_argument("--mode", choices=["auto", "unary", "unambiguous", "bounded"], default="auto")
     p.add_argument("--eventually", action="store_true", help="ignore finitely many words (unary)")
     p.add_argument("--words", nargs="*", default=None, help="bounding words w1..wm")
@@ -337,48 +331,82 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="interval precision start, 16 to 2048",
     )
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("classify", help="report instance class membership")
+
+def _classify_arguments(p):
     p.add_argument("--file", required=True)
     p.add_argument("--from", dest="src", default=None)
     p.add_argument("--to", dest="dst", default=None)
     p.add_argument("--spectral", action="store_true", help="dump SCC/radius table")
     p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("oracle", help="brute-force ratio profile")
-    common(p)
+
+def _oracle_arguments(p):
+    _common(p)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--entries", action="store_true", help="include per-word weights")
-    p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("reduce", help="apply an answer-preserving reduction")
+
+def _reduce_arguments(p):
     p.add_argument("kind", choices=["big-theta", "from-big-theta", "eventual", "value1", "from-value1"])
-    common(p)
+    _common(p)
     p.add_argument("--letter", default=None, help="designated symbol")
     p.add_argument("--delta", default=None, help="completion weight (rational)")
-    p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("generate", help="produce a labeled instance")
+
+def _generate_arguments(p):
     p.add_argument("kind", choices=["undecidable", "hardness"])
     p.add_argument("--file", required=True, help="PA document or Chrobak JSON")
     p.add_argument("--start", default=None, help="PA start state (undecidable)")
     p.add_argument("--generalize", action="store_true")
     p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("export-formula", help="write all bounded-decider formulas as SMT-LIB")
-    common(p)
+
+def _export_formula_arguments(p):
+    _common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_export_formula)
+
+
+# name -> (help line, argument builder, handler), in usage order
+COMMANDS = {
+    "check": ("decide whether s is big-O of s'", _check_arguments, cmd_check),
+    "classify": ("report instance class membership", _classify_arguments, cmd_classify),
+    "oracle": ("brute-force ratio profile", _oracle_arguments, cmd_oracle),
+    "reduce": ("apply an answer-preserving reduction", _reduce_arguments, cmd_reduce),
+    "generate": ("produce a labeled instance", _generate_arguments, cmd_generate),
+    "export-formula": (
+        "write all bounded-decider formulas as SMT-LIB",
+        _export_formula_arguments,
+        cmd_export_formula,
+    ),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one command line.  Every command gets its sub-parser,
+    whose name and help line make the top-level usage, help and
+    invalid-choice error; only the command `argv` calls gets its arguments.
+    That is the first word of `argv` that names a command: the top level
+    takes no option with a value, so argparse dispatches to that word when
+    it dispatches at all."""
+    parser = argparse.ArgumentParser(
+        prog="ratiobound",
+        description="Deciders for weight-ratio boundedness between automaton states",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    called = next((a for a in argv if a in COMMANDS), None)
+    for name, (text, add_arguments, fn) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == called:
+            add_arguments(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except FormatError as exc:

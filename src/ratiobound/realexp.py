@@ -10,7 +10,8 @@ answered with an exact sign argument (a row whose every term is bounded
 below, read off the exact signs of its coefficients), an exact log-exponent
 program, or one linear program over the enclosures' lower bounds that has
 no solution, so that along every direction some row's linear part grows
-(Ville's alternative).  Both programs are solved exactly by Fourier-Motzkin
+(Ville's alternative); a variable that appears in no row is left out of
+that program.  Both programs are solved exactly by Fourier-Motzkin
 elimination in integers, pruned with Chernikov's rule.  Every borderline
 case is answered "unknown" and can be exported as SMT-LIB 2 text for
 external delta-complete solvers.
@@ -338,6 +339,15 @@ def semi_decide(
     zero = [[s == 0 for s in row] for row in signs]
     if all(all(z) for z in zero):
         return _pure_log_case(sysd)
+    # a variable that is exactly zero with log exponent 0 in every row
+    # appears nowhere, and along it no row grows: the growth program decides
+    # the system without it.  The ray search keeps it, and its linear
+    # programs put 0 there.
+    live = [
+        i
+        for i in range(n)
+        if any(not zero[j][i] or row.logs[i] for j, row in enumerate(sysd.rows))
+    ]
 
     while bits <= max_bits:
         enc = [
@@ -345,7 +355,7 @@ def semi_decide(
         ]
         # both certificates are exact, so at most one exists; the single
         # linear program goes first
-        if every_direction_grows(enc, n):
+        if every_direction_grows([[row[i] for i in live] for row in enc], len(live)):
             return SemiDecision(FAILS, detail=f"every direction has a growing row at {bits} bits")
         ray = _find_certified_ray(sysd, enc, zero)
         if ray is not None:

@@ -161,9 +161,9 @@ def test_traced_counts_of_the_bounded_pass():
         "bounded.monitor_states": 290,
         "bounded.product_states": 145,
         "bounded.linear_sets": 64,
-        "bounded.candidates": 294,
+        "bounded.candidates": 27,
         "realexp.holds": 5,
-        "realexp.fails": 289,
+        "realexp.fails": 22,
         "realexp.unknown": 0,
         "automata.profile_words": 0,
     }

@@ -1195,3 +1195,114 @@ def test_plus_analysis_monitor_cap():
                 plus_analysis(pq, cap=size - 1)
     assert max(sizes) > 1, sizes
 
+
+
+def _candidate_cases():
+    """Letter-bounded queries over the data files, seeded random block
+    automata read in both directions, and the seed-1 bench `bounded` pass."""
+    from test_bench_hooks import _load
+
+    cases = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            wa = parse_automaton(fh.read())
+        letters = detect_letter_bounded(wa, "s'")
+        if letters:
+            cases.append((wa, "s", "s'", letters))
+    rng = random.Random(2111)
+    for _ in range(40):
+        wa = random_block_wa(rng, per=2)
+        cases += [(wa, "L0_0", "L0_1", ("a", "b")), (wa, "L0_1", "L0_0", ("a", "b"))]
+    for q in _load("workloads").build("bounded", 1, helpers):
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        wa = parse_automaton(q.document)
+        cases.append((wa, argv["--from"], argv["--to"], detect_letter_bounded(wa, argv["--to"])))
+    return cases
+
+
+def test_signature_decisions_are_the_semi_decisions_of_their_sentences():
+    """A candidate with no unbounded coordinate, or whose X some Y bounds at
+    every unbounded coordinate, is decided without its sentence; its
+    decision (verdict, ray and detail) is what `semi_decide` gives the
+    sentence `formula` then emits.  Every other candidate's decision is its
+    sentence's semi-decision too."""
+    by_signature = by_sentence = 0
+    for wa, s, sp, letters in _candidate_cases():
+        for pq in letter_bounded_to_plus(wa, s, sp, letters):
+            for bits in (None, 64):
+                for c in decide_plus(pq, start_bits=bits):
+                    if c._formula is None:
+                        by_signature += 1
+                        assert c.decision.verdict == FAILS and c.decision.ray is None
+                    else:
+                        by_sentence += 1
+                    assert c.decision == semi_decide(c.formula, start_bits=bits)
+    assert by_signature > by_sentence > 0
+
+
+def test_seed_1_bounded_pass_enumerates_every_candidate(monkeypatch):
+    """The seed-1 `bounded` pass enumerates 294 candidates; 267 of
+    them are decided by their signatures and build no sentence."""
+    import ratiobound.bounded
+    from test_bench_hooks import _load
+
+    decided = []
+    original = ratiobound.bounded.decide_plus
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        decided.extend(out)
+        return out
+
+    monkeypatch.setattr(ratiobound.bounded, "decide_plus", counted)
+    for q in _load("workloads").build("bounded", 1, helpers):
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        decide_bounded(Query(parse_automaton(q.document), argv["--from"], argv["--to"]))
+    assert len(decided) == 294
+    assert sum(c._formula is None for c in decided) == 267
+
+
+def test_a_column_that_vanishes_exactly_is_decided(tmp_path, capsys):
+    """Both branches tie `s` on block 3, so that coordinate's coefficient is
+    exactly 0 in every row with log exponent 0; the growth program decides
+    the system without it, where along it no row grows at any precision."""
+    from ratiobound.cli import main
+    from ratiobound.jsonio import serialize
+    from test_bench_hooks import _load
+
+    chain = _load("workloads").Chain(
+        (F(61, 100), F(61, 100), F(63, 100)),
+        ((F(69, 100), F(59, 100), F(63, 100)), (F(53, 100), F(69, 100), F(63, 100))),
+    )
+    assert chain.label() == "is-big-o"
+    path = tmp_path / "tie.json"
+    path.write_text(serialize(chain.automaton()), encoding="utf-8")
+    argv = ["check", "--file", str(path), "--from", "s", "--to", "s'", "--mode", "bounded"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "is-big-o"
+
+
+def test_tie_forced_chains_match_their_labels():
+    """Seeded chains with two branches, every other one with a tie forced on
+    one block of both branches, are decided as `gordan_label` labels them.
+    In draw 133 the forced tie makes one sentence column vanish exactly."""
+    from test_bench_hooks import _load
+
+    workloads = _load("workloads")
+    rng = random.Random(29)
+    wrong = []
+    for t in range(300):
+        m = rng.randint(2, 4)
+        chain = workloads._random_chain(rng, m, 2)
+        if t % 2:
+            i = rng.randrange(m)
+            branches = tuple(
+                tuple(chain.rates_s[i] if j == i else q for j, q in enumerate(qs))
+                for qs in chain.branches
+            )
+            chain = workloads.Chain(chain.rates_s, branches)
+        label = chain.label()
+        verdict = decide_bounded(Query(chain.automaton(), "s", "s'")).verdict
+        if label is not None and verdict != label:
+            wrong.append((t, label, verdict))
+    assert not wrong, wrong

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from ratiobound.cli import main
+from ratiobound.cli import build_parser, main
 from ratiobound.jsonio import parse_automaton, parse_weight, serialize
 from ratiobound.automata import FormatError, WeightedAutomaton
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
@@ -369,7 +370,7 @@ def test_export_formula(tmp_path, capsys, monkeypatch):
     import ratiobound.bounded
     import ratiobound.realexp
     from ratiobound import detect_letter_bounded, letter_bounded_to_plus
-    from ratiobound.bounded import decide_plus
+    from ratiobound.bounded import _signature_decision, decide_plus
 
     calls = []
     original = ratiobound.realexp.semi_decide
@@ -400,8 +401,10 @@ def test_export_formula(tmp_path, capsys, monkeypatch):
     )
     report = json.loads(capsys.readouterr().out)
     assert report["formulas"] > 0
-    # each formula is semi-decided exactly once
-    assert len(calls) == report["formulas"]
+    # each formula that its signatures leave open is semi-decided exactly
+    # once; the others are decided without `semi_decide`
+    assert 0 < len(calls) < report["formulas"]
+    assert len({id(f) for f in calls}) == len(calls)
     files = sorted(os.listdir(out))
     assert files
     text = (out / files[0]).read_text(encoding="utf-8")
@@ -409,12 +412,16 @@ def test_export_formula(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     with open(f, encoding="utf-8") as fh:
         wa = parse_automaton(fh.read())
-    expected = [
-        cand.decision.verdict
+    cands = [
+        cand
         for pq in letter_bounded_to_plus(wa, "s", "s'", detect_letter_bounded(wa, "s'"))
         for cand in decide_plus(pq)
     ]
-    assert [entry["verdict"] for entry in report["index"]] == expected
+    assert [entry["verdict"] for entry in report["index"]] == [
+        cand.decision.verdict for cand in cands
+    ]
+    open_ = [c for c in cands if _signature_decision(c.x_sig, c.y_sigs, c.u_set) is None]
+    assert [f.provenance for f in calls] == [c.formula.provenance for c in open_]
 
 
 # sha256 of the `export-formula` index (as printed) and of each `.smt2`
@@ -797,3 +804,99 @@ def test_check_words_with_multi_character_symbols(tmp_path, capsys):
     words = ["--from", "s", "--to", "s", "--words", "xxx"]
     assert main(["check", "--file", str(f), "--mode", "bounded", *words]) == 64
     assert "'xxx' splits" in capsys.readouterr().err
+
+
+# each command's option strings and choice groups, in the order its `-h`
+# lists them
+COMMAND_HELP = {
+    "check": (
+        ["-h", "--file", "--from", "--to", "--human", "--mode", "--eventually", "--words",
+         "--emit-smt", "--precision-bits", "--help"],
+        ["{auto,unary,unambiguous,bounded}"],
+    ),
+    "classify": (["-h", "--file", "--from", "--to", "--spectral", "--human", "--help"], []),
+    "oracle": (
+        ["-h", "--file", "--from", "--to", "--human", "--max-len", "--cap", "--entries", "--help"],
+        [],
+    ),
+    "reduce": (
+        ["-h", "--file", "--from", "--to", "--human", "--letter", "--delta", "--help"],
+        ["{big-theta,from-big-theta,eventual,value1,from-value1}"],
+    ),
+    "generate": (
+        ["-h", "--file", "--start", "--generalize", "--human", "--help"],
+        ["{undecidable,hardness}"],
+    ),
+    "export-formula": (["-h", "--file", "--from", "--to", "--human", "--out", "--help"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+def test_command_help_lists_its_options(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    options = list(dict.fromkeys(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", out)))
+    assert (options, list(dict.fromkeys(re.findall(r"\{[^}]*\}", out)))) == COMMAND_HELP[command]
+
+
+TOP_USAGE = (
+    "usage: ratiobound [-h]\n"
+    "                  {check,classify,oracle,reduce,generate,export-formula} ...\n"
+)
+TOP_HELP = TOP_USAGE + """
+Deciders for weight-ratio boundedness between automaton states
+
+positional arguments:
+  {check,classify,oracle,reduce,generate,export-formula}
+    check               decide whether s is big-O of s'
+    classify            report instance class membership
+    oracle              brute-force ratio profile
+    reduce              apply an answer-preserving reduction
+    generate            produce a labeled instance
+    export-formula      write all bounded-decider formulas as SMT-LIB
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHOICES = "'check', 'classify', 'oracle', 'reduce', 'generate', 'export-formula'"
+CHECK = ["check", "--file", data_file("unbounded_ratio.json"), "--from", "s", "--to", "s'"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 2, "", "the following arguments are required: command"),
+        (["nope"], 2, "", f"argument command: invalid choice: 'nope' (choose from {CHOICES})"),
+        (["-h"], 0, TOP_HELP, None),
+        (["--he"], 0, TOP_HELP, None),
+        (["--", *CHECK], 2, "", f"argument command: invalid choice: '--' (choose from {CHOICES})"),
+        (["--foo", *CHECK], 2, "", "unrecognized arguments: --foo"),
+    ],
+)
+def test_top_level_usage_and_errors(capsys, monkeypatch, argv, code, out, err):
+    """The top level lists every command with its help line, and its errors
+    name every command, whichever command's arguments the parser built; an
+    option before the command still leaves that command's arguments to
+    parse."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("" if err is None else TOP_USAGE + f"ratiobound: error: {err}\n")
+
+
+def test_parser_builds_the_called_commands_arguments_only():
+    parser = build_parser(["oracle", "--file", "x"])
+    args, rest = parser.parse_known_args(["check", "--file", "x"])
+    assert not hasattr(args, "fn") and rest == ["--file", "x"]
+    args = parser.parse_args(["oracle", "--file", "x", "--from", "s", "--to", "t", "--max-len", "2"])
+    assert (args.fn.__name__, args.max_len, args.cap) == ("cmd_oracle", 2, 10**6)
+    args = build_parser(["reduce"]).parse_args(
+        ["reduce", "eventual", "--file", "x", "--from", "s", "--to", "t"]
+    )
+    assert (args.fn.__name__, args.kind, args.delta) == ("cmd_reduce", "eventual", None)

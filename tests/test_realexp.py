@@ -397,3 +397,20 @@ def test_eight_by_five_ray_search_is_quick(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert (res.verdict, res.ray) == (HOLDS, (1, F(1, 4), F(1, 4), 1, 0))
     assert len(calls) == 1
+
+
+def test_a_variable_that_appears_nowhere_leaves_the_growth_program():
+    """x3's coefficient is exactly 0 with log exponent 0 in both rows.  The
+    rows' sum is (ln 3 - ln 2)(x1 + x2), so along every direction over x1,
+    x2 some row grows; along x3 no row grows at all, and with x3 in the
+    growth program no precision certified that."""
+    row_a = ([coeff(3, 1), coeff(1, 2), coeff(5, 5)], [0, 0, 0])  # ln3 x1 - ln2 x2
+    row_b = ([coeff(1, 2), coeff(3, 1), coeff(7, 7, 2)], [0, 0, 0])  # -ln2 x1 + ln3 x2
+    res = semi_decide(formula([row_a, row_b]), max_bits=256)
+    assert res.verdict == FAILS and res.ray is None
+    assert res.detail == "every direction has a growing row at 128 bits"
+    # a log exponent keeps the variable in: x3 then sinks both rows
+    row_c = ([coeff(3, 1), coeff(1, 2), coeff(5, 5)], [0, 0, -1])
+    row_d = ([coeff(1, 2), coeff(3, 1), coeff(7, 7)], [0, 0, -1])
+    res = semi_decide(formula([row_c, row_d]), max_bits=256)
+    assert res.verdict == HOLDS and res.ray == (0, 0, 1)
