@@ -272,13 +272,15 @@ def fresh_state(taken: set, base: str) -> str:
     return name
 
 
-def explore(seeds, succ, cap: Optional[int] = None):
+def explore(seeds, succ, cap: Optional[int] = None, stop=None):
     """Breadth-first numbering of everything reachable from `seeds`.
 
     `succ(u)` yields (label, v) pairs.  Returns the states in discovery
     order and the edges as (i, label, j) index triples in the order they
     were followed.  Raises ResourceError when a new state would make the
-    count exceed `cap`.
+    count exceed `cap`.  The search ends at the first newly numbered state
+    that `stop` accepts, which is then `states[-1]` and the target of
+    `edges[-1]`; seeds are never checked by `stop`.
     """
     states = list(dict.fromkeys(seeds))
     index = {u: i for i, u in enumerate(states)}
@@ -291,20 +293,23 @@ def explore(seeds, succ, cap: Optional[int] = None):
                     raise ResourceError(f"state space exceeded cap={cap} states")
                 j = index[v] = len(states)
                 states.append(v)
+                if stop is not None and stop(v):
+                    edges.append((i, label, j))
+                    return states, edges
             edges.append((i, label, j))
     return states, edges
 
 
-def lasso(start, step):
-    """Iterate `step` from `start` until a state repeats.  Returns the
-    distinct states in order and the index that step(seq[-1]) returns to."""
-    index: dict = {}
-    seq = []
-    while start not in index:
-        index[start] = len(seq)
-        seq.append(start)
-        start = step(start)
-    return seq, index[start]
+def path_to(edges, j) -> list:
+    """The labels on the path by which a single-seed `explore` first reached
+    state `j`: a shortest path, and [] for the seed."""
+    # state index -> (source, label) of its first edge in: the earliest wins
+    first = {k: (i, label) for i, label, k in reversed(edges)}
+    labels = []
+    while j:
+        j, label = first[j]
+        labels.append(label)
+    return labels[::-1]
 
 
 def trim(seeds, finals, edges) -> set:

@@ -25,7 +25,6 @@ from .automata import (
     WeightedAutomaton,
     _step,
     explore,
-    lasso,
     nfa_of,
     trim,
     weight_blocks,
@@ -47,6 +46,8 @@ from .spectral import rank_radii, scc_decompose, step_signature, strong_componen
 
 MONITOR_CAP = 20000
 LINEAR_SET_CAP = 10000
+# plus-patterns of a letter bound, 2^m - 1 for m letters
+PLUS_PATTERN_CAP = 1023
 # fixed slots of every plus-subquery's radius table
 ZERO, DELTA = 0, 1
 
@@ -352,8 +353,13 @@ def letter_bounded_to_plus(
     A pattern that no word accepted from either start collapses to gets
     the two starts alone, with no step and no final, without a product
     search: `_read_patterns` finds the patterns read in one search for all
-    of them."""
+    of them.  More than PLUS_PATTERN_CAP patterns raise ResourceError."""
     letters = tuple(letters)
+    if 2 ** len(letters) - 1 > PLUS_PATTERN_CAP:
+        raise ResourceError(
+            f"{len(letters)} bound letters give {2 ** len(letters) - 1} plus-patterns, "
+            f"over cap={PLUS_PATTERN_CAP}"
+        )
     patterns = {}
     for mask in range(1, 2 ** len(letters)):
         sub = [letters[i] for i in range(len(letters)) if mask >> i & 1]
@@ -694,8 +700,10 @@ def parikh_linear_sets(n: Nfa, letters) -> list:
     def go(li: int, entry, base, periods):
         if len(results) > LINEAR_SET_CAP:
             raise ResourceError("linear-set decomposition exceeded the cap")
-        # a missing step leads to None, which steps to itself
-        walk, loop_start = lasso(entry, lambda q: delta.get((q, letters[li])))
+        # one successor per state, a missing step leading to None, which
+        # steps to itself: the last edge closes the loop
+        walk, edges = explore([entry], lambda q: [(None, delta.get((q, letters[li])))])
+        loop_start = edges[-1][2]
         period = len(walk) - loop_start
         # block 1 counts the letters read from the start; a later block is
         # entered by reading one of its letters

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import InputError, Nfa, Query, lasso, nfa_of
+from .automata import InputError, Nfa, Query, explore, nfa_of, path_to
 
 
 @dataclass(frozen=True)
@@ -23,38 +23,33 @@ def nfa_contained(n1: Nfa, n2: Nfa) -> LcResult:
 
     On-the-fly subset construction with antichain pruning: a pair (q, S) is
     subsumed by a visited (q, S') with S' <= S, because smaller right-hand
-    subsets reach a violation at least as easily.
+    subsets reach a violation at least as easily.  An escaping pair is never
+    subsumed, since the pair subsuming it would have escaped first, so the
+    search stops on it.
     """
+    def escapes(pair):  # accepted by n1 and rejected by n2
+        return pair[0] in n1.finals and not (pair[1] & n2.finals)
+
     start = (n1.start, frozenset([n2.start]))
-    if n1.start in n1.finals and not (start[1] & n2.finals):
+    if escapes(start):
         return LcResult(False, "")
     alphabet = tuple(dict.fromkeys(n1.alphabet + n2.alphabet))
-    seen: dict = {}
+    seen: dict = {n1.start: [start[1]]}  # state -> antichain of subsets
 
-    def subsumed(state, subset):
-        return any(prev <= subset for prev in seen.get(state, ()))
+    def succ(pair):
+        state, subset = pair
+        for a in alphabet:
+            succs = n1.step(frozenset([state]), a)
+            tgt = n2.step(subset, a)
+            for q2 in sorted(succs):
+                prev = seen.get(q2, ())
+                if not any(p <= tgt for p in prev):
+                    seen[q2] = [p for p in prev if not tgt < p] + [tgt]
+                    yield a, (q2, tgt)
 
-    def remember(state, subset):
-        kept = [prev for prev in seen.get(state, ()) if not (subset < prev)]
-        kept.append(subset)
-        seen[state] = kept
-
-    remember(*start)
-    frontier = [(start, "")]
-    while frontier:
-        nxt = []
-        for (state, subset), word in frontier:
-            for a in alphabet:
-                succs = n1.step(frozenset([state]), a)
-                tgt = n2.step(subset, a)
-                for q2 in sorted(succs):
-                    w2 = word + a
-                    if q2 in n1.finals and not (tgt & n2.finals):
-                        return LcResult(False, w2)
-                    if not subsumed(q2, tgt):
-                        remember(q2, tgt)
-                        nxt.append(((q2, tgt), w2))
-        frontier = nxt
+    pairs, edges = explore([start], succ, stop=escapes)
+    if escapes(pairs[-1]):
+        return LcResult(False, "".join(path_to(edges, len(pairs) - 1)))
     return LcResult(True)
 
 
@@ -80,17 +75,20 @@ class EventualInclusion:
 def eventually_included(n1: Nfa, n2: Nfa) -> EventualInclusion:
     """Is L(n1) \\ L(n2) finite, for unary NFAs?
 
-    Deterministic pair-subset lasso.  On an infinite difference, the reported
-    witness length n lies within [m, 2m] for the reachable product difference
-    machine of size m, and is re-checked by running both NFAs on it.
+    Deterministic pair-subset walk into a loop.  On an infinite difference,
+    the reported witness length n lies within [m, 2m] for the reachable
+    product difference machine of size m, and is re-checked by running both
+    NFAs on it.
     """
     if not n1.is_unary() or not n2.is_unary():
         raise InputError("eventual inclusion is defined for unary NFAs")
     a1, a2 = n1.alphabet[0], n2.alphabet[0]
-    pairs, loop_start = lasso(
-        (frozenset([n1.start]), frozenset([n2.start])),
-        lambda pair: (n1.step(pair[0], a1), n2.step(pair[1], a2)),
+    # one successor per pair: the last edge closes the loop
+    pairs, edges = explore(
+        [(frozenset([n1.start]), frozenset([n2.start]))],
+        lambda pair: [(None, (n1.step(pair[0], a1), n2.step(pair[1], a2)))],
     )
+    loop_start = edges[-1][2]
     period = len(pairs) - loop_start
     diff = [
         bool(s1 & n1.finals) and not (s2 & n2.finals) for s1, s2 in pairs

@@ -13,6 +13,7 @@ from .automata import (
     Lmc,
     ProbAutomaton,
     Query,
+    ResourceError,
     WeightedAutomaton,
     explore,
     fresh_state,
@@ -21,6 +22,9 @@ from .automata import (
     validate_lmc,
 )
 from .nfaops import ChrobakNf
+
+# lengths `gen_hardness` scans for coverage before it gives up
+HARDNESS_HORIZON_CAP = 100_000
 
 
 def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
@@ -247,7 +251,9 @@ def gen_hardness(cnf: ChrobakNf, letter: str = "a") -> HardnessInstance:
     The first branch fixes the reference decay rate; the second mixes a
     strictly smaller rate with cycle branches that track the NFA's accepted
     lengths at the reference rate.  The ratio stays bounded exactly when
-    the cycles cover every length >= 2.
+    the cycles cover every length >= 2.  Coverage is scanned up to the
+    cycles' lcm; when that is past HARDNESS_HORIZON_CAP lengths and every
+    length up to the cap is covered, ResourceError is raised.
     """
     if len(cnf.stem) != 1:
         raise InputError("hardness construction needs a one-state stem")
@@ -259,6 +265,13 @@ def gen_hardness(cnf: ChrobakNf, letter: str = "a") -> HardnessInstance:
     m = len(cnf.cycles)
     if m == 0:
         raise InputError("hardness construction needs at least one cycle")
+    # coverage of every length >= 2 repeats with the cycles' lcm
+    horizon = 1 + lcm(*(length for length, _ in cnf.cycles))
+    covered = all(cnf.accepts(n) for n in range(2, 2 + min(horizon, HARDNESS_HORIZON_CAP)))
+    if covered and horizon > HARDNESS_HORIZON_CAP:
+        raise ResourceError(
+            f"coverage horizon {horizon} exceeds cap={HARDNESS_HORIZON_CAP} lengths"
+        )
     states = ["s", "u", "v", "t", "s'"]
     half = Fraction(1, 2)
     trans = [
@@ -285,8 +298,6 @@ def gen_hardness(cnf: ChrobakNf, letter: str = "a") -> HardnessInstance:
     out = WeightedAutomaton.from_transitions(
         tuple(states), (letter,), trans, frozenset(["t"])
     )
-    horizon = 1 + lcm(*(length for length, _ in cnf.cycles))
-    covered = all(cnf.accepts(n) for n in range(2, 2 + horizon))
     universal = bool(cnf.stem[0]) and cnf.accepts(1) and covered
     return HardnessInstance(Lmc(out), "s", "s'", universal, covered)
 

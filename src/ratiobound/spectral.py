@@ -90,25 +90,19 @@ def strong_components(succ) -> tuple[list[list[int]], list[int]]:
 
 
 def _scc_period(members: list[int], succ) -> int:
-    """Period via BFS levels: gcd of level(u)+1-level(v) over internal edges."""
+    """Period via BFS levels: gcd of level(u)+1-level(v) over internal edges,
+    0 when there is none.  An edge that numbers v sets level(v) and adds 0."""
     inside = set(members)
-    adj = {u: [v for v in succ[u] if v in inside] for u in members}
-    if not any(adj.values()):
+    if not any(v in inside for u in members for v in succ[u]):
         return 0
-    level = {members[0]: 0}
-    frontier = [members[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    _, edges = explore([members[0]], lambda u: ((None, v) for v in succ[u] if v in inside))
+    level = [0]
     g = 0
-    for u in members:
-        for v in adj[u]:
-            g = gcd(g, level[u] + 1 - level[v])
+    for i, _, j in edges:
+        if j == len(level):
+            level.append(level[i] + 1)
+        else:
+            g = gcd(g, level[i] + 1 - level[j])
     return g
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import InputError, Query, explore, normalize_single_final, trim
+from .automata import InputError, Query, explore, normalize_single_final, path_to, trim
 from .nfaops import lc_check
 
 
@@ -25,29 +25,26 @@ def is_unambiguous_from(wa, s) -> AmbiguityResult:
 
     Pair construction over simultaneous runs with a divergence bit; a word
     with two accepting runs is found as a reachable (final, final, diverged)
-    triple.  BFS yields a shortest ambiguous word.
+    triple.  The breadth-first search stops there, and the path to it is a
+    shortest ambiguous word.
     """
-    si = wa.index(s)
     letters = [(a, wa.sparse_rows[a][1]) for a in wa.alphabet]
     final = [q in wa.finals for q in wa.states]
-    start = (si, si, False)
-    seen = {start}
-    frontier = [(start, "")]
-    while frontier:
-        nxt = []
-        for (pi, ri, div), word in frontier:
-            for a, rows in letters:
-                for p2, _ in rows[pi]:
-                    for r2, _ in rows[ri]:
-                        d2 = div or (p2 != r2)
-                        state = (p2, r2, d2)
-                        w2 = word + a
-                        if d2 and final[p2] and final[r2]:
-                            return AmbiguityResult(False, w2)
-                        if state not in seen:
-                            seen.add(state)
-                            nxt.append((state, w2))
-        frontier = nxt
+
+    def succ(node):
+        pi, ri, div = node
+        for a, rows in letters:
+            for p2, _ in rows[pi]:
+                for r2, _ in rows[ri]:
+                    yield a, (p2, r2, div or p2 != r2)
+
+    def two_runs(node):
+        return node[2] and final[node[0]] and final[node[1]]
+
+    si = wa.index(s)
+    triples, edges = explore([(si, si, False)], succ, stop=two_runs)
+    if two_runs(triples[-1]):
+        return AmbiguityResult(False, "".join(path_to(edges, len(triples) - 1)))
     return AmbiguityResult(True)
 
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, lasso, weight_blocks
-from ratiobound.nfaops import ChrobakNf
+from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, weight_blocks
+from ratiobound.nfaops import ChrobakNf, LcResult
+from ratiobound.unambiguous import AmbiguityResult
 from ratiobound.spectral import scc_decompose
 from ratiobound.algebraic import AlgebraicNumber, compare, ptrim
 from ratiobound.intervals import FInterval, ivl_sum
@@ -35,16 +36,19 @@ def random_wa(rng: random.Random, nstates=3, alphabet=("a",), density=0.5, max_n
 
 
 def random_unary_nfa(rng: random.Random, nstates=5, density=0.3):
-    from ratiobound.automata import Nfa
+    return random_nfa(rng, nstates, ("a",), density)
 
+
+def random_nfa(rng: random.Random, nstates=5, alphabet=("a", "b"), density=0.3):
     states = tuple(f"n{i}" for i in range(nstates))
     trans = set()
     for q in states:
-        for q2 in states:
-            if rng.random() < density:
-                trans.add((q, "a", q2))
+        for a in alphabet:
+            for q2 in states:
+                if rng.random() < density:
+                    trans.add((q, a, q2))
     finals = frozenset(q for q in states if rng.random() < 0.4)
-    return Nfa(states, ("a",), frozenset(trans), states[0], finals)
+    return Nfa(states, tuple(alphabet), frozenset(trans), states[0], finals)
 
 
 def random_pa(rng: random.Random, nstates=3, alphabet=("a", "b")):
@@ -260,6 +264,18 @@ def poly_divmod(p, q):
         while rem and rem[-1] == 0:
             rem.pop()
     return ptrim(quot), tuple(rem)
+
+
+def lasso(start, step):
+    """Iterate `step` from `start` until a state repeats.  Returns the
+    distinct states in order and the index that step(seq[-1]) returns to."""
+    index: dict = {}
+    seq = []
+    while start not in index:
+        index[start] = len(seq)
+        seq.append(start)
+        start = step(start)
+    return seq, index[start]
 
 
 @dataclass(frozen=True)
@@ -748,3 +764,71 @@ def random_functional_unary(rng: random.Random, nstates=5):
     if not finals:
         finals = [states[-1]]
     return WeightedAutomaton.from_transitions(states, ("a",), trans, finals)
+
+
+# ---------------------------------------------------------------------------
+# reference searches: word-per-state frontier loops, kept apart from the
+# package's `explore`-based searches that they check
+
+
+def ref_is_unambiguous_from(wa: WeightedAutomaton, s: str) -> AmbiguityResult:
+    """Breadth-first search of (run, run, diverged) triples that carries a
+    word per triple and returns at the first pair of final, diverged runs."""
+    si = wa.index(s)
+    letters = [(a, wa.sparse_rows[a][1]) for a in wa.alphabet]
+    final = [q in wa.finals for q in wa.states]
+    start = (si, si, False)
+    seen = {start}
+    frontier = [(start, "")]
+    while frontier:
+        nxt = []
+        for (pi, ri, div), word in frontier:
+            for a, rows in letters:
+                for p2, _ in rows[pi]:
+                    for r2, _ in rows[ri]:
+                        d2 = div or (p2 != r2)
+                        state = (p2, r2, d2)
+                        w2 = word + a
+                        if d2 and final[p2] and final[r2]:
+                            return AmbiguityResult(False, w2)
+                        if state not in seen:
+                            seen.add(state)
+                            nxt.append((state, w2))
+        frontier = nxt
+    return AmbiguityResult(True)
+
+
+def ref_nfa_contained(n1: Nfa, n2: Nfa) -> LcResult:
+    """Breadth-first antichain subset search that carries a word per pair
+    and returns at the first pair accepted by n1 and rejected by n2."""
+    start = (n1.start, frozenset([n2.start]))
+    if n1.start in n1.finals and not (start[1] & n2.finals):
+        return LcResult(False, "")
+    alphabet = tuple(dict.fromkeys(n1.alphabet + n2.alphabet))
+    seen: dict = {}
+
+    def subsumed(state, subset):
+        return any(prev <= subset for prev in seen.get(state, ()))
+
+    def remember(state, subset):
+        kept = [prev for prev in seen.get(state, ()) if not (subset < prev)]
+        kept.append(subset)
+        seen[state] = kept
+
+    remember(*start)
+    frontier = [(start, "")]
+    while frontier:
+        nxt = []
+        for (state, subset), word in frontier:
+            for a in alphabet:
+                succs = n1.step(frozenset([state]), a)
+                tgt = n2.step(subset, a)
+                for q2 in sorted(succs):
+                    w2 = word + a
+                    if q2 in n1.finals and not (tgt & n2.finals):
+                        return LcResult(False, w2)
+                    if not subsumed(q2, tgt):
+                        remember(q2, tgt)
+                        nxt.append(((q2, tgt), w2))
+        frontier = nxt
+    return LcResult(True)

@@ -42,6 +42,35 @@ def test_every_bench_hook_resolves():
     assert not missing, missing
 
 
+def test_every_layer_is_entered_by_the_seed_1_passes(tmp_path):
+    """The traced seed-1 passes of both workloads, run through `cli.main`
+    as the bench runs them, enter every layer the bench reports: a refactor
+    that bypasses a hooked function fails here instead of reading 0."""
+    from ratiobound import cli
+
+    run, spans, workloads = _load("run"), _load("spans"), _load("workloads")
+    tracer = spans.Tracer()
+    tracer.resolve()
+    previous = signal.signal(signal.SIGALRM, run._on_alarm)
+    try:
+        for workload in ("bounded", "unary-oracle"):
+            for i, q in enumerate(workloads.build(workload, 1, helpers)):
+                path = tmp_path / f"{workload}-{i:03d}.json"
+                path.write_text(q.document, encoding="utf-8")
+                q.argv = q.argv[:1] + ["--file", str(path)] + q.argv[1:]
+                tracer.install()
+                try:
+                    with tracer.span("cli.check" if q.command == "check" else "cli.oracle"):
+                        problem = run.call(cli, q, workloads.CAPS[workload])[3]
+                finally:
+                    tracer.remove()
+                assert problem is None, (q.name, problem)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    entered = {layer for layer, *_ in tracer.spans}
+    assert set(spans.LAYERS) - entered == set()
+
+
 def test_bounded_workload_verdicts_match_labels():
     queries = _load("workloads").build("bounded", 1, helpers)
     assert queries and all(q.label is not None for q in queries)

@@ -74,6 +74,18 @@ def test_detect_two_blocks():
     assert detect_letter_bounded(relative_orderings(F(62, 100)), "s'") == ("a", "b")
 
 
+def test_plus_pattern_cap_covers_detected_letter_bounds(monkeypatch):
+    """The cap on 2^m - 1 plus-patterns is checked inside the split, so a
+    detected letter bound meets it as supplied words do."""
+    from ratiobound import bounded
+
+    q = Query(relative_orderings(F(62, 100)), "s", "s'")
+    assert decide_bounded(q).subqueries == 3
+    monkeypatch.setattr(bounded, "PLUS_PATTERN_CAP", 2)
+    with pytest.raises(ResourceError):
+        decide_bounded(q)
+
+
 def test_detect_alternation_fails():
     wa = WeightedAutomaton.from_transitions(
         ["p", "q", "t"],

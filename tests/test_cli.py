@@ -714,6 +714,27 @@ def test_check_linear_set_cap_exits_66(tmp_path, capsys, monkeypatch):
     assert "linear-set decomposition exceeded the cap" in capsys.readouterr().err
 
 
+def test_generate_hardness_coverage_cap_exits_66(tmp_path, capsys):
+    """Cycles of lengths 1, 7919 and 7907 cover every length, and their
+    lcm of 62,615,533 lengths is too many to scan: exit 66, not a hang."""
+    path = tmp_path / "cnf.json"
+    path.write_text(
+        json.dumps({"stem": [True], "cycles": [[1, [0]], [7919, [0]], [7907, [0]]]}),
+        encoding="utf-8",
+    )
+    assert main(["generate", "hardness", "--file", str(path)]) == 66
+    assert "coverage horizon" in capsys.readouterr().err
+
+
+def test_check_plus_pattern_cap_exits_66(capsys):
+    """22 bounding words would split into 2^22 - 1 plus-patterns: exit 66
+    before any is built."""
+    f = data_file("relative_orderings_p62.json")
+    args = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]
+    assert main(args + ["--words"] + ["a", "b"] * 11) == 66
+    assert "plus-patterns" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_2(capsys):
     f = data_file("unbounded_ratio.json")
     for bad in (["check", "--file", f, "--from", "s"], ["nope"], ["check", "--mode", "x"]):

@@ -16,6 +16,7 @@ from ratiobound import (
     validate_pa,
     weight_blocks,
 )
+from ratiobound.automata import explore, path_to
 from ratiobound.samples import relative_orderings, unbounded_ratio
 
 from helpers import (
@@ -365,3 +366,60 @@ def test_validate_pa():
         ["p"], ["a"], [("p", "a", F(1, 2), "p")], []
     )
     assert not validate_pa(broken, "p")
+
+
+def _graph(adj, pulled=None):
+    """`explore` successors of a dict graph {u: [(label, v), ...]}; each
+    (u, label, v) the search pulls is appended to `pulled`."""
+
+    def succ(u):
+        for label, v in adj.get(u, ()):
+            if pulled is not None:
+                pulled.append((u, label, v))
+            yield label, v
+
+    return succ
+
+
+def test_explore_stop_ends_the_search():
+    adj = {0: [("x", 1), ("y", 2), ("z", 5)], 1: [("w", 3)], 2: [("v", 4)]}
+    pulled = []
+    states, edges = explore([0], _graph(adj, pulled), stop=lambda v: v == 2)
+    assert states == [0, 1, 2] and edges == [(0, "x", 1), (0, "y", 2)]
+    # no successor is pulled past the stopping state, and no state expanded
+    assert pulled == [(0, "x", 1), (0, "y", 2)]
+    assert explore([0], _graph(adj), stop=lambda v: False) == explore([0], _graph(adj))
+
+
+def test_explore_never_stops_on_a_seed():
+    adj = {0: [("a", 0), ("b", 1)], 1: [("c", 0)]}
+    checked = []
+
+    def stop(v):
+        checked.append(v)
+        return True
+
+    assert explore([0], _graph(adj), stop=stop) == ([0, 1], [(0, "a", 0), (0, "b", 1)])
+    assert checked == [1]
+    checked.clear()
+    assert explore([0, 1], _graph(adj), stop=stop)[0] == [0, 1]
+    assert checked == []
+
+
+def test_explore_cap_raises_before_a_stopping_state_past_it():
+    adj = {0: [("a", 1)], 1: [("b", 2)]}
+    with pytest.raises(ResourceError):
+        explore([0], _graph(adj), cap=2, stop=lambda v: v == 2)
+    assert explore([0], _graph(adj), cap=3, stop=lambda v: v == 2)[0] == [0, 1, 2]
+
+
+def test_path_to_follows_the_edges_that_numbered_each_state():
+    # a diamond: both paths to 3 are two letters long
+    adj = {0: [("a", 1), ("b", 2)], 1: [("c", 3)], 2: [("d", 3)], 3: [("e", 0)]}
+    states, edges = explore([0], _graph(adj))
+    assert path_to(edges, 0) == []
+    assert path_to(edges, states.index(3)) == ["a", "c"]
+    adj[0].reverse()
+    states, edges = explore([0], _graph(adj))
+    assert path_to(edges, states.index(3)) == ["b", "d"]
+    assert path_to(edges, states.index(1)) == ["a"]

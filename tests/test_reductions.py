@@ -7,6 +7,7 @@ from ratiobound import (
     InputError,
     ProbAutomaton,
     Query,
+    ResourceError,
     WeightedAutomaton,
     bigo_to_value1,
     complete_for_eventual,
@@ -254,6 +255,20 @@ def test_gen_hardness_uncovered_residue():
         ratios.append(num / den)
     for a, b in zip(ratios, ratios[1:]):
         assert b > a
+
+
+def test_gen_hardness_coverage_scan_cap(monkeypatch):
+    """The coverage scan raises once it passes the cap with every length
+    covered so far; an uncovered length found before the cap still
+    answers."""
+    from ratiobound import reductions
+
+    monkeypatch.setattr(reductions, "HARDNESS_HORIZON_CAP", 3)
+    with pytest.raises(ResourceError):
+        gen_hardness(ChrobakNf((True,), ((1, frozenset({0})), (5, frozenset({0})))))
+    # length 2 is uncovered, though the horizon is 11
+    inst = gen_hardness(ChrobakNf((True,), ((2, frozenset({0})), (5, frozenset({0})))))
+    assert not inst.label_big_o and not inst.universal
 
 
 def test_gen_hardness_rejects_unrestricted():
