@@ -346,14 +346,15 @@ def letter_bounded_to_plus(
 ) -> list:
     """Split a starred letter bound into plus-bounded sub-questions, one per
     distinct collapsed subsequence; the query answer is the conjunction.
-    Each sub-question's automaton keeps only its live `q@d` states and the
-    two starts.  Each distinct letter's components and radii are computed
-    once here and shared by every sub-question that reads the letter.
 
-    A pattern that no word accepted from either start collapses to gets
-    the two starts alone, with no step and no final, without a product
-    search: `_read_patterns` finds the patterns read in one search for all
-    of them.  More than PLUS_PATTERN_CAP patterns raise ResourceError."""
+    A word lies in p1+...pk+ (adjacent letters distinct) exactly when it
+    collapses to (p1, ..., pk), so one search over (state, collapsed prefix)
+    pairs from the two starts holds every pattern's product: the pairs whose
+    prefix begins the pattern, since a prefix only grows along a path.  Each
+    sub-question is a slice of that search (`_plus_subquery`).  Each
+    distinct letter's components and radii are computed once here and shared
+    by every sub-question that reads the letter.  More than
+    PLUS_PATTERN_CAP patterns raise ResourceError."""
     letters = tuple(letters)
     if 2 ** len(letters) - 1 > PLUS_PATTERN_CAP:
         raise ResourceError(
@@ -364,7 +365,26 @@ def letter_bounded_to_plus(
     for mask in range(1, 2 ** len(letters)):
         sub = [letters[i] for i in range(len(letters)) if mask >> i & 1]
         patterns.setdefault(_collapse(sub), None)
-    read = _read_patterns(wa, (s, s_prime), patterns)
+    steps = [(a, wa.sparse_rows[a][1]) for a in dict.fromkeys(letters)]
+
+    def succ(node):
+        qi, pre = node
+        for a, rows in steps:
+            nxt = pre if pre and pre[-1] == a else pre + (a,)
+            # `patterns` is closed under nonempty prefixes, so the search
+            # ends even where a state steps outside the bound
+            if nxt in patterns:
+                for qj, x in rows[qi]:
+                    yield x, (qj, nxt)
+
+    nodes, edges = explore([(wa.index(s), ()), (wa.index(s_prime), ())], succ)
+    into, ends = {}, {}  # prefix -> the edges into its pairs; its final pairs
+    for e in edges:
+        into.setdefault(nodes[e[2]][1], []).append(e)
+    finals = {wa.index(f) for f in wa.finals}
+    for i, (qi, pre) in enumerate(nodes):
+        if pre and qi in finals:
+            ends.setdefault(pre, []).append(i)
     dags = {a: scc_decompose(wa.sparse_rows[a]) for a in dict.fromkeys(letters)}
     # a component's radius is positive exactly when it has a cycle (period > 0)
     positive = [
@@ -381,64 +401,38 @@ def letter_bounded_to_plus(
         for a, dag in dags.items()
     }
     return [
-        _plus_subquery(wa, s, s_prime, pat, growth, pat in read) for pat in sorted(patterns)
+        _plus_subquery(wa, s, s_prime, pat, growth, (nodes, into, ends))
+        for pat in sorted(patterns)
     ]
 
 
-def _read_patterns(wa, starts, patterns) -> set:
-    """The patterns that some word accepted from one of `starts` collapses
-    to.  A word lies in p1+...pk+ (adjacent letters distinct) exactly when
-    it collapses to (p1, ..., pk), so one search over (state, collapsed
-    prefix) pairs decides every pattern.  `patterns` is closed under
-    nonempty prefixes, and the search extends a prefix only into a pattern,
-    so it ends even where a state steps outside the bound."""
-    letters = dict.fromkeys(a for pat in patterns for a in pat)
-    steps = [(a, wa.sparse_rows[a][1]) for a in letters]
-
-    def succ(node):
-        qi, pre = node
-        for a, rows in steps:
-            nxt = pre if pre and pre[-1] == a else pre + (a,)
-            if nxt in patterns:
-                for qj, _ in rows[qi]:
-                    yield None, (qj, nxt)
-
-    nodes, _ = explore([(wa.index(q), ()) for q in starts], succ)
-    finals = {wa.index(f) for f in wa.finals}
-    return {pre for qi, pre in nodes if pre and qi in finals}
-
-
-def _plus_subquery(wa, s, s_prime, pat, growth, read: bool) -> PlusQuery:
-    """Product with the plus-bound DFA for `pat`, explored from the starts and
-    trimmed to its live pairs (q, d), d the number of blocks entered.  When
-    no start reads `pat` (not `read`), no pair is live and the product is
-    neither explored nor trimmed.
+def _plus_subquery(wa, s, s_prime, pat, growth, search) -> PlusQuery:
+    """The product with the plus-bound DFA for `pat`, sliced from the
+    `search` over (state, collapsed prefix) pairs: its numbered pairs, the
+    edges into each prefix's pairs and each prefix's final pairs.  The
+    slice is the edges into pairs whose prefix begins `pat`, trimmed to the
+    pairs on a path from a start to a final pair of `pat` and renamed
+    `q@d`, d = len(prefix) the number of blocks entered.  With no final
+    pair nothing is sliced: the sub-question is the two starts alone.
 
     Adjacent letters of `pat` differ, so a pair fixes its block: a step into
-    block d2 reads `pat[d2 - 1]` and is relabelled with the fresh `b{d2}`."""
+    block d reads `pat[d - 1]` and is relabelled with the fresh `b{d}`."""
     k = len(pat)
-
-    def succ(node):
-        qi, d = node
-        for d2 in (d, d + 1):
-            if 1 <= d2 <= k:
-                for qj, x in wa.sparse_rows[pat[d2 - 1]][1][qi]:
-                    yield (d2, x), (qj, d2)
-
+    nodes, into, ends = search
+    finals = ends.get(pat, ())
     starts = sorted({(wa.index(s), 0), (wa.index(s_prime), 0)})
-    nodes, edges, finals, live = starts, [], [], set()
-    if read:
-        nodes, edges = explore(starts, succ)
-        finals_idx = {wa.index(f) for f in wa.finals}
-        finals = [i for i, (qi, d) in enumerate(nodes) if d == k and qi in finals_idx]
+    edges, live = [], set()
+    if finals:
+        edges = [e for d in range(1, k + 1) for e in into[pat[:d]]]
         live = trim(range(len(starts)), finals, edges)
-    keep = sorted({nodes[i] for i in live}.union(starts))
+    level = {i: (nodes[i][0], len(nodes[i][1])) for i in live}
+    keep = sorted(set(level.values()).union(starts))
     index = {node: i for i, node in enumerate(keep)}
-    # explore lists each source's steps into one block by ascending target
+    # the search lists each source's steps into one block by ascending target
     rows = [[[] for _ in keep] for _ in pat]
-    for i, (d2, x), j in edges:
+    for i, x, j in edges:
         if i in live and j in live:
-            rows[d2 - 1][index[nodes[i]]].append((index[nodes[j]], x))
+            rows[level[j][1] - 1][index[level[i]]].append((index[level[j]], x))
     fresh = tuple(f"b{i+1}" for i in range(k))
     sparse = {
         b: (wa.sparse_rows[a][0], tuple(map(tuple, block)))
@@ -901,13 +895,6 @@ def decide_bounded(
     return BoundedResult("is-big-o", subqueries=len(subqueries))
 
 
-def lcm_den(vals) -> int:
-    out = 1
-    for v in vals:
-        out = lcm(out, Fraction(v).denominator)
-    return out
-
-
 def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]:
     """Integer-grid witness: block vectors along the certified ray with
     exactly evaluated, strictly increasing weight ratios, or None when the
@@ -919,13 +906,14 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]
     u_list = list(cand.u_set)
     dmax = max(ray) if ray else Fraction(1)
     scaled = [Fraction(r) / dmax if dmax else Fraction(0) for r in ray]
-    den = lcm_den(scaled)
+    den = lcm(*(r.denominator for r in scaled))
     dint = [int(r * den) for r in scaled]
     ratios = []
     vectors = []
     t = max(1, int(cand.formula.system.lower))
-    attempts = 0
-    while len(_increasing_run(ratios)) < 3 and attempts < 40:
+    # a run of three strictly increasing ratios can first appear only at
+    # the end, so the walk stops there
+    for _ in range(40):
         lam = [0] * m
         for pos, i in enumerate(u_list):
             lam[i] = 1 + t * dint[pos]
@@ -936,10 +924,10 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]
         if wp > 0:
             ratios.append(ws / wp)
             vectors.append(vec)
+            if len(ratios) >= 3 and ratios[-3] < ratios[-2] < ratios[-1]:
+                break
         t *= 2
-        attempts += 1
-    run = _increasing_run(ratios)
-    if not run:
+    else:
         return None
     witness = {
         "provenance": cand.formula.provenance,
@@ -947,22 +935,11 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]
         "block_letters": list(pq.source_letters),
         "vectors": [list(v) for v in vectors],
         "ratios": [str(r) for r in ratios],
-        "increasing_run": [str(ratios[i]) for i in run],
+        "increasing_run": [str(r) for r in ratios[-3:]],
     }
     if words is not None:
         witness["bounding_words"] = ["".join(w) for w in words]
     return witness
-
-
-def _increasing_run(ratios):
-    """Indices of the last run of >= 3 strictly increasing entries, if any."""
-    if len(ratios) < 3:
-        return []
-    for start in range(len(ratios) - 3, -1, -1):
-        i, j, k = start, start + 1, start + 2
-        if ratios[i] < ratios[j] < ratios[k]:
-            return [i, j, k]
-    return []
 
 
 # ---------------------------------------------------------------------------

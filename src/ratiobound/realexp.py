@@ -376,7 +376,14 @@ def _pure_log_case(sysd: DivergenceSystem) -> SemiDecision:
 
 
 def _find_certified_ray(sysd: DivergenceSystem, enc, zero):
-    """Search supports and rational directions; certify every row strictly.
+    """Search supports, largest first, for a direction that certifies every
+    row strictly.  Each support's candidate is the exact linear program on
+    the enclosures' midpoints restricted to it, made only when the ones
+    before it failed to certify; it is >= 0 and nonzero, and so are its
+    simplifications.  A solution with a zero inside its support certifies
+    only a smaller one, so after every solution come those solutions lifted
+    to be positive on their whole support: rows that vanish on it may sink
+    only through the log exponents of all of it.
 
     Certification per row along direction d with support S: either the
     interval upper bound of sum_i a_ji d_i is < 0, or the row's linear part
@@ -387,8 +394,6 @@ def _find_certified_ray(sysd: DivergenceSystem, enc, zero):
 
     def certify(d) -> bool:
         support = [i for i in range(n) if d[i] > 0]
-        if not support:
-            return False
         for j, row in enumerate(rows):
             if all(zero[j][i] for i in support):
                 if sum(row.logs[i] for i in support) >= 0:
@@ -400,10 +405,7 @@ def _find_certified_ray(sysd: DivergenceSystem, enc, zero):
         return True
 
     def candidates():
-        """Directions in search order, each made only when the ones before
-        it failed to certify: per support, largest first, the exact LP on
-        midpoints restricted to it; then a coarse grid over the full
-        support."""
+        lifted = []
         for support in _supports(n):
             sub_rows = []
             for j, row in enumerate(rows):
@@ -413,21 +415,18 @@ def _find_certified_ray(sysd: DivergenceSystem, enc, zero):
                     continue
                 sub_rows.append([(enc[j][i].lo + enc[j][i].hi) / 2 for i in support])
             else:
+                d_sub = [Fraction(1)] * len(support)
                 if sub_rows:
                     d_sub = negative_direction(sub_rows, len(support))
-                else:
-                    d_sub = [Fraction(1)] * len(support)
                 if d_sub is not None:
-                    d = [Fraction(0)] * n
-                    for pos, i in enumerate(support):
-                        d[i] = d_sub[pos]
-                    yield d
-        if n <= 3:
-            yield from _grid_directions(n, [Fraction(k, 4) for k in range(5)])
+                    yield _spread(n, support, d_sub)
+                    if 0 in d_sub:
+                        # each midpoint row is <= -1 at d_sub and stays below 0
+                        eps = 1 / (1 + len(support) * max(abs(x) for r in sub_rows for x in r))
+                        lifted.append(_spread(n, support, [x + eps for x in d_sub]))
+        yield from lifted
 
     for d in candidates():
-        if any(x < 0 for x in d):
-            continue
         for simplified in _simplify_ray(d):
             if certify(simplified):
                 return simplified
@@ -440,42 +439,17 @@ def _simplify_ray(d):
     The certified cone is open, so some nearby simple direction lies inside;
     simple directions keep downstream witness words short."""
     top = max(d)
-    if top <= 0:
-        return []
-    unit = [x / top for x in d]
-    out = []
-    seen = set()
-    for cap in (4, 16, 64, 256, 1024):
-        approx = tuple(x.limit_denominator(cap) for x in unit)
-        if approx not in seen:
-            seen.add(approx)
-            out.append(list(approx))
-    exact = tuple(unit)
-    if exact not in seen:
-        out.append(list(exact))
-    return out
+    unit = tuple(x / top for x in d)
+    approx = [tuple(x.limit_denominator(cap) for x in unit) for cap in (4, 16, 64, 256, 1024)]
+    return [list(a) for a in dict.fromkeys(approx + [unit])]
 
 
 def _supports(n: int):
-    out = []
-    for mask in range(1, 2**n):
-        out.append([i for i in range(n) if mask >> i & 1])
-    out.sort(key=len, reverse=True)
-    return out
+    masks = sorted(range(1, 2**n), key=lambda mask: -mask.bit_count())
+    return [[i for i in range(n) if mask >> i & 1] for mask in masks]
 
 
-def _grid_directions(n: int, grid):
-    if n == 1:
-        return [[Fraction(1)]]
-    out = []
-    if n == 2:
-        for a in grid:
-            out.append([Fraction(1), a])
-            out.append([a, Fraction(1)])
-    else:
-        for a in grid:
-            for b in grid:
-                out.append([Fraction(1), a, b])
-                out.append([a, Fraction(1), b])
-                out.append([a, b, Fraction(1)])
-    return out
+def _spread(n: int, support, d_sub) -> list:
+    """The direction that is `d_sub` on `support` and 0 elsewhere."""
+    at = dict(zip(support, d_sub))
+    return [at.get(i, Fraction(0)) for i in range(n)]

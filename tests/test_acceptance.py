@@ -33,11 +33,6 @@ from ratiobound.samples import different_rates, relative_orderings, unbounded_ra
 from ratiobound.spectral import copy_start_off_cycles
 
 from helpers import (
-    UnaryLasso,
-    brute_block_degree,
-    dense_matrix,
-    final_vector,
-    lasso_difference_finite,
     planted_unambiguous,
     random_block_wa,
     random_functional_unary,
@@ -45,6 +40,13 @@ from helpers import (
     random_restricted_chrobak,
     random_unary_nfa,
     random_wa,
+)
+from oracles import (
+    UnaryLasso,
+    brute_block_degree,
+    dense_matrix,
+    final_vector,
+    lasso_difference_finite,
     weight,
     words_upto,
 )
@@ -224,7 +226,7 @@ def test_criterion_9_growth_envelope_property():
         ann, degrees = _annotation_degrees(wa, fresh, 60)
         (t,) = wa.finals
         m = dense_matrix(wa, "a")
-        from helpers import vec_mat
+        from oracles import vec_mat
 
         i = wa.index(fresh)
         vec = tuple(F(1) if j == i else F(0) for j in range(wa.n))
@@ -331,7 +333,7 @@ class _alg_key:
 
 def _block_weight_grid(wa, s, letters, cap):
     """nu(a^n1 b^n2) for all 0 <= n_i <= cap via incremental vector products."""
-    from helpers import vec_mat
+    from oracles import vec_mat
 
     i = wa.index(s)
     fvec = final_vector(wa)

@@ -17,7 +17,8 @@ from ratiobound.algebraic import (
     sturm_sequence,
 )
 
-from helpers import dense_matrix, pmul, poly_divmod, power_iteration_radius, random_wa
+from helpers import random_wa
+from oracles import dense_matrix, pmul, poly_divmod, power_iteration_radius
 
 
 def test_char_poly_fibonacci_matrix():

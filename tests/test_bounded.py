@@ -49,15 +49,9 @@ from ratiobound.samples import relative_orderings, unbounded_ratio
 from ratiobound.spectral import rank_radii, scc_decompose
 
 import helpers
-from helpers import (
-    brute_block_degree,
-    not_big_o_on_b,
-    random_block_wa,
-    random_wa,
-    two_symbol_chain,
-    weight,
-    words_upto,
-)
+import oracles
+from helpers import not_big_o_on_b, random_block_wa, random_wa, two_symbol_chain
+from oracles import brute_block_degree, ref_plus_subquery, weight, words_upto
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -332,6 +326,65 @@ def test_letter_to_plus_splits_a_repeated_letter():
     trans = aba.automaton.transitions()
     assert ("p@1", "b1", F(1, 2), "p@1") in trans
     assert ("p@3", "b3", F(1, 2), "p@3") in trans
+
+
+def _plus_cases():
+    """Queries with their letter bounds: the data files (detected letters),
+    300 two-letter and 200 three-letter `random_block_wa` draws from both
+    start orders, and the benchmark's seed-1 `bounded` queries."""
+    from test_bench_hooks import _load
+
+    cases = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            wa = parse_automaton(fh.read())
+        cases.append((wa, "s", "s'", detect_letter_bounded(wa, "s'")))
+    for seed, count, letters in ((11, 300, ("a", "b")), (12, 200, ("a", "b", "c"))):
+        rng = random.Random(seed)
+        for _ in range(count):
+            wa = random_block_wa(rng, letters, per=2)
+            cases.append((wa, "L0_0", "L0_1", letters))
+            cases.append((wa, "L0_1", "L0_0", letters))
+    for q in _load("workloads").build("bounded", 1, helpers):
+        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+        wa = parse_automaton(q.document)
+        cases.append((wa, argv["--from"], argv["--to"], detect_letter_bounded(wa, argv["--to"])))
+    return cases
+
+
+def test_sub_questions_are_slices_of_the_one_search():
+    """Every sub-question, sliced from the one (state, collapsed prefix)
+    search, is the product that its own per-pattern search builds."""
+
+    def fields(pq):
+        a = pq.automaton
+        return a.states, a.sparse_rows, a.finals, pq.levels, pq.letters, pq.source_letters
+
+    seen = Counter()
+    for wa, s, sp, letters in _plus_cases():
+        for pq in letter_bounded_to_plus(wa, s, sp, letters):
+            ref = ref_plus_subquery(wa, s, sp, pq.source_letters)
+            assert fields(pq) == fields(ref), (wa, s, sp, pq.source_letters)
+            seen["read" if pq.automaton.finals else "unread"] += 1
+    assert seen["read"] > 0 and seen["unread"] > 0, seen
+
+
+def test_letter_bounded_to_plus_searches_once(monkeypatch):
+    """One product search per query serves all of its plus-patterns."""
+    from ratiobound import bounded
+
+    cases = _plus_cases()
+    calls = []
+    search = bounded.explore
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(bounded, "explore", counted)
+    for wa, s, sp, letters in cases:
+        letter_bounded_to_plus(wa, s, sp, letters)
+    assert len(calls) == len(cases)
 
 
 def _padded(wa, pq):
@@ -945,7 +998,7 @@ def _check_tuple_witness(d, idx, res):
     w = res.witness
     assert w["tuple"] == idx
     assert w["block_letters"] == [f"a{i + 1}" for i in range(d.dim)]
-    ratios = [helpers.tuple_ratio(d, v) for v in w["vectors"]]
+    ratios = [oracles.tuple_ratio(d, v) for v in w["vectors"]]
     assert [F(r) for r in w["ratios"]] == ratios
     run = [F(r) for r in w["increasing_run"]]
     assert len(run) == 3 and run[0] < run[1] < run[2]
@@ -1023,7 +1076,7 @@ def test_finitely_ambiguous_grid_confirmation():
         assert res.verdict == "not-big-o"
         _check_tuple_witness(d, 0, res)
         grid = range(0, 61, 10)
-        assert any(helpers.tuple_ratio(d, (n1, n2)) > 1000 for n1 in grid for n2 in grid)
+        assert any(oracles.tuple_ratio(d, (n1, n2)) > 1000 for n1 in grid for n2 in grid)
 
 
 def test_block_chain_weighs_the_tuple_ratio():
@@ -1036,7 +1089,7 @@ def test_block_chain_weighs_the_tuple_ratio():
             n = [rng.randint(1, 6) for _ in range(d.dim)]
             blocks = list(zip(wa.alphabet, n))
             ratio = weight_blocks(wa, "s", blocks) / weight_blocks(wa, "s'", blocks)
-            assert ratio == helpers.tuple_ratio(d, n), (d, n)
+            assert ratio == oracles.tuple_ratio(d, n), (d, n)
 
 
 def _draw_delta_tuples(count=400, seed=2026):

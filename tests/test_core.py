@@ -19,12 +19,12 @@ from ratiobound import (
 from ratiobound.automata import explore, path_to
 from ratiobound.samples import relative_orderings, unbounded_ratio
 
-from helpers import (
+from helpers import random_wa
+from oracles import (
     dense_matrix,
     enum_paths_weight,
     final_vector,
     mat_pow,
-    random_wa,
     vec_mat,
     weight,
     words_upto,
@@ -67,7 +67,7 @@ def test_weight_splitting_identity():
         wa = random_wa(rng, nstates=4, alphabet=("a", "b"))
         u, v = "ab", "ba"
         lhs = weight(wa, "q0", u + v)
-        from helpers import mat_mul, vec_mat
+        from oracles import mat_mul, vec_mat
 
         mu = mat_mul(dense_matrix(wa, "a"), dense_matrix(wa, "b"))
         i = wa.index("q0")

@@ -16,14 +16,8 @@ from ratiobound import (
 from ratiobound.automata import explore, nfa_of
 from ratiobound.samples import unbounded_ratio
 
-from helpers import (
-    UnaryLasso,
-    lasso_difference_finite,
-    random_nfa,
-    random_unary_nfa,
-    random_wa,
-    ref_nfa_contained,
-)
+from helpers import random_nfa, random_unary_nfa, random_wa
+from oracles import UnaryLasso, lasso_difference_finite, ref_nfa_contained
 
 
 def test_lc_holds_on_equal_languages():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import helpers
+import oracles
 from ratiobound.algebraic import AlgebraicNumber, largest_real_root
 from ratiobound.automata import InputError
 from ratiobound.realexp import (
@@ -234,6 +234,21 @@ def _ray_first(f, bits, max_bits):
     return UNKNOWN, None
 
 
+def test_a_ray_positive_on_its_whole_support_is_found():
+    """-log(x0) sinks only when x0 grows and x1 * log(1/2) only when x1
+    grows, so every certified ray is positive on both.  The linear program
+    sees only the second row and puts 0 on x0; its solution lifted onto
+    the whole support certifies, with any number of idle variables."""
+    for n in range(2, 6):
+        idle = [coeff(1, 1, 0)] * (n - 2)
+        rows = [
+            ([coeff(1, 1, 0), coeff(1, 1, 0)] + idle, [-1] + [0] * (n - 1)),
+            ([coeff(1, 1, 0), coeff(1, 2)] + idle, [0] * n),
+        ]
+        res = semi_decide(formula(rows))
+        assert res.verdict == HOLDS and res.ray[0] > 0 and res.ray[1] > 0, (n, res)
+
+
 def test_sign_rule_and_covering_first_agree_with_ray_first():
     """Seeded small systems with forced exact ties: wherever the sign rule
     fires no ray is certified, and every verdict the ray-first order
@@ -296,7 +311,7 @@ def test_linear_program_certifies_wherever_the_box_covering_does():
         n, m = rng.randint(1, 3), rng.randint(1, 4)
         sysd = _random_linear_system(rng, n, m, values).system
         enc = [[co.enclosure(128) for co in row.coeffs] for row in sysd.rows]
-        if helpers.covering_fails(n, enc):
+        if oracles.covering_fails(n, enc):
             covered += 1
             assert every_direction_grows(enc, n), sysd
     assert covered >= 40
@@ -312,7 +327,7 @@ def test_pruned_elimination_picks_the_unpruned_direction():
         n, m = rng.randint(1, 4), rng.randint(1, 5)
         rows = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(m)]
         d = negative_direction(rows, n)
-        assert d == helpers.negative_direction_unpruned(rows, n), rows
+        assert d == oracles.negative_direction_unpruned(rows, n), rows
         if d is not None:
             feasible += 1
             assert all(x >= 0 for x in d)
@@ -345,7 +360,7 @@ def test_integer_elimination_matches_fraction_elimination():
             _nonnegative(n) + [([F(1)] * n, F(1))] + [(row, F(0)) for row in grows],
         ):
             d = fm_solve(cons, n)
-            assert d == helpers.fm_solve_fractions(cons, n), cons
+            assert d == oracles.fm_solve_fractions(cons, n), cons
             outcomes["none" if d is None else "direction"] += 1
     assert min(outcomes.values()) >= 40, outcomes
 

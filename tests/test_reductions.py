@@ -25,14 +25,8 @@ from ratiobound import (
 from ratiobound.nfaops import ChrobakNf
 from ratiobound.samples import unbounded_ratio
 
-from helpers import (
-    planted_unambiguous,
-    random_pa,
-    random_restricted_chrobak,
-    random_wa,
-    weight,
-    words_upto,
-)
+from helpers import planted_unambiguous, random_pa, random_restricted_chrobak, random_wa
+from oracles import weight, words_upto
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +361,7 @@ def test_value1_backward_xy_invariant():
 
 
 def _prob_to(chain, start, word, target):
-    from helpers import dense_matrix, vec_mat
+    from oracles import dense_matrix, vec_mat
 
     i = chain.index(start)
     vec = tuple(F(1) if j == i else F(0) for j in range(chain.n))

@@ -25,13 +25,13 @@ from ratiobound.spectral import (
     step_signature,
 )
 
-from helpers import (
+from helpers import random_wa
+from oracles import (
     brute_unary_degree,
     brute_unary_signatures,
     dense_matrix,
     dense_scc_decompose,
     mat_pow,
-    random_wa,
 )
 
 

@@ -1,23 +1,32 @@
 """Static checks of the package source: it imports nothing outside the
 standard library, imports at module level only, uses every name it imports,
-and reaches every definition."""
+and reaches every definition.  The import checks also read the tests'
+shared `helpers.py` and `oracles.py`."""
 
 import ast
 import os
 import sys
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ratiobound")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, "..", "src", "ratiobound")
+SHARED = [os.path.join(TESTS, name) for name in ("helpers.py", "oracles.py")]
+
+
+def _package_files():
+    return [os.path.join(SRC, n) for n in sorted(os.listdir(SRC)) if n.endswith(".py")]
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
 
 
 def test_package_imports_only_stdlib():
     allowed = set(sys.stdlib_module_names) | {"__future__"}
     foreign = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        for node in ast.walk(tree):
+    for path in _package_files():
+        name = os.path.basename(path)
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -34,11 +43,11 @@ def test_modules_use_every_name_they_import():
     """No module but `__init__.py`, which re-exports, imports a name it
     never reads: a leftover import of deleted code fails here."""
     unused = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py") or name == "__init__.py":
+    for path in _package_files() + SHARED:
+        name = os.path.basename(path)
+        if name == "__init__.py":
             continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+        tree = _parse(path)
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -56,12 +65,9 @@ def test_no_function_imports():
     """Imports sit at module level, where each module's dependencies show;
     the package has no import cycle that a function-level import breaks."""
     inside = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        for fn in ast.walk(tree):
+    for path in _package_files() + SHARED:
+        name = os.path.basename(path)
+        for fn in ast.walk(_parse(path)):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inside += [
                     f"{name}:{node.lineno}: {fn.name}"

@@ -16,15 +16,8 @@ from ratiobound import (
 )
 from ratiobound.samples import unbounded_ratio
 
-from helpers import (
-    count_accepting_paths,
-    planted_unambiguous,
-    random_block_wa,
-    random_wa,
-    ref_is_unambiguous_from,
-    weight,
-    words_upto,
-)
+from helpers import planted_unambiguous, random_block_wa, random_wa
+from oracles import count_accepting_paths, ref_is_unambiguous_from, weight, words_upto
 
 
 def test_deterministic_is_unambiguous():

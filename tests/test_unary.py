@@ -15,7 +15,8 @@ from ratiobound import (
 )
 from ratiobound.samples import different_rates, unbounded_ratio
 
-from helpers import random_wa, weight
+from helpers import random_wa
+from oracles import weight
 
 
 def test_unbounded_ratio_verdicts():
