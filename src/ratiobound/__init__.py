@@ -20,11 +20,9 @@ from .automata import (
     weight_blocks,
 )
 from .bounded import (
-    DeltaTuple,
     LinearSet,
     bounded_to_letter_bounded,
     decide_bounded,
-    decide_finitely_ambiguous,
     detect_letter_bounded,
     emit_formula,
     letter_bounded_to_plus,

@@ -2,15 +2,11 @@
 plus-letter-bounded core, per-block growth-signature detectors, Parikh
 decompositions into linear sets, and emission/semi-decision of divergence
 sentences over the reals with logarithms.
-
-Also hosts the finitely-ambiguous check: each externally supplied growth
-tuple is the block chain `DeltaTuple.chain` builds, decided by
-`decide_bounded` like any other bounded query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
@@ -65,63 +61,6 @@ class LinearSet:
 
     def member(self, lam) -> tuple:
         return tuple(b + r * l for b, r, l in zip(self.base, self.periods, lam))
-
-
-@dataclass(frozen=True)
-class DeltaTuple:
-    """One attainable pair of exponential sums for a finitely ambiguous
-    comparison: weights p, r and per-coordinate bases q^i, s^i, all > 0."""
-
-    p: tuple
-    q_rows: tuple
-    r: tuple
-    s_rows: tuple
-
-    def __post_init__(self):
-        if len(self.p) != len(self.q_rows) or len(self.r) != len(self.s_rows):
-            raise InputError("tuple weights and rows must align")
-        if not self.r:
-            # an identically zero second weight: a containment failure,
-            # decided before any growth tuple
-            raise InputError("the second sum needs at least one term")
-        dims = {len(q) for q in self.q_rows} | {len(s) for s in self.s_rows}
-        if len(dims) > 1:
-            raise InputError("inconsistent tuple dimensions")
-        for v in (*self.p, *self.r):
-            if Fraction(v) <= 0:
-                raise InputError("tuple entries must be strictly positive")
-        for row in (*self.q_rows, *self.s_rows):
-            for v in row:
-                if Fraction(v) <= 0:
-                    raise InputError("tuple entries must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        # the second sum always has a row; the first may have none
-        return len(self.s_rows[0])
-
-    def chain(self) -> WeightedAutomaton:
-        """The tuple as a block chain over letters a1..a{dim}: `s` branches
-        with weight p_j into a path that reads a1^n1 ... ad^nd with weight
-        q_j[i] on every a_i, and `s'` likewise with r_l and s_l.  So on that
-        word (every n_i >= 1) nu_s / nu_s' is exactly the tuple's ratio at
-        n.  A chain of dimension 0 accepts no word: its ratio is constant."""
-        letters = [f"a{i + 1}" for i in range(self.dim)]
-        states, trans, finals = ["s", "s'"], [], []
-        for start, tag, weights, rows in (
-            ("s", "n", self.p, self.q_rows),
-            ("s'", "d", self.r, self.s_rows),
-        ):
-            for j, (w, row) in enumerate(zip(weights, rows)):
-                prev, into = start, Fraction(w)
-                for a, x in zip(letters, row):
-                    q = f"{tag}{j}.{a}"
-                    states.append(q)
-                    trans += [(prev, a, into * Fraction(x), q), (q, a, x, q)]
-                    prev, into = q, 1
-                if letters:
-                    finals.append(prev)
-        return WeightedAutomaton.from_transitions(states, letters, trans, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +460,7 @@ def _maximal(signatures):
     )
 
 
-def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
+def plus_analysis(pq: PlusQuery) -> PlusAnalysis:
     """Radius table, block structure, monitors and their product.
 
     Block d's components are read off its source letter's: a state `q@d`
@@ -531,8 +470,8 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
     other state is a component of its own with radius 0.  The table is
     (0, delta, the positive radii met, ascending), delta half the smallest
     of them (1/2 when there are none); each radius keeps the form it is
-    first met in, in block order.  `cap` bounds each monitor and their
-    product (ResourceError past it)."""
+    first met in, in block order.  MONITOR_CAP bounds each monitor and
+    their product (ResourceError past it)."""
     wa = pq.automaton
     m = len(pq.letters)
     comps = []  # per block, per state: its letter component, or None
@@ -563,8 +502,8 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
         )
         for comp, g in zip(comps, pq.growth)
     )
-    det_s = _determinize_monitor(pq, blocks, pq.s, cap)
-    det_p = _determinize_monitor(pq, blocks, pq.s_prime, cap)
+    det_s = _determinize_monitor(pq, blocks, pq.s)
+    det_p = _determinize_monitor(pq, blocks, pq.s_prime)
     # synchronized product over the block letters
     def psucc(pair):
         for li in range(m):
@@ -573,7 +512,7 @@ def plus_analysis(pq: PlusQuery, cap: int = MONITOR_CAP) -> PlusAnalysis:
             if ti is not None and tj is not None:
                 yield li, (ti, tj)
 
-    pstates, pedges = explore([(0, 0)], psucc, cap)
+    pstates, pedges = explore([(0, 0)], psucc, MONITOR_CAP)
     ptrans = {(i, li): j for i, li, j in pedges}
     dsets = []
     for (i, j) in pstates:
@@ -603,7 +542,7 @@ def _entry(b: BlockInfo, qi: int):
     return (DELTA if ri == ZERO else ri, 0)
 
 
-def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> MonitorDfa:
+def _determinize_monitor(pq: PlusQuery, blocks, start: str) -> MonitorDfa:
     """Subset construction over (state, finished block signatures, current
     signature) triples.  The start is seeded as entering block 1: it sits at
     level 0, so it steps on block 1 only and is never final."""
@@ -630,7 +569,7 @@ def _determinize_monitor(pq: PlusQuery, blocks, start: str, cap: int) -> Monitor
     states, edges = explore(
         [frozenset([(si, (), _entry(blocks[0], si))])],
         lambda mset: ((li, tgt) for li in range(m) if (tgt := step(mset, li))),
-        cap,
+        MONITOR_CAP,
     )
     trans = {(i, li): j for i, li, j in edges}
     finals_idx = {wa.index(f) for f in wa.finals}
@@ -940,24 +879,3 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]
     if words is not None:
         witness["bounding_words"] = ["".join(w) for w in words]
     return witness
-
-
-# ---------------------------------------------------------------------------
-# finitely ambiguous comparison from supplied growth tuples
-
-
-def decide_finitely_ambiguous(deltas, start_bits: Optional[int] = None) -> BoundedResult:
-    """Three-valued check over supplied growth tuples: `decide_bounded` on
-    each tuple's block chain.  A `not-big-o` from any tuple wins, with the
-    tuple's index added to its witness as "tuple"; then the first
-    `unknown`; `is-big-o` needs every tuple bounded."""
-    start_bits = checked_start_bits(start_bits)
-    deltas = [d if isinstance(d, DeltaTuple) else DeltaTuple(*d) for d in deltas]
-    first_unknown = None
-    for idx, d in enumerate(deltas):
-        res = decide_bounded(Query(d.chain(), "s", "s'"), start_bits=start_bits)
-        if res.verdict == "not-big-o":
-            return replace(res, witness={**res.witness, "tuple": idx})
-        if res.verdict == "unknown" and first_unknown is None:
-            first_unknown = res
-    return first_unknown or BoundedResult("is-big-o")

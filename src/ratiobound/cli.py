@@ -243,6 +243,13 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _json_typed(value, kind):
+    """`value` if its JSON type is exactly `kind` (a boolean is no integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
+
+
 def cmd_generate(args) -> int:
     if args.kind == "undecidable":
         warnings: list = []
@@ -265,9 +272,10 @@ def cmd_generate(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             try:
                 spec = json.load(fh)
-                stem = tuple(bool(b) for b in spec["stem"])
+                stem = tuple(_json_typed(b, bool) for b in spec["stem"])
                 cycles = tuple(
-                    (int(l), frozenset(int(o) for o in offs)) for l, offs in spec["cycles"]
+                    (_json_typed(l, int), frozenset(_json_typed(o, int) for o in offs))
+                    for l, offs in spec["cycles"]
                 )
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(

@@ -27,14 +27,22 @@ from .nfaops import ChrobakNf
 HARDNESS_HORIZON_CAP = 100_000
 
 
+def _designated(wa: WeightedAutomaton, letter: Optional[str]) -> str:
+    """`letter`, by default the alphabet's first; InputError if not a letter."""
+    if not wa.alphabet:
+        raise InputError("the alphabet is empty: no symbol to designate")
+    a = letter if letter is not None else wa.alphabet[0]
+    if a not in wa.alphabet:
+        raise InputError(f"designated symbol {a!r} not in the alphabet")
+    return a
+
+
 def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     """Two-direction question from a one-direction one: new states q0, q0'
     split weight 1/2 over s and s' (resp. route all of it to s'), so q0 is
     big-Theta of q0' exactly when s is big-O of s'."""
     wa = q.automaton
-    a = letter if letter is not None else wa.alphabet[0]
-    if a not in wa.alphabet:
-        raise InputError(f"designated symbol {a!r} not in the alphabet")
+    a = _designated(wa, letter)
     taken = set(wa.states)
     q0 = fresh_state(taken, "q")
     q1 = fresh_state(taken, "q'")
@@ -63,9 +71,7 @@ def from_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     directions land on words of different parity.
     """
     wa = q.automaton
-    a = letter if letter is not None else wa.alphabet[0]
-    if a not in wa.alphabet:
-        raise InputError(f"designated symbol {a!r} not in the alphabet")
+    a = _designated(wa, letter)
     taken = set(wa.states)
     states = list(wa.states)
     trans = []
@@ -245,7 +251,7 @@ class HardnessInstance:
     label_big_o: bool  # coverage of every length >= 2, which the chain tests
 
 
-def gen_hardness(cnf: ChrobakNf, letter: str = "a") -> HardnessInstance:
+def gen_hardness(cnf: ChrobakNf) -> HardnessInstance:
     """Unary chain from a restricted Chrobak-form NFA with a one-state stem.
 
     The first branch fixes the reference decay rate; the second mixes a
@@ -275,28 +281,28 @@ def gen_hardness(cnf: ChrobakNf, letter: str = "a") -> HardnessInstance:
     states = ["s", "u", "v", "t", "s'"]
     half = Fraction(1, 2)
     trans = [
-        ("s", letter, Fraction(1), "u"),
-        ("u", letter, half, "u"),
-        ("u", letter, half, "t"),
-        ("s'", letter, Fraction(1, m + 1), "v"),
-        ("v", letter, Fraction(1, 4), "v"),
-        ("v", letter, Fraction(3, 4), "t"),
+        ("s", "a", Fraction(1), "u"),
+        ("u", "a", half, "u"),
+        ("u", "a", half, "t"),
+        ("s'", "a", Fraction(1, m + 1), "v"),
+        ("v", "a", Fraction(1, 4), "v"),
+        ("v", "a", Fraction(3, 4), "t"),
     ]
     for ci, (length, offsets) in enumerate(cnf.cycles):
         (accept_at,) = offsets
         cyc = [f"c{ci}_{j}" for j in range(length)]
         states.extend(cyc)
-        trans.append(("s'", letter, Fraction(1, m + 1), cyc[0]))
+        trans.append(("s'", "a", Fraction(1, m + 1), cyc[0]))
         heavy = half**length
         for j in range(length):
             src = cyc[(length + j - 1) % length]
             if j == accept_at:
-                trans.append((src, letter, heavy, cyc[j]))
-                trans.append((src, letter, 1 - heavy, "t"))
+                trans.append((src, "a", heavy, cyc[j]))
+                trans.append((src, "a", 1 - heavy, "t"))
             else:
-                trans.append((src, letter, Fraction(1), cyc[j]))
+                trans.append((src, "a", Fraction(1), cyc[j]))
     out = WeightedAutomaton.from_transitions(
-        tuple(states), (letter,), trans, frozenset(["t"])
+        tuple(states), ("a",), trans, frozenset(["t"])
     )
     universal = bool(cnf.stem[0]) and cnf.accepts(1) and covered
     return HardnessInstance(Lmc(out), "s", "s'", universal, covered)

@@ -184,7 +184,44 @@ def weight(wa: WeightedAutomaton, s: str, word) -> Fraction:
     return weight_blocks(wa, s, ((a, 1) for a in word))
 
 
-def tuple_ratio(d, v) -> Fraction:
+@dataclass(frozen=True)
+class GrowthTuple:
+    """One attainable pair of exponential sums of a finitely ambiguous
+    comparison: weights p, r and per-coordinate bases q^i, s^i, all > 0.
+    The second sum has at least one term; the first may have none."""
+
+    p: tuple
+    q_rows: tuple
+    r: tuple
+    s_rows: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.s_rows[0])
+
+
+def block_chain(d: GrowthTuple) -> WeightedAutomaton:
+    """The tuple as a block chain over letters a1..a{dim}: `s` branches
+    with weight p_j into a path that reads a1^n1 ... ad^nd with weight
+    q_j[i] on every a_i, and `s'` likewise with r_l and s_l.  So on that
+    word (every n_i >= 1) nu_s / nu_s' is exactly the tuple's ratio at n.
+    A chain of dimension 0 accepts no word: its ratio is constant."""
+    letters = [f"a{i + 1}" for i in range(d.dim)]
+    states, trans, finals = ["s", "s'"], [], []
+    for start, tag, weights, rows in (("s", "n", d.p, d.q_rows), ("s'", "d", d.r, d.s_rows)):
+        for j, (w, row) in enumerate(zip(weights, rows)):
+            prev, into = start, Fraction(w)
+            for a, x in zip(letters, row):
+                q = f"{tag}{j}.{a}"
+                states.append(q)
+                trans += [(prev, a, into * Fraction(x), q), (q, a, x, q)]
+                prev, into = q, 1
+            if letters:
+                finals.append(prev)
+    return WeightedAutomaton.from_transitions(states, letters, trans, finals)
+
+
+def tuple_ratio(d: GrowthTuple, v) -> Fraction:
     """A growth tuple's ratio sum_j p_j prod_i q_j[i]^v_i over
     sum_l r_l prod_i s_l[i]^v_i, from the tuple's entries alone."""
 

@@ -11,7 +11,6 @@ from itertools import product
 import pytest
 
 from ratiobound import (
-    DeltaTuple,
     InputError,
     LinearSet,
     Query,
@@ -19,7 +18,6 @@ from ratiobound import (
     WeightedAutomaton,
     bounded_to_letter_bounded,
     decide_bounded,
-    decide_finitely_ambiguous,
     decide_unambiguous,
     decide_unary,
     detect_letter_bounded,
@@ -51,7 +49,7 @@ from ratiobound.spectral import rank_radii, scc_decompose
 import helpers
 import oracles
 from helpers import not_big_o_on_b, random_block_wa, random_wa, two_symbol_chain
-from oracles import brute_block_degree, ref_plus_subquery, weight, words_upto
+from oracles import GrowthTuple, brute_block_degree, ref_plus_subquery, weight, words_upto
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -972,9 +970,7 @@ def test_decide_bounded_with_words_differential():
 
 def test_deciders_reject_out_of_range_start_bits():
     """The precision range is checked on entry, also where no sentence is
-    ever decided: no tuples, or a containment failure."""
-    with pytest.raises(InputError):
-        decide_finitely_ambiguous([], start_bits=8)
+    ever decided: a containment failure."""
     wa = WeightedAutomaton.from_transitions(
         ["p", "q", "t"],
         ["a"],
@@ -988,15 +984,18 @@ def test_deciders_reject_out_of_range_start_bits():
 
 
 # ---------------------------------------------------------------------------
-# finitely ambiguous
+# finitely ambiguous: growth tuples decided as block chains
 
 
-def _check_tuple_witness(d, idx, res):
-    """A not-big-o names its tuple, reads the chain's letters in order, and
-    ships ratios that the tuple's own sums give exactly at the reported
-    vectors, with a strictly increasing run among them."""
+def _decide_tuple(d, start_bits=None):
+    return decide_bounded(Query(oracles.block_chain(d), "s", "s'"), start_bits=start_bits)
+
+
+def _check_tuple_witness(d, res):
+    """A not-big-o reads the chain's letters in order, and ships ratios that
+    the tuple's own sums give exactly at the reported vectors, with a
+    strictly increasing run among them."""
     w = res.witness
-    assert w["tuple"] == idx
     assert w["block_letters"] == [f"a{i + 1}" for i in range(d.dim)]
     ratios = [oracles.tuple_ratio(d, v) for v in w["vectors"]]
     assert [F(r) for r in w["ratios"]] == ratios
@@ -1006,75 +1005,46 @@ def _check_tuple_witness(d, idx, res):
 
 
 def test_finitely_ambiguous_identical_sides():
-    d = DeltaTuple((F(1), F(2)), ((F(2), F(3)), (F(1, 2), F(1))), (F(1), F(2)), ((F(2), F(3)), (F(1, 2), F(1))))
-    assert decide_finitely_ambiguous([d]).verdict == "is-big-o"
+    d = GrowthTuple((F(1), F(2)), ((F(2), F(3)), (F(1, 2), F(1))), (F(1), F(2)), ((F(2), F(3)), (F(1, 2), F(1))))
+    assert _decide_tuple(d).verdict == "is-big-o"
 
 
 def test_finitely_ambiguous_single_growing():
     """2^n over 1 diverges along the one coordinate, the ray (1); the
-    precision range is checked as in `decide_bounded`."""
-    d = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
-    res = decide_finitely_ambiguous([d])
+    precision range is checked as for every bounded query."""
+    d = GrowthTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
+    res = _decide_tuple(d)
     assert res.verdict == "not-big-o"
-    _check_tuple_witness(d, 0, res)
+    _check_tuple_witness(d, res)
     assert res.witness["ray"] == ["1"]
     with pytest.raises(InputError):
-        decide_finitely_ambiguous([d], start_bits=8)
+        _decide_tuple(d, start_bits=8)
 
 
 def test_finitely_ambiguous_tuples_without_letters_to_read():
     """An empty first sum and dimension 0 leave no letter to read from `s`:
-    both are is-big-o.  The dimension comes from either side's rows."""
-    empty_num = DeltaTuple((), (), (F(1),), ((F(2), F(3)),))
+    both are is-big-o, the second on an empty alphabet.  The dimension comes
+    from either side's rows."""
+    empty_num = GrowthTuple((), (), (F(1),), ((F(2), F(3)),))
     assert empty_num.dim == 2
-    assert empty_num.chain().alphabet == ("a1", "a2")
-    flat = DeltaTuple((F(1),), ((),), (F(2),), ((),))
-    assert flat.dim == 0 and flat.chain().finals == frozenset()
+    assert oracles.block_chain(empty_num).alphabet == ("a1", "a2")
+    flat = GrowthTuple((F(1),), ((),), (F(2),), ((),))
+    chain = oracles.block_chain(flat)
+    assert flat.dim == 0 and chain.alphabet == () and chain.finals == frozenset()
     for d in (empty_num, flat):
-        assert decide_finitely_ambiguous([d]).verdict == "is-big-o"
-
-
-def test_finitely_ambiguous_not_big_o_wins_then_first_unknown(monkeypatch):
-    """Tuples are decided in order: any not-big-o wins and names its tuple;
-    otherwise the first unknown is returned."""
-    import ratiobound.bounded
-    from ratiobound.bounded import BoundedResult
-
-    flat = DeltaTuple((F(1),), ((F(1),),), (F(1),), ((F(1),),))
-    growing = DeltaTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
-    res = decide_finitely_ambiguous([flat, growing, flat])
-    assert res.verdict == "not-big-o"
-    _check_tuple_witness(growing, 1, res)
-    assert decide_finitely_ambiguous([flat, flat]).verdict == "is-big-o"
-    assert decide_finitely_ambiguous([]).verdict == "is-big-o"
-    first, second = BoundedResult("unknown", subqueries=1), BoundedResult("unknown", subqueries=2)
-    answers = iter([BoundedResult("is-big-o"), first, second])
-    monkeypatch.setattr(ratiobound.bounded, "decide_bounded", lambda *a, **k: next(answers))
-    assert decide_finitely_ambiguous([flat, flat, flat]) is first
-
-
-def test_finitely_ambiguous_rejects_nonpositive():
-    with pytest.raises(InputError):
-        DeltaTuple((F(0),), ((F(2),),), (F(1),), ((F(1),),))
-
-
-def test_finitely_ambiguous_rejects_empty_second_sum():
-    """An identically zero second weight is a containment failure, decided
-    before growth tuples, not a tuple to compare."""
-    with pytest.raises(InputError):
-        DeltaTuple((F(1),), ((F(2),),), (), ())
+        assert _decide_tuple(d).verdict == "is-big-o"
 
 
 def test_finitely_ambiguous_grid_confirmation():
     """Divergence verdicts replay on the natural-number grid."""
     tuples = [
-        DeltaTuple((F(1),), ((F(3, 2), F(2)),), (F(1),), ((F(1), F(2)),)),
-        DeltaTuple((F(2),), ((F(1, 2), F(3)),), (F(3),), ((F(1, 2), F(2)),)),
+        GrowthTuple((F(1),), ((F(3, 2), F(2)),), (F(1),), ((F(1), F(2)),)),
+        GrowthTuple((F(2),), ((F(1, 2), F(3)),), (F(3),), ((F(1, 2), F(2)),)),
     ]
     for d in tuples:
-        res = decide_finitely_ambiguous([d])
+        res = _decide_tuple(d)
         assert res.verdict == "not-big-o"
-        _check_tuple_witness(d, 0, res)
+        _check_tuple_witness(d, res)
         grid = range(0, 61, 10)
         assert any(oracles.tuple_ratio(d, (n1, n2)) > 1000 for n1 in grid for n2 in grid)
 
@@ -1084,7 +1054,7 @@ def test_block_chain_weighs_the_tuple_ratio():
     tuple's two sums, so their ratio is the tuple's ratio at n."""
     rng = random.Random(3)
     for d in _draw_wide_delta_tuples()[:40]:
-        wa = d.chain()
+        wa = oracles.block_chain(d)
         for _ in range(3):
             n = [rng.randint(1, 6) for _ in range(d.dim)]
             blocks = list(zip(wa.alphabet, n))
@@ -1108,7 +1078,7 @@ def _draw_delta_tuples(count=400, seed=2026):
             s_rows[0] = rng.choice(q_rows)
         p = tuple(rng.choice(vals) for _ in range(nq))
         r = tuple(rng.choice(vals) for _ in range(ns))
-        out.append(DeltaTuple(p, q_rows, r, tuple(s_rows)))
+        out.append(GrowthTuple(p, q_rows, r, tuple(s_rows)))
     return out
 
 
@@ -1132,7 +1102,7 @@ def _draw_wide_delta_tuples(count=300, seed=7):
             s_rows[rng.randrange(ns)] = tuple(row)
         p = tuple(rng.choice(vals) for _ in range(nq))
         r = tuple(rng.choice(vals) for _ in range(ns))
-        out.append(DeltaTuple(p, q_rows, r, tuple(s_rows)))
+        out.append(GrowthTuple(p, q_rows, r, tuple(s_rows)))
     return out
 
 
@@ -1155,11 +1125,11 @@ def test_finitely_ambiguous_differential_against_slope_search():
     code = {"not-big-o": "N", "is-big-o": "B", "unknown": "U"}
     verdicts = []
     for d, old in zip(_draw_delta_tuples(), _SLOPE_SEARCH_VERDICTS):
-        res = decide_finitely_ambiguous([d])
+        res = _decide_tuple(d)
         new = code[res.verdict]
         assert new == old or old == "U", (d, old, new)
         if new == "N":
-            _check_tuple_witness(d, 0, res)
+            _check_tuple_witness(d, res)
         verdicts.append(new)
     assert len(verdicts) == 400
     counts = {c: verdicts.count(c) for c in "NBU"}
@@ -1185,9 +1155,9 @@ def test_finitely_ambiguous_differential_on_wide_draws():
     code = {"not-big-o": "N", "is-big-o": "B", "unknown": "U"}
     verdicts = ""
     for d in _draw_wide_delta_tuples():
-        res = decide_finitely_ambiguous([d])
+        res = _decide_tuple(d)
         if res.verdict == "not-big-o":
-            _check_tuple_witness(d, 0, res)
+            _check_tuple_witness(d, res)
         verdicts += code[res.verdict]
     assert verdicts == _ROW_SENTENCE_VERDICTS
     assert (verdicts.count("N"), verdicts.count("B")) == (174, 126)
@@ -1230,34 +1200,43 @@ def test_witness_without_increasing_run_is_unknown(monkeypatch, tmp_path, capsys
     assert len(report["smtFiles"]) == len(os.listdir(smt)) == len(res.unknown_formulas)
 
 
-def test_plus_analysis_caps_the_product_of_the_monitors():
+def test_plus_analysis_caps_the_product_of_the_monitors(monkeypatch):
     """Draw 188 of these has an (a, b) sub-question whose monitors have 4
     and 6 states and whose product has 7: the cap holds the product too."""
+    from ratiobound import bounded
+
     rng = random.Random(5)
     for _ in range(189):
         wa = random_block_wa(rng, per=2)
     subs = letter_bounded_to_plus(wa, "L0_0", "L0_1", ("a", "b"))
     (pq,) = [s for s in subs if s.source_letters == ("a", "b")]
-    analysis = plus_analysis(pq, cap=7)
+    monkeypatch.setattr(bounded, "MONITOR_CAP", 7)
+    analysis = plus_analysis(pq)
     sizes = len(analysis.det_s.states), len(analysis.det_p.states), len(analysis.product_states)
     assert sizes == (4, 6, 7)
+    monkeypatch.setattr(bounded, "MONITOR_CAP", 6)
     with pytest.raises(ResourceError):
-        plus_analysis(pq, cap=6)
+        plus_analysis(pq)
 
 
-def test_plus_analysis_monitor_cap():
+def test_plus_analysis_monitor_cap(monkeypatch):
+    from ratiobound import bounded
+
     wa = relative_orderings(F(62, 100))
     sizes = []
     for pq in letter_bounded_to_plus(wa, "s", "s'", ("a", "b")):
         analysis = plus_analysis(pq)
         size = max(len(analysis.det_s.states), len(analysis.det_p.states))
         sizes.append(size)
-        exact = plus_analysis(pq, cap=size)
-        assert exact.det_s.states == analysis.det_s.states
-        assert exact.product_states == analysis.product_states
-        if size > 1:
-            with pytest.raises(ResourceError):
-                plus_analysis(pq, cap=size - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounded, "MONITOR_CAP", size)
+            exact = plus_analysis(pq)
+            assert exact.det_s.states == analysis.det_s.states
+            assert exact.product_states == analysis.product_states
+            if size > 1:
+                patch.setattr(bounded, "MONITOR_CAP", size - 1)
+                with pytest.raises(ResourceError):
+                    plus_analysis(pq)
     assert max(sizes) > 1, sizes
 
 

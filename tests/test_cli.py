@@ -192,6 +192,14 @@ def _no_decider_file(tmp_path):
     return str(path)
 
 
+def _empty_alphabet_file(tmp_path):
+    """One final state and no letter: no symbol to designate."""
+    wa = WeightedAutomaton.from_transitions(["p"], [], [], ["p"])
+    path = tmp_path / "empty.json"
+    path.write_text(serialize(wa), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "make_file, command, message",
     [
@@ -203,8 +211,17 @@ def _no_decider_file(tmp_path):
         ),
         (_no_decider_file, ["oracle", "--max-len", "-1"], "non-negative"),
         (lambda tmp_path: str(tmp_path / "absent.json"), ["check"], "absent.json"),
+        (_empty_alphabet_file, ["reduce", "big-theta"], "alphabet is empty"),
+        (_empty_alphabet_file, ["reduce", "from-big-theta"], "alphabet is empty"),
     ],
-    ids=["no-decider", "bounded-not-letter-bounded", "oracle-negative-length", "missing-file"],
+    ids=[
+        "no-decider",
+        "bounded-not-letter-bounded",
+        "oracle-negative-length",
+        "missing-file",
+        "big-theta-empty-alphabet",
+        "from-big-theta-empty-alphabet",
+    ],
 )
 def test_check_auto_input_errors_exit_64(tmp_path, capsys, make_file, command, message):
     path = make_file(tmp_path)
@@ -308,8 +325,24 @@ def test_reduce_eventual_malformed_delta_exits_64(capsys, delta):
         "{not json",
         json.dumps({"stem": [True]}),
         json.dumps({"stem": [True], "cycles": [["x", [0]]]}),
+        json.dumps({"stem": [True], "cycles": [[2.5, [0]]]}),
+        json.dumps({"stem": [True], "cycles": [[True, [0]]]}),
+        json.dumps({"stem": [True], "cycles": [[2, [0.0]]]}),
+        json.dumps({"stem": [True], "cycles": [[2, [False]]]}),
+        json.dumps({"stem": ["no"], "cycles": [[2, [0]]]}),
+        json.dumps({"stem": [1], "cycles": [[2, [0]]]}),
     ],
-    ids=["not-json", "no-cycles", "non-integer-length"],
+    ids=[
+        "not-json",
+        "no-cycles",
+        "non-integer-length",
+        "fractional-length",
+        "boolean-length",
+        "float-offset",
+        "boolean-offset",
+        "string-flag",
+        "integer-flag",
+    ],
 )
 def test_generate_hardness_malformed_spec_is_format_error(tmp_path, capsys, spec):
     path = tmp_path / "cnf.json"
@@ -681,12 +714,9 @@ def test_classify_spectral_dump(capsys):
 
 
 def test_check_monitor_cap_exits_66(capsys, monkeypatch):
-    import functools
-
     import ratiobound.bounded
 
-    small = functools.partial(ratiobound.bounded.plus_analysis, cap=1)
-    monkeypatch.setattr(ratiobound.bounded, "plus_analysis", small)
+    monkeypatch.setattr(ratiobound.bounded, "MONITOR_CAP", 1)
     f = data_file("relative_orderings_p62.json")
     args = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]
     assert main(args) == 66
