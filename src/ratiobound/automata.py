@@ -382,17 +382,22 @@ def ratio_profile(q: Query, max_len: int, cap: int = 10**6) -> RatioProfile:
     """Enumerate all words up to max_len and report the extreme weight ratio.
 
     Conventions: 0/0 = 0 and x/0 = infinity for x > 0.  Raises ResourceError
-    if the enumeration would exceed `cap` words.
+    if the enumeration would exceed `cap` words; the count stops there.
     """
     if max_len < 0:
         raise InputError("max_len must be non-negative")
+    if cap < 1:
+        raise InputError("cap must be at least 1")
     wa = q.automaton
     k = len(wa.alphabet)
-    total = (max_len + 1) if k <= 1 else (k ** (max_len + 1) - 1) // (k - 1)
-    if k >= 1 and total > cap:
-        raise ResourceError(
-            f"enumerating {total} words exceeds cap={cap}; lower max_len or raise cap"
-        )
+    total = level = 1
+    for _ in range(max_len if k else 0):
+        level *= k
+        total += level
+        if total > cap:
+            raise ResourceError(
+                f"enumerating more than {cap} words; lower max_len or raise cap"
+            )
     steps = [(a, *wa.sparse_rows[a]) for a in wa.alphabet]
     entries = []
     best: object = Fraction(0)

@@ -64,7 +64,8 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
     ratios of the two copies' weights; the answer is negative exactly when a
     cycle with ratio product > 1 lies on a path from the start pair to the
     final pair.  Multiplicative Bellman-Ford relaxation keeps all arithmetic
-    rational: products replace sums and > replaces <.
+    rational: products replace sums and > replaces <.  It stops at the first
+    round whose predecessor graph has a cycle.
 
     `ambiguity` is the pair of `is_unambiguous_from` results for s and s'
     when the caller has them already.
@@ -111,12 +112,11 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
             if u in live and v in live
         )
     ]
-    nodes = len(live)
     dist = [Fraction(0)] * len(pairs)
     dist[0] = Fraction(1)
     pred: dict = {}
-    for _ in range(nodes):
-        changed = None
+    for _ in range(len(live)):
+        changed = False
         for (u, li, v, r) in live_edges:
             du = dist[u]
             if du:
@@ -124,13 +124,14 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
                 if cand > dist[v]:
                     dist[v] = cand
                     pred[v] = (u, li, r)
-                    changed = v
-        if changed is None:
+                    changed = True
+        if not changed:
             return UnambiguousVerdict(True)
-    # still improving in round |live|: walking |live| predecessors back from
-    # the last improved pair lands on a predecessor cycle, and every such
-    # cycle has ratio product > 1
-    edge_list, ratio = _walk_back_cycle(pred, changed, nodes)
+        if found := _pred_cycle(pred):
+            break
+    # a predecessor cycle appears by round |live| at the latest, and in a
+    # label-correcting method every such cycle has ratio product > 1
+    edge_list, ratio = found
     assert ratio > 1
     st = wa.states
     names = [(st[i], st[i2]) for i, i2 in pairs]
@@ -138,21 +139,26 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
     return UnambiguousVerdict(False, "cycle", cycle=cycle, cycle_ratio=ratio)
 
 
-def _walk_back_cycle(pred: dict, node, nodes: int):
-    """Walk predecessors far enough to land on a predecessor-graph cycle."""
-    for _ in range(nodes):
-        node = pred[node][0]
-    seen = []
-    while node not in seen:
-        seen.append(node)
-        node = pred[node][0]
-    # consecutive entries satisfy cycle_nodes[i+1] = pred(cycle_nodes[i])
-    cycle_nodes = seen[seen.index(node):] + [node]
-    edge_list = []
-    ratio = Fraction(1)
-    for v in cycle_nodes[:-1]:
-        u, li, r = pred[v]
-        edge_list.append((u, li, v))
-        ratio *= r
-    edge_list.reverse()
-    return edge_list, ratio
+def _pred_cycle(pred: dict):
+    """The first predecessor-graph cycle met from the pairs in index order,
+    as its edges from its smallest pair on and its ratio product; None when
+    the predecessor graph has no cycle.  Each pair is walked once."""
+    walk: dict = {}
+    for root in sorted(pred):
+        v = root
+        while v in pred and v not in walk:
+            walk[v] = root
+            v = pred[v][0]
+        if walk.get(v) == root:
+            # v is on the cycle; list it backwards from its smallest pair
+            back = [v]
+            while (u := pred[back[-1]][0]) != v:
+                back.append(u)
+            k = back.index(min(back))
+            back = back[k:] + back[:k]
+            edges = [(pred[x][0], pred[x][1], x) for x in reversed(back)]
+            ratio = Fraction(1)
+            for x in back:
+                ratio *= pred[x][2]
+            return edges, ratio
+    return None

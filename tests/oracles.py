@@ -10,12 +10,25 @@ from itertools import product
 from math import gcd, lcm
 
 from ratiobound.algebraic import compare, ptrim, spectral_radius_of_matrix
-from ratiobound.automata import Matrix, Nfa, WeightedAutomaton, explore, trim, weight_blocks
+from ratiobound.automata import (
+    Matrix,
+    Nfa,
+    Query,
+    WeightedAutomaton,
+    explore,
+    fresh_state,
+    nfa_of,
+    normalize_single_final,
+    trim,
+    weight_blocks,
+)
 from ratiobound.bounded import PlusQuery
 from ratiobound.intervals import FInterval, ivl_sum
-from ratiobound.nfaops import LcResult
+from ratiobound.nfaops import LcResult, eventually_included
+from ratiobound.reductions import complete_for_eventual
 from ratiobound.spectral import SccDag, SccInfo, scc_decompose, strong_components
 from ratiobound.unambiguous import AmbiguityResult
+from ratiobound.unary import UnaryVerdict, decide_unary
 
 
 # ---------------------------------------------------------------------------
@@ -703,3 +716,90 @@ def ref_plus_subquery(wa: WeightedAutomaton, s: str, s_prime: str, pat) -> PlusQ
         frozenset(f"{wa.states[nodes[i][0]]}@{k}" for i in finals),
     )
     return PlusQuery(out, f"{s}@0", f"{s_prime}@0", fresh, tuple(pat), tuple(keep), ())
+
+
+# ---------------------------------------------------------------------------
+# eventually-big-O by completion: shift both starts one letter, require a
+# finite difference, then decide the completed query plainly
+
+
+def ref_decide_unary_eventual(q: Query) -> UnaryVerdict:
+    """Fresh starts step once with weight 1 into s and s', so the empty word
+    drops out; a finite difference L(s) \\ L(s') then leaves the plain
+    decider on the completion, where every nonempty word from s' gets an
+    extra weight delta^|w|.  Witness lengths are the shifted automaton's,
+    one letter longer than the query's own words."""
+    if q.s == q.s_prime:
+        return UnaryVerdict(True)
+    wa = q.automaton
+    a = wa.alphabet[0]
+    taken = set(wa.states)
+    f1, f2 = fresh_state(taken, f"{q.s}>"), fresh_state(taken, f"{q.s_prime}>")
+    d, rows = wa.sparse_rows[a]
+    rows += (((wa.index(q.s), d),), ((wa.index(q.s_prime), d),))
+    shifted = WeightedAutomaton(wa.states + (f1, f2), wa.alphabet, {a: (d, rows)}, wa.finals)
+    diff = eventually_included(nfa_of(shifted, f1), nfa_of(shifted, f2))
+    if not diff:
+        return UnaryVerdict(
+            False,
+            "difference",
+            witness_length=diff.witness_length,
+            smallest_witness=diff.smallest_witness,
+            progression_period=diff.period,
+        )
+    completed = complete_for_eventual(shifted, f1, f2)
+    return decide_unary(Query(completed.automaton, completed.s, completed.s_prime))
+
+
+# ---------------------------------------------------------------------------
+# the unambiguous decider's Bellman-Ford run for all |live| rounds
+
+
+def ref_unambiguous_cycle_ratio(wa: WeightedAutomaton, s: str, s_prime: str):
+    """None when no cycle of ratio product > 1 lies between the start pair
+    and the final pair; otherwise the ratio of the predecessor cycle met by
+    walking back |live| predecessors from the pair last improved in round
+    |live|.  Assumes both states unambiguous and containment holding."""
+    wa = normalize_single_final(wa)
+    (t,) = wa.finals
+    ti = wa.index(t)
+    letters = [wa.sparse_rows[a][1] for a in wa.alphabet]
+
+    def succ(pair):
+        i, i2 = pair
+        for li, rows in enumerate(letters):
+            for j, x in rows[i]:
+                for j2, x2 in rows[i2]:
+                    yield (li, Fraction(x, x2)), (j, j2)
+
+    pairs, edges = explore([(wa.index(s), wa.index(s_prime))], succ)
+    live = trim([0], [k for k, p in enumerate(pairs) if p == (ti, ti)], edges)
+    if 0 not in live:
+        return None
+    # relaxed in (letter, first transition, second transition) order
+    live_edges = [
+        (u, r, v)
+        for _, u, r, v in sorted(
+            ((li, pairs[u][0], pairs[v][0], pairs[u][1], pairs[v][1]), u, r, v)
+            for u, (li, r), v in edges
+            if u in live and v in live
+        )
+    ]
+    dist = [Fraction(0)] * len(pairs)
+    dist[0] = Fraction(1)
+    pred = {}
+    for _ in range(len(live)):
+        changed = None
+        for u, r, v in live_edges:
+            if dist[u] and dist[u] * r > dist[v]:
+                dist[v], pred[v], changed = dist[u] * r, (u, r), v
+        if changed is None:
+            return None
+    node = changed
+    for _ in range(len(live)):
+        node = pred[node][0]
+    ratio, v = pred[node][1], pred[node][0]
+    while v != node:
+        ratio *= pred[v][1]
+        v = pred[v][0]
+    return ratio

@@ -365,6 +365,20 @@ def test_oracle_report(capsys):
     assert F(ws) / F(wp) == F(1600, 1579)
 
 
+def test_oracle_word_cap_exits_66_with_a_short_message(capsys):
+    """Two letters at `--max-len 14400` make a count past Python's
+    4,300-digit string limit; the count stops at the cap instead."""
+    argv = ["oracle", "--file", data_file("relative_orderings_p62.json"), "--from", "s", "--to", "s'"]
+    for max_len in ("14000", "14400"):
+        assert main(argv + ["--max-len", max_len]) == 66
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: enumerating more than 1000000 words")
+        assert len(err) < 200
+    for cap in ("0", "-1", "-3"):
+        assert main(argv + ["--max-len", "3", "--cap", cap]) == 64
+        assert "cap must be at least 1" in capsys.readouterr().err
+
+
 def test_classify_report(capsys):
     f = data_file("relative_orderings_p62.json")
     assert main(["classify", "--file", f, "--from", "s'", "--human"]) == 0
@@ -602,6 +616,24 @@ def test_check_eventually_picks_the_unary_decider(tmp_path, capsys):
     for mode in ("unambiguous", "bounded"):
         assert main(argv + ["--mode", mode, "--eventually"]) == 64
         assert "--eventually" in capsys.readouterr().err
+
+
+def test_check_eventually_reports_the_query_s_own_lengths(tmp_path, capsys):
+    """`s` accepts every length and `p` only 0, 1 and 2, so the difference
+    is {3, 4, ...}; the witness names lengths of this automaton."""
+    half = F(1, 2)
+    trans = [("s", "a", half, "s"), ("p", "a", half, "p1"), ("p1", "a", half, "p2"),
+             ("p2", "a", half, "p3")]
+    wa = WeightedAutomaton.from_transitions(
+        ["s", "p", "p1", "p2", "p3"], ["a"], trans, ["s", "p", "p1", "p2"]
+    )
+    path = tmp_path / "wa.json"
+    path.write_text(serialize(wa), encoding="utf-8")
+    argv = ["check", "--file", str(path), "--from", "s", "--to", "p", "--eventually"]
+    assert main(argv) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["type"] == "difference"
+    assert (witness["length"], witness["smallestLength"], witness["progressionPeriod"]) == (5, 4, 1)
 
 
 def test_check_eventually_on_a_non_unary_automaton_is_an_input_error(tmp_path, capsys):

@@ -336,6 +336,21 @@ def test_ratio_profile_resource_guard():
     wa = random_wa(random.Random(1), nstates=3, alphabet=("a", "b", "c"))
     with pytest.raises(ResourceError):
         ratio_profile(Query(wa, "q0", "q1"), 20, cap=1000)
+    # the count stops at the cap: no 4,300-digit number is built or printed
+    two = random_wa(random.Random(1), nstates=3, alphabet=("a", "b"))
+    for max_len in (14000, 14400, 10**6):
+        with pytest.raises(ResourceError, match=r"^enumerating more than 1000000 words"):
+            ratio_profile(Query(two, "q0", "q1"), max_len)
+    unary = random_wa(random.Random(1), nstates=3)
+    with pytest.raises(ResourceError):
+        ratio_profile(Query(unary, "q0", "q1"), 10**9)
+    # 2^0 + ... + 2^3 = 15 words fit a cap of 15, not one of 14
+    assert ratio_profile(Query(two, "q0", "q1"), 3, cap=15).max_ratio is not None
+    with pytest.raises(ResourceError):
+        ratio_profile(Query(two, "q0", "q1"), 3, cap=14)
+    for cap in (0, -3):
+        with pytest.raises(InputError):
+            ratio_profile(Query(two, "q0", "q1"), 3, cap=cap)
 
 
 def test_validate_lmc_reports():

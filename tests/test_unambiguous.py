@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +14,20 @@ from ratiobound import (
     decide_unambiguous,
     decide_unary,
     is_unambiguous_from,
+    lc_check,
     ratio_profile,
 )
+from ratiobound.automata import trim
 from ratiobound.samples import unbounded_ratio
 
 from helpers import planted_unambiguous, random_block_wa, random_wa
-from oracles import count_accepting_paths, ref_is_unambiguous_from, weight, words_upto
+from oracles import (
+    count_accepting_paths,
+    ref_is_unambiguous_from,
+    ref_unambiguous_cycle_ratio,
+    weight,
+    words_upto,
+)
 
 
 def test_deterministic_is_unambiguous():
@@ -222,3 +232,75 @@ def test_ambiguity_matches_the_reference_search():
             assert got == ref_is_unambiguous_from(wa, q), (wa.transitions(), q)
             verdicts.add((len(wa.alphabet), got.unambiguous))
     assert verdicts == {(1, False), (1, True), (2, False), (2, True)}
+
+
+def _unambiguous_differential_queries():
+    """400 planted pairs, half of them expansive, and two-letter random
+    pairs unambiguous from both states; all pass containment."""
+    rng = random.Random(31)
+    for i in range(400):
+        wa, s, sp = planted_unambiguous(rng, i % 2 == 0)
+        yield Query(wa, s, sp)
+    rng = random.Random(37)
+    for _ in range(1500):
+        wa = random_wa(rng, nstates=rng.randint(2, 4), alphabet=("a", "b"), density=0.3)
+        q = Query(wa, "q0", "q1")
+        if is_unambiguous_from(wa, "q0") and is_unambiguous_from(wa, "q1") and lc_check(q):
+            yield q
+
+
+def test_first_predecessor_cycle_keeps_the_full_run_s_verdicts_and_ratios():
+    """Stopping at the first round whose predecessor graph has a cycle gives
+    the verdict, and on these draws the cycle ratio, of running all |live|
+    rounds and walking back from the last improved pair."""
+    kinds = Counter()
+    for q in _unambiguous_differential_queries():
+        v = decide_unambiguous(q)
+        ratio = ref_unambiguous_cycle_ratio(q.automaton, q.s, q.s_prime)
+        assert v.is_big_o == (ratio is None)
+        assert v.cycle_ratio == ratio
+        kinds[v.is_big_o] += 1
+    assert kinds[True] >= 200 and kinds[False] >= 200
+
+
+def _counter_skeleton(rng, n, k):
+    """`c0.0` reads a random complete two-letter skeleton of n states crossed
+    with a mod-k counter, `b0` the bare skeleton, each edge weighted j/64
+    independently; every third state exits to `t` on `a` at 1/2.  Both
+    states are unambiguous and accept the same words."""
+    step = {(i, x): rng.randrange(n) for i in range(n) for x in "ab"}
+    trans = []
+    for (i, x), j in step.items():
+        trans.append((f"b{i}", x, F(rng.randint(1, 64), 64), f"b{j}"))
+        for c in range(k):
+            trans.append((f"c{i}.{c}", x, F(rng.randint(1, 64), 64), f"c{j}.{(c + 1) % k}"))
+    for i in range(0, n, 3):
+        trans.append((f"b{i}", "a", F(1, 2), "t"))
+        for c in range(k):
+            trans.append((f"c{i}.{c}", "a", F(1, 2), "t"))
+    states = [f"b{i}" for i in range(n)] + [f"c{i}.{c}" for i in range(n) for c in range(k)]
+    return WeightedAutomaton.from_transitions(states + ["t"], ("a", "b"), trans, ["t"])
+
+
+def test_expansive_cycle_among_hundreds_of_live_pairs_is_found_fast():
+    """355 live pairs: all |live| rounds of exact relaxation take
+    seconds, the first predecessor cycle a few milliseconds.  The cycle is
+    a closed walk of pairs whose ratio is the product of its edges' weight
+    ratios."""
+    wa = _counter_skeleton(random.Random(70006), 70, 6)
+    q = Query(wa, "c0.0", "b0")
+    edges = [(i, a, j) for a, (_, rows) in wa.sparse_rows.items() for i, row in enumerate(rows)
+             for j, _ in row]
+    # each live state of the counter copy pairs with one skeleton state
+    assert 300 <= len(trim([wa.index("c0.0")], [wa.index("t")], edges)) <= 500
+    t0 = time.perf_counter()
+    v = decide_unambiguous(q)
+    elapsed = time.perf_counter() - t0
+    assert not v.is_big_o and v.witness_kind == "cycle"
+    assert elapsed < 0.5, elapsed
+    w = {(p, a, r): x for p, a, x, r in wa.transitions()}
+    ratio = F(1)
+    for ((p, p2), a, (r, r2)), (nxt, _, _) in zip(v.cycle, v.cycle[1:] + v.cycle[:1]):
+        assert nxt == (r, r2)
+        ratio *= w[p, a, r] / w[p2, a, r2]
+    assert ratio == v.cycle_ratio > 1

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +12,13 @@ from ratiobound import (
     decide_unary,
     decide_unary_eventual,
     lc_check,
+    nfa_of,
     ratio_profile,
 )
 from ratiobound.samples import different_rates, unbounded_ratio
 
 from helpers import random_wa
-from oracles import weight
+from oracles import ref_decide_unary_eventual, weight
 
 
 def test_unbounded_ratio_verdicts():
@@ -156,3 +158,35 @@ def test_eventual_epsilon_only_difference():
     v = decide_unary(Query(wa, "s", "s'"))
     assert not v.is_big_o and v.lc_counterexample == ""
     assert decide_unary_eventual(Query(wa, "s", "s'")).is_big_o
+
+
+def _eventual_draws(seeds, per_seed):
+    """Unary `random_wa` queries q0 -> q1 of 2-6 states, one density per
+    seed."""
+    for seed, density in zip(seeds, (0.3, 0.5, 0.7)):
+        rng = random.Random(seed)
+        for _ in range(per_seed):
+            wa = random_wa(rng, nstates=rng.randint(2, 6), density=density)
+            yield Query(wa, "q0", "q1")
+
+
+def test_eventual_rule_matches_the_completion_route():
+    """A finite difference plus the plain growth check gives the verdicts
+    and witness kinds of shifting both starts and completing s'.  Every
+    difference witness is a length of the query's own automaton that s
+    accepts and s' rejects, and so is each term of its progression."""
+    kinds = Counter()
+    for q in _eventual_draws((61, 67, 71), 400):
+        got = decide_unary_eventual(q)
+        ref = ref_decide_unary_eventual(q)
+        assert (got.is_big_o, got.witness_kind) == (ref.is_big_o, ref.witness_kind)
+        kinds[got.witness_kind] += 1
+        if got.witness_kind == "difference":
+            n1, n2 = nfa_of(q.automaton, q.s), nfa_of(q.automaton, q.s_prime)
+            assert ref.witness_length == got.witness_length + 1
+            lengths = [got.witness_length] + [
+                got.smallest_witness + t * got.progression_period for t in range(4)
+            ]
+            for n in lengths:
+                assert n1.accepts("a" * n) and not n2.accepts("a" * n)
+    assert kinds[None] >= 1000 and kinds["difference"] >= 100 and kinds["degree"] >= 25
