@@ -52,10 +52,8 @@ from .spectral import (
     annotate,
     degree_language,
     scc_decompose,
-    scc_decompose_unary,
 )
 from .algebraic import compare as compare_radius
-from .algebraic import spectral_radius_of_matrix as spectral_radius
 from .unambiguous import decide_unambiguous, is_unambiguous_from
 from .unary import decide_unary, decide_unary_eventual
 

@@ -1,18 +1,22 @@
 """Exact real algebraic numbers: square-free integer polynomials with
 isolating rational intervals, Sturm-sequence root isolation, and the
-characteristic polynomial of a rational matrix.
+characteristic polynomial and spectral radius of a non-negative rational
+matrix.
 
 Polynomials are tuples of ints, low degree first, trimmed, with positive
-leading coefficient and content 1 where normalized.
+leading coefficient and content 1 where normalized.  A matrix is given as
+one letter's sparse rows `(d, rows)`, as in
+`WeightedAutomaton.sparse_rows`: row i lists `(j, x)` for each entry
+`x/d > 0`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .automata import InputError, Matrix
+from .automata import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -261,45 +265,38 @@ def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial of a rational matrix
+# characteristic polynomial of a sparse rational matrix
 
 
-def char_poly(m: Matrix) -> tuple:
-    """Monic-up-to-sign integer polynomial whose largest real root is the
-    spectral radius of the non-negative rational matrix `m`.
+def char_poly(letter) -> tuple:
+    """Primitive integer polynomial whose largest real root is the spectral
+    radius of the non-negative matrix with sparse rows `letter = (d, rows)`.
 
-    Denominators are cleared first (roots scale by the lcm and are divided
-    back out by substitution), then Faddeev-LeVerrier runs fraction-free.
+    Faddeev-LeVerrier runs fraction-free on the integer matrix B of the
+    rows, multiplying by B's sparse rows; B's roots are d times the
+    matrix's, so `d x` is substituted once at the end.
     """
-    n = len(m)
-    if n == 0:
-        raise InputError("empty matrix")
-    den = 1
-    for row in m:
-        for w in row:
-            den = lcm(den, Fraction(w).denominator)
-    b = [[int(Fraction(w) * den) for w in row] for row in m]
-
-    # Faddeev-LeVerrier on the integer matrix: coefficients of det(xI - B);
-    # prev holds B * M_k, all intermediate divisions are exact over Z
-    cs = []
-    prev = [row[:] for row in b]
-    cs.append(-sum(prev[i][i] for i in range(n)))
-    for k in range(2, n + 1):
-        tmp = [[prev[i][j] + (cs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
-        prev = [
-            [sum(b[i][x] * tmp[x][j] for x in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(prev[i][i] for i in range(n))
+    d, rows = letter
+    n = len(rows)
+    # m holds M_k, starting from M_1 = I: c_k = -tr(B M_k) / k and
+    # M_(k+1) = B M_k + c_k I; all divisions are exact over Z
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    cs = [1]
+    for k in range(1, n + 1):
+        bm = []
+        for row in rows:
+            acc = [0] * n
+            for j, x in row:
+                acc = [a + x * v for a, v in zip(acc, m[j])]
+            bm.append(acc)
+        tr = sum(bm[i][i] for i in range(n))
         assert tr % k == 0
         cs.append(-tr // k)
-    # det(xI - B) = x^n + cs[0] x^(n-1) + ... + cs[n-1]
-    poly_b = tuple(list(reversed(cs)) + [1])
-    # radius of m = radius of b / den: root of p_b(den * x)
-    deg = pdeg(poly_b)
-    poly_m = tuple(poly_b[i] * den**i for i in range(deg + 1))
-    return pprimitive(poly_m)
+        for i in range(n):
+            bm[i][i] += cs[-1]
+        m = bm
+    # det(xI - B) = x^n + cs[1] x^(n-1) + ... + cs[n]
+    return pprimitive(tuple(c * d**i for i, c in enumerate(reversed(cs))))
 
 
 def largest_real_root(p) -> AlgebraicNumber:
@@ -338,17 +335,10 @@ def largest_real_root(p) -> AlgebraicNumber:
     return AlgebraicNumber(p, lo, hi)
 
 
-def spectral_radius_of_matrix(m: Matrix) -> AlgebraicNumber:
-    """Spectral radius of a square non-negative rational matrix, exactly."""
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise InputError("matrix is not square")
-        for w in row:
-            if w < 0:
-                raise InputError("matrix has a negative entry")
-    if n == 1:
-        return AlgebraicNumber.from_rational(m[0][0])
-    if all(w == 0 for row in m for w in row):
-        return AlgebraicNumber.from_rational(Fraction(0))
-    return largest_real_root(char_poly(m))
+def spectral_radius(letter) -> AlgebraicNumber:
+    """Spectral radius of the non-negative matrix with sparse rows
+    `letter = (d, rows)`, exactly; a 1x1 matrix's is its one entry (or 0)."""
+    d, rows = letter
+    if len(rows) == 1:
+        return AlgebraicNumber.from_rational(Fraction(sum(x for _, x in rows[0]), d))
+    return largest_real_root(char_poly(letter))

@@ -41,9 +41,6 @@ class Infinity:
 
 INF = Infinity()
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedAutomaton:
     """Weighted automaton over (Q>=0, +, x), stored sparse: per symbol, the
@@ -66,6 +63,8 @@ class WeightedAutomaton:
             raise InputError("duplicate state ids")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InputError("duplicate alphabet symbols")
+        if "" in self.alphabet:
+            raise InputError("an alphabet symbol must be nonempty")
         idx = {q: i for i, q in enumerate(self.states)}
         object.__setattr__(self, "_idx", idx)
         n = len(self.states)

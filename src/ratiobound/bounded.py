@@ -219,7 +219,7 @@ def check_bounding_words(wa: WeightedAutomaton, words) -> list:
         splits = [[] for _ in w] + [[()]]
         for i in range(len(w) - 1, -1, -1):
             for a in wa.alphabet:
-                if a and w.startswith(a, i):
+                if w.startswith(a, i):
                     splits[i] += [(a, *rest) for rest in splits[i + len(a)]]
             del splits[i][2:]
         if not splits[0]:

@@ -30,7 +30,7 @@ from .bounded import (
     detect_letter_bounded,
     letter_bounded_to_plus,
 )
-from .jsonio import format_weight, parse_automaton, serialize
+from .jsonio import format_weight, json_typed, parse_automaton, serialize
 from .nfaops import ChrobakNf, lc_check
 from .realexp import checked_start_bits
 from .reductions import (
@@ -172,7 +172,7 @@ def cmd_classify(args) -> int:
         report["letterBounded"] = list(lb) if lb is not None else None
     if args.dst:
         report["unambiguousFromSPrime"] = bool(is_unambiguous_from(wa, args.dst))
-    if args.spectral and wa.is_unary():
+    if args.spectral:
         report["spectral"] = scc_debug_dump(wa, args.src)
     _emit(report, args.human)
     return 0
@@ -243,13 +243,6 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _json_typed(value, kind):
-    """`value` if its JSON type is exactly `kind` (a boolean is no integer)."""
-    if type(value) is not kind:
-        raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
-    return value
-
-
 def cmd_generate(args) -> int:
     if args.kind == "undecidable":
         warnings: list = []
@@ -272,9 +265,9 @@ def cmd_generate(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             try:
                 spec = json.load(fh)
-                stem = tuple(_json_typed(b, bool) for b in spec["stem"])
+                stem = tuple(json_typed(b, bool) for b in spec["stem"])
                 cycles = tuple(
-                    (_json_typed(l, int), frozenset(_json_typed(o, int) for o in offs))
+                    (json_typed(l, int), frozenset(json_typed(o, int) for o in offs))
                     for l, offs in spec["cycles"]
                 )
             except (ValueError, KeyError, TypeError) as exc:

@@ -14,6 +14,13 @@ from fractions import Fraction
 from .automata import FormatError, InputError, WeightedAutomaton
 
 
+def json_typed(value, kind):
+    """`value` if its JSON type is exactly `kind` (a boolean is no integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
+
+
 def parse_weight(text: str, warnings=None) -> Fraction:
     raw = str(text).strip()
     if "." in raw:
@@ -65,11 +72,12 @@ def parse_automaton(document, warnings=None) -> WeightedAutomaton:
     transitions = []
     for entry in document["transitions"]:
         try:
-            src, sym, dst = str(entry["from"]), str(entry["symbol"]), str(entry["to"])
+            src, sym, dst = (json_typed(entry[k], str) for k in ("from", "symbol", "to"))
             w = entry["weight"]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError) as exc:
             raise FormatError(
-                "each transition needs from/symbol/to/weight fields"
+                "each entry of 'transitions' needs string from/symbol/to fields "
+                f"and a weight: {type(exc).__name__} {exc}"
             ) from None
         transitions.append((src, sym, parse_weight(w, warnings), dst))
     try:

@@ -125,6 +125,7 @@ def complete_for_eventual(
     """
     if s == s_prime:
         raise InputError("completion needs distinct query states")
+    Query(wa, s, s_prime)  # both must name states before normalising adds one
     wa = normalize_single_final(wa)
     weights = [w for (_, _, w, _) in wa.transitions() if w > 0]
     min_w = min(min(weights), Fraction(1)) if weights else Fraction(1)

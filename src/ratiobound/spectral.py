@@ -10,7 +10,7 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, compare, spectral_radius_of_matrix
+from .algebraic import AlgebraicNumber, compare, spectral_radius
 from .automata import (
     InputError,
     Nfa,
@@ -109,31 +109,22 @@ def _scc_period(members: list[int], succ) -> int:
 def scc_decompose(letter) -> SccDag:
     """SCCs of the support digraph of one letter's sparse rows `(d, rows)`
     (as in `WeightedAutomaton.sparse_rows`), with exact spectral radius and
-    period per component.  A component with no internal edge has radius 0,
-    and its matrix is not built."""
+    period per component.  A component with no internal edge has radius 0;
+    any other gets the radius of its renumbered sub-rows."""
     d, rows = letter
     n = len(rows)
     succ = [[j for j, _ in row] for row in rows]
     comps, scc_of = strong_components(succ)
     infos = []
-    zero = Fraction(0)
-    radius0 = AlgebraicNumber.from_rational(zero)
+    radius0 = AlgebraicNumber.from_rational(Fraction(0))
     for comp in comps:
         period = _scc_period(comp, succ)
         if not period:
             infos.append(SccInfo(frozenset(comp), radius0, 0))
             continue
         pos = {v: k for k, v in enumerate(comp)}
-        sub = []
-        for u in comp:
-            cells = [zero] * len(comp)
-            for j, x in rows[u]:
-                if j in pos:
-                    cells[pos[j]] = Fraction(x, d)
-            sub.append(tuple(cells))
-        infos.append(
-            SccInfo(frozenset(comp), spectral_radius_of_matrix(tuple(sub)), period)
-        )
+        sub = tuple(tuple((pos[j], x) for j, x in rows[u] if j in pos) for u in comp)
+        infos.append(SccInfo(frozenset(comp), spectral_radius((d, sub)), period))
     edges = frozenset(
         (scc_of[u], scc_of[v])
         for u in range(n)
@@ -141,12 +132,6 @@ def scc_decompose(letter) -> SccDag:
         if scc_of[u] != scc_of[v]
     )
     return SccDag(tuple(infos), tuple(scc_of), edges)
-
-
-def scc_decompose_unary(wa: WeightedAutomaton) -> SccDag:
-    if not wa.is_unary():
-        raise InputError("unary SCC analysis requires a single-letter alphabet")
-    return scc_decompose(wa.sparse_rows[wa.alphabet[0]])
 
 
 def rank_radii(radii) -> tuple[tuple, tuple]:
@@ -298,8 +283,11 @@ def copy_start_off_cycles(wa: WeightedAutomaton, s: str) -> tuple[WeightedAutoma
 
 
 def scc_debug_dump(wa: WeightedAutomaton, s: Optional[str] = None) -> dict:
-    """JSON-ready dump of the SCC DAG and, from s, the admissible-pair table."""
-    dag = scc_decompose_unary(wa)
+    """JSON-ready dump of the SCC DAG of a unary automaton and, from s, the
+    admissible-pair table."""
+    if not wa.is_unary():
+        raise InputError("unary SCC analysis requires a single-letter alphabet")
+    dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
     out = {
         "sccs": [
             {

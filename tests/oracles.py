@@ -9,9 +9,16 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from ratiobound.algebraic import compare, ptrim, spectral_radius_of_matrix
+from ratiobound.algebraic import (
+    AlgebraicNumber,
+    compare,
+    largest_real_root,
+    pdeg,
+    pprimitive,
+    ptrim,
+)
 from ratiobound.automata import (
-    Matrix,
+    InputError,
     Nfa,
     Query,
     WeightedAutomaton,
@@ -33,6 +40,8 @@ from ratiobound.unary import UnaryVerdict, decide_unary
 
 # ---------------------------------------------------------------------------
 # dense references: exact matrices of Fractions, read from the sparse rows
+
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def dense_matrix(wa: WeightedAutomaton, a: str) -> Matrix:
@@ -79,6 +88,60 @@ def vec_mat(v: tuple[Fraction, ...], m: Matrix) -> tuple[Fraction, ...]:
     return tuple(
         sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))
     )
+
+
+def dense_char_poly(m: Matrix) -> tuple:
+    """Monic-up-to-sign integer polynomial whose largest real root is the
+    spectral radius of the non-negative rational matrix `m`.
+
+    Denominators are cleared first (roots scale by the lcm and are divided
+    back out by substitution), then Faddeev-LeVerrier runs fraction-free.
+    """
+    n = len(m)
+    if n == 0:
+        raise InputError("empty matrix")
+    den = 1
+    for row in m:
+        for w in row:
+            den = lcm(den, Fraction(w).denominator)
+    b = [[int(Fraction(w) * den) for w in row] for row in m]
+
+    # Faddeev-LeVerrier on the integer matrix: coefficients of det(xI - B);
+    # prev holds B * M_k, all intermediate divisions are exact over Z
+    cs = []
+    prev = [row[:] for row in b]
+    cs.append(-sum(prev[i][i] for i in range(n)))
+    for k in range(2, n + 1):
+        tmp = [[prev[i][j] + (cs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
+        prev = [
+            [sum(b[i][x] * tmp[x][j] for x in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(prev[i][i] for i in range(n))
+        assert tr % k == 0
+        cs.append(-tr // k)
+    # det(xI - B) = x^n + cs[0] x^(n-1) + ... + cs[n-1]
+    poly_b = tuple(list(reversed(cs)) + [1])
+    # radius of m = radius of b / den: root of p_b(den * x)
+    deg = pdeg(poly_b)
+    poly_m = tuple(poly_b[i] * den**i for i in range(deg + 1))
+    return pprimitive(poly_m)
+
+
+def spectral_radius_of_matrix(m: Matrix) -> AlgebraicNumber:
+    """Spectral radius of a square non-negative rational matrix, exactly."""
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise InputError("matrix is not square")
+        for w in row:
+            if w < 0:
+                raise InputError("matrix has a negative entry")
+    if n == 1:
+        return AlgebraicNumber.from_rational(m[0][0])
+    if all(w == 0 for row in m for w in row):
+        return AlgebraicNumber.from_rational(Fraction(0))
+    return largest_real_root(dense_char_poly(m))
 
 
 def dense_scc_decompose(m: Matrix):

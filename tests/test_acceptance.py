@@ -263,7 +263,6 @@ def test_criterion_9_growth_envelope_property():
     # multi-letter variant: 20 two-block instances, 1 <= n_i <= 8
     from ratiobound import letter_bounded_to_plus
     from ratiobound.algebraic import compare as cmp_alg
-    from ratiobound.algebraic import spectral_radius_of_matrix
     from ratiobound.spectral import scc_decompose
 
     checked = 0

@@ -12,25 +12,58 @@ from ratiobound.algebraic import (
     largest_real_root,
     pgcd,
     psign,
-    spectral_radius_of_matrix,
+    spectral_radius,
     square_free,
     sturm_sequence,
 )
 
 from helpers import random_wa
-from oracles import dense_matrix, pmul, poly_divmod, power_iteration_radius
+from oracles import (
+    dense_char_poly,
+    dense_matrix,
+    pmul,
+    poly_divmod,
+    power_iteration_radius,
+)
+from ratiobound.spectral import strong_components
 
 
 def test_char_poly_fibonacci_matrix():
-    m = ((F(1), F(1)), (F(1), F(0)))
+    m = (1, (((0, 1), (1, 1)), ((0, 1),)))  # [[1, 1], [1, 0]]
     assert char_poly(m) == (-1, -1, 1)  # x^2 - x - 1
 
 
 def test_char_poly_rational_scaling():
-    m = ((F(1, 2),),)
+    m = (2, (((0, 1),),))  # [[1/2]]
     # root must be exactly 1/2 regardless of clearing denominators
     r = largest_real_root(char_poly(m))
     assert r.compare_rational(F(1, 2)) == 0
+
+
+def test_char_poly_matches_dense_reference():
+    """The sparse product gives the dense reference's polynomial on seeded
+    draws of 1-9 states at several densities, all-zero and 1x1 letters
+    among them, and on a strongly connected component of 40+ states."""
+    rng = random.Random(1307)
+    seen = {"all-zero": 0, "1x1": 0}
+    for nstates in range(1, 10):
+        for density in (0.0, 0.15, 0.4, 0.7, 1.0):
+            for _ in range(6):
+                wa = random_wa(rng, nstates=nstates, alphabet=("a",), density=density)
+                letter = wa.sparse_rows["a"]
+                seen["all-zero"] += not any(letter[1])
+                seen["1x1"] += nstates == 1
+                assert char_poly(letter) == dense_char_poly(dense_matrix(wa, "a"))
+    assert all(count >= 10 for count in seen.values()), seen
+    wa = random_wa(random.Random(3), nstates=48, alphabet=("a",), density=3 / 48)
+    d, rows = wa.sparse_rows["a"]
+    comp = max(strong_components([[j for j, _ in row] for row in rows])[0], key=len)
+    assert len(comp) >= 40
+    pos = {v: k for k, v in enumerate(comp)}
+    sub = tuple(tuple((pos[j], x) for j, x in rows[u] if j in pos) for u in comp)
+    m = dense_matrix(wa, "a")
+    dense = tuple(tuple(m[u][v] for v in comp) for u in comp)
+    assert char_poly((d, sub)) == dense_char_poly(dense)
 
 
 def test_golden_ratio_isolation():
@@ -108,18 +141,20 @@ def test_scaled_halving():
 
 
 def test_spectral_radius_zero_matrix():
-    r = spectral_radius_of_matrix(((F(0),),))
-    assert r.compare_rational(F(0)) == 0
+    for n in (1, 3):
+        r = spectral_radius((1, ((),) * n))
+        assert r.compare_rational(F(0)) == 0
 
 
 def test_spectral_radius_stochastic_vs_substochastic():
-    closed = ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)))
-    r = spectral_radius_of_matrix(closed)
+    closed = (6, (((0, 3), (1, 3)), ((0, 2), (1, 4))))  # [[1/2, 1/2], [1/3, 2/3]]
+    r = spectral_radius(closed)
     assert r.compare_rational(F(1)) == 0
-    leaky = ((F(1, 2), F(1, 4)), (F(1, 3), F(1, 3)))
-    r2 = spectral_radius_of_matrix(leaky)
+    leaky = (12, (((0, 6), (1, 3)), ((0, 4), (1, 4))))  # [[1/2, 1/4], [1/3, 1/3]]
+    r2 = spectral_radius(leaky)
     assert r2.compare_rational(F(1)) == -1
-    assert abs(r2.to_float() - power_iteration_radius(leaky)) < 1e-6
+    dense = ((F(1, 2), F(1, 4)), (F(1, 3), F(1, 3)))
+    assert abs(r2.to_float() - power_iteration_radius(dense)) < 1e-6
 
 
 def test_compare_consistent_with_floats():
@@ -127,7 +162,7 @@ def test_compare_consistent_with_floats():
     radii = []
     for _ in range(12):
         wa = random_wa(rng, nstates=3, alphabet=("a",), density=0.7)
-        radii.append(spectral_radius_of_matrix(dense_matrix(wa, "a")))
+        radii.append(spectral_radius(wa.sparse_rows["a"]))
     for i in range(len(radii)):
         for j in range(len(radii)):
             c = compare(radii[i], radii[j])
@@ -175,8 +210,8 @@ def test_one_by_one_radius_is_its_entry():
         for _ in range(2_000)
     ]
     for a in values:
-        got = spectral_radius_of_matrix(((a,),))
-        want = largest_real_root(char_poly(((a,),)))
+        got = spectral_radius((a.denominator, (((0, a.numerator),) if a else (),)))
+        want = largest_real_root(dense_char_poly(((a,),)))
         assert (got.poly, got.lo, got.hi) == (want.poly, want.lo, want.hi), a
 
 

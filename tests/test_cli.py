@@ -8,7 +8,7 @@ import pytest
 
 from ratiobound.cli import build_parser, main
 from ratiobound.jsonio import parse_automaton, parse_weight, serialize
-from ratiobound.automata import FormatError, WeightedAutomaton
+from ratiobound.automata import FormatError, InputError, WeightedAutomaton
 from ratiobound.samples import different_rates, relative_orderings, unbounded_ratio
 
 from helpers import not_big_o_on_b, random_block_wa, two_symbol_chain
@@ -133,20 +133,58 @@ def test_duplicate_alphabet_symbols_are_a_format_error(tmp_path, capsys):
     assert "duplicate alphabet symbols" in capsys.readouterr().err
 
 
+def _one_transition(**fields):
+    return [{"from": "p", "symbol": "a", "to": "t", "weight": "1/2", **fields}]
+
+
 @pytest.mark.parametrize(
-    "change",
-    [{"states": 5}, {"transitions": 5}, {"finals": "t"}, {"alphabet": ["a", 1]}],
-    ids=["states-int", "transitions-int", "finals-string", "alphabet-int-entry"],
+    "change, key",
+    [
+        ({"states": 5}, "states"),
+        ({"transitions": 5}, "transitions"),
+        ({"finals": "t"}, "finals"),
+        ({"alphabet": ["a", 1]}, "alphabet"),
+        ({"states": ["p", "t", "1"], "transitions": _one_transition(to=1)}, "transitions"),
+        ({"states": ["p", "t", "True"], "transitions": _one_transition(to=True)}, "transitions"),
+        ({"alphabet": ["a", "2"], "transitions": _one_transition(symbol=2)}, "transitions"),
+        ({"states": ["p", "t", "1"], "transitions": _one_transition(**{"from": 1})}, "transitions"),
+    ],
+    ids=[
+        "states-int",
+        "transitions-int",
+        "finals-string",
+        "alphabet-int-entry",
+        "to-int",
+        "to-bool",
+        "symbol-int",
+        "from-int",
+    ],
 )
-def test_misshapen_documents_are_a_format_error(tmp_path, capsys, change):
-    """A string of finals is not read letter by letter, and a number where
-    a list belongs exits 65 with the key's name, not a traceback."""
+def test_misshapen_documents_are_a_format_error(tmp_path, capsys, change, key):
+    """A string of finals is not read letter by letter, a number where a
+    list belongs, and a transition field that is not a JSON string (even
+    where its text names a state or symbol) exit 65 with the key's name,
+    not a traceback."""
     path = _doc_file(tmp_path, **change)
     with pytest.raises(FormatError):
         parse_automaton(path.read_text(encoding="utf-8"))
     assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
-    (key,) = change
     assert repr(key) in capsys.readouterr().err
+
+
+def test_an_empty_alphabet_symbol_is_rejected(tmp_path, capsys):
+    """The empty symbol would spell counterexamples that read as the empty
+    word: the constructor rejects it, and a document with it exits 65."""
+    with pytest.raises(InputError):
+        WeightedAutomaton.from_transitions(["s", "t"], [""], [("s", "", 1, "t")], ["t"])
+    path = _doc_file(
+        tmp_path,
+        states=["s", "t"],
+        alphabet=[""],
+        transitions=[{"from": "s", "symbol": "", "to": "t", "weight": "1"}],
+    )
+    assert main(["check", "--file", str(path), "--from", "s", "--to", "t"]) == 65
+    assert "alphabet symbol must be nonempty" in capsys.readouterr().err
 
 
 def test_check_exit_codes(capsys):
@@ -743,6 +781,30 @@ def test_classify_spectral_dump(capsys):
     assert main(["classify", "--file", f, "--from", "s", "--spectral"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert "spectral" in report and "admissible" in report["spectral"]
+
+
+def test_classify_spectral_on_a_non_unary_automaton_exits_64(capsys):
+    """The spectral dump is of unary automata only; asking for it on two
+    letters is an input error, not a report without it."""
+    f = data_file("relative_orderings_p62.json")
+    assert main(["classify", "--file", f, "--from", "s", "--spectral"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "single-letter alphabet" in captured.err
+
+
+def test_reduce_eventual_checks_both_query_states(tmp_path, capsys):
+    """An unknown `--from` is not passed through to the document, and an
+    unknown `--to` is not the final state that normalisation adds."""
+    wa = WeightedAutomaton.from_transitions(
+        ["p", "q", "f"], ["a"], [("p", "a", F(1, 2), "f"), ("q", "a", F(1, 2), "f")], ["f", "q"]
+    )
+    path = tmp_path / "no_t.json"
+    path.write_text(serialize(wa), encoding="utf-8")
+    for src, dst in (("nosuch", "q"), ("p", "t")):
+        argv = ["reduce", "eventual", "--file", str(path), "--from", src, "--to", dst]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown state" in captured.err
 
 
 def test_check_monitor_cap_exits_66(capsys, monkeypatch):

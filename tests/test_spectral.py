@@ -13,9 +13,8 @@ from ratiobound import (
     degree_language,
     normalize_single_final,
     scc_decompose,
-    scc_decompose_unary,
 )
-from ratiobound.algebraic import compare, AlgebraicNumber, spectral_radius_of_matrix
+from ratiobound.algebraic import compare, AlgebraicNumber, spectral_radius
 from ratiobound.bounded import DELTA, ZERO
 from ratiobound.samples import different_rates, unbounded_ratio
 from ratiobound.spectral import (
@@ -45,19 +44,19 @@ def cycle_automaton(p):
 
 def test_single_cycle_scc_and_period():
     wa = cycle_automaton(4)
-    dag = scc_decompose_unary(wa)
+    dag = scc_decompose(wa.sparse_rows["a"])
     assert len(dag.sccs) == 1
     assert dag.sccs[0].period == 4
 
 
 def test_different_rates_has_period_two_scc():
-    dag = scc_decompose_unary(different_rates())
+    dag = scc_decompose(different_rates().sparse_rows["a"])
     assert any(info.period == 2 for info in dag.sccs)
 
 
 def test_zero_scc_period_zero():
     wa = WeightedAutomaton.from_transitions(["p", "t"], ["a"], [("p", "a", F(1), "t")], ["t"])
-    dag = scc_decompose_unary(wa)
+    dag = scc_decompose(wa.sparse_rows["a"])
     assert all(info.period == 0 for info in dag.sccs)
 
 
@@ -109,7 +108,7 @@ def test_scc_decompose_matches_dense_reference():
 
 def test_radius_of_dag_components():
     wa = unbounded_ratio()
-    dag = scc_decompose_unary(wa)
+    dag = scc_decompose(wa.sparse_rows["a"])
     by_member = {frozenset(info.members): info for info in dag.sccs}
     radii = {min(info.members): info.radius for info in dag.sccs}
     # states listed in declaration order: s=0, s'=1, t=2
@@ -246,7 +245,7 @@ def test_radius_table_dedupes():
 def test_radius_table_matches_a_rational_in_interval_form():
     """[[1,1],[1,1]] has radius 2 as the largest root of x^2 - 2x, in
     interval form; it and the exact rational 2 share one entry."""
-    two_ivl = spectral_radius_of_matrix(((F(1), F(1)), (F(1), F(1))))
+    two_ivl = spectral_radius((1, (((0, 1), (1, 1)),) * 2))
     two = AlgebraicNumber.from_rational(F(2))
     half = AlgebraicNumber.from_rational(F(1, 2))
     assert not two_ivl.is_rational and two_ivl.compare_rational(F(2)) == 0
@@ -266,7 +265,8 @@ def test_rank_radii_differential():
     radius of the list equal to it."""
     pool = [AlgebraicNumber.from_rational(F(n, d)) for n, d in ((0, 1), (1, 2), (1, 1), (2, 1), (3, 1))]
     for cells in product(range(3), repeat=4):
-        r = spectral_radius_of_matrix(((F(cells[0]), F(cells[1])), (F(cells[2]), F(cells[3]))))
+        rows = tuple(tuple((j, c) for j, c in enumerate(cells[i : i + 2]) if c) for i in (0, 2))
+        r = spectral_radius((1, rows))
         if not r.is_rational:
             pool.append(r)
     assert len(pool) > 20
