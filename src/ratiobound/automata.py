@@ -156,12 +156,13 @@ class WeightedAutomaton:
 
 @dataclass(frozen=True)
 class Nfa:
-    """Boolean automaton extracted from positive-weight transitions."""
+    """Boolean automaton extracted from positive-weight transitions.  Its
+    states may be any hashable values."""
 
-    states: tuple[str, ...]
+    states: tuple
     alphabet: tuple[str, ...]
     transitions: frozenset  # of (q, a, q2)
-    start: str
+    start: object
     finals: frozenset
 
     def __post_init__(self):

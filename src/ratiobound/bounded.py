@@ -35,7 +35,6 @@ from .realexp import (
     LogCoeff,
     RealExpFormula,
     SemiDecision,
-    checked_start_bits,
     semi_decide,
 )
 from .spectral import rank_radii, scc_decompose, step_signature, strong_components
@@ -729,7 +728,7 @@ def _signature_decision(x_sig, y_sigs, u_set) -> Optional[SemiDecision]:
     return None
 
 
-def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
+def decide_plus(pq: PlusQuery) -> tuple:
     """Every realized candidate of one plus-bounded sub-question, decided in
     a deterministic order.  A `holds` candidate is a divergence, an
     `unknown` one leaves the sub-question open, and boundedness needs every
@@ -744,7 +743,6 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
     wa = pq.automaton
     if not wa.sparse_rows[pq.letters[0]][1][wa.index(pq.s)]:
         return ()
-    start_bits = checked_start_bits(start_bits)
     analysis = plus_analysis(pq)
     letters = pq.letters
     decided = []
@@ -758,7 +756,7 @@ def decide_plus(pq: PlusQuery, start_bits: Optional[int] = None) -> tuple:
                 f = None
                 if decision is None:
                     f = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
-                    decision = semi_decide(f, start_bits=start_bits)
+                    decision = semi_decide(f)
                 decided.append(Candidate(x_sig, y_sigs, lin, u_set, decision, analysis, f))
     return tuple(decided)
 
@@ -772,24 +770,18 @@ class BoundedResult:
     subqueries: int = 0
 
 
-def decide_bounded(
-    q: Query,
-    words=None,
-    letters=None,
-    start_bits: Optional[int] = None,
-) -> BoundedResult:
+def decide_bounded(q: Query, words=None) -> BoundedResult:
     """Decide a query with bounded languages.
 
     Bounding words (for general bounds) are caller-supplied and split into
-    symbols once, first; letter bounds are auto-detected from the second
-    state when neither is given.  Supplied words or letters must bound the
-    language from the first state (InputError otherwise).  The
-    containment check runs first on the original automaton; each starred
-    subsequence of the letter bound becomes an independent plus-bounded
-    sub-question and the verdicts merge with divergence dominating, then
-    unknown, then boundedness.
+    symbols once, first; without them a letter bound is detected from the
+    second state, and bounds the first once containment holds.  Supplied
+    words must bound the language from the first state (InputError
+    otherwise).  The containment check runs first on the original
+    automaton; each starred subsequence of the letter bound becomes an
+    independent plus-bounded sub-question and the verdicts merge with
+    divergence dominating, then unknown, then boundedness.
     """
-    start_bits = checked_start_bits(start_bits)
     wa, s, sp = q.automaton, q.s, q.s_prime
     if words is not None:
         words = check_bounding_words(wa, words)
@@ -800,8 +792,6 @@ def decide_bounded(
         _check_bound(wa, s, words)
         wa = bounded_to_letter_bounded(wa, words)
         letters = wa.alphabet
-    elif letters is not None:
-        _check_bound(wa, s, [(a,) for a in letters])
     else:
         letters = detect_letter_bounded(wa, sp)
         if letters is None:
@@ -815,7 +805,7 @@ def decide_bounded(
     subqueries = letter_bounded_to_plus(wa, s, sp, letters)
     unknowns: list = []
     for pq in subqueries:
-        decided = decide_plus(pq, start_bits=start_bits)
+        decided = decide_plus(pq)
         holding = next((c for c in decided if c.decision.verdict == HOLDS), None)
         if holding is not None:
             witness = _divergence_witness(pq, holding, words)

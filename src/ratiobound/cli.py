@@ -32,7 +32,6 @@ from .bounded import (
 )
 from .jsonio import format_weight, json_typed, parse_automaton, serialize
 from .nfaops import ChrobakNf, lc_check
-from .realexp import checked_start_bits
 from .reductions import (
     bigo_to_value1,
     complete_for_eventual,
@@ -80,13 +79,12 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_check(args) -> int:
-    checked_start_bits(args.precision_bits)
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)
     mode = args.mode
     report = {"s": args.src, "sPrime": args.dst, "warnings": warnings}
-    letters = ambiguity = None
+    ambiguity = None
     if args.eventually:
         # only the unary decider ignores finitely many words
         if mode not in ("auto", "unary") or not wa.is_unary():
@@ -98,7 +96,7 @@ def cmd_check(args) -> int:
             mode, ambiguity = "unambiguous", (amb, amb_p)
         elif wa.is_unary():
             mode = "unary"
-        elif args.words or (letters := detect_letter_bounded(wa, args.dst)) is not None:
+        elif args.words or detect_letter_bounded(wa, args.dst) is not None:
             mode = "bounded"
         else:
             raise InputError(
@@ -134,7 +132,7 @@ def cmd_check(args) -> int:
                 "cycleRatio": format_weight(v.cycle_ratio) if v.cycle_ratio else None,
             }
     else:
-        v = decide_bounded(q, args.words, letters, start_bits=args.precision_bits)
+        v = decide_bounded(q, args.words)
         report["verdict"] = v.verdict
         report["subqueries"] = v.subqueries
         if v.verdict == "not-big-o":
@@ -326,12 +324,6 @@ def _check_arguments(p):
     p.add_argument("--eventually", action="store_true", help="ignore finitely many words (unary)")
     p.add_argument("--words", nargs="*", default=None, help="bounding words w1..wm")
     p.add_argument("--emit-smt", default=None, help="directory for unresolved formulas")
-    p.add_argument(
-        "--precision-bits",
-        type=int,
-        default=None,
-        help="interval precision start, 16 to 2048",
-    )
 
 
 def _classify_arguments(p):

@@ -2,8 +2,9 @@
 
 Schema: {"states": [...], "alphabet": [...], "finals": [...],
 "transitions": [{"from": q, "symbol": a, "to": q2, "weight": "num/den"}]}.
-Weights are decimal-free "num/den" strings; unspecified transitions have
-weight 0.  Unknown top-level keys (queries, labels) are ignored on parse.
+Weights are decimal-free "num/den" strings (a JSON integer is read as its
+digits); unspecified transitions have weight 0.  Unknown top-level keys
+(queries, labels) are ignored on parse.
 """
 
 from __future__ import annotations
@@ -21,7 +22,21 @@ def json_typed(value, kind):
     return value
 
 
-def parse_weight(text: str, warnings=None) -> Fraction:
+# JSON types that hold no weight, by the Python type `json` reads them as
+JSON_TYPE_NAMES = {
+    bool: "boolean",
+    float: "decimal number",
+    list: "array",
+    dict: "object",
+    type(None): "null",
+}
+
+
+def parse_weight(text, warnings=None) -> Fraction:
+    """A "num/den" string, or a JSON integer, as a nonnegative rational."""
+    if type(text) not in (str, int):
+        kind = JSON_TYPE_NAMES.get(type(text), type(text).__name__)
+        raise FormatError(f"weight {text!r} is a JSON {kind}, not a num/den string")
     raw = str(text).strip()
     if "." in raw:
         raise FormatError(f"weight {raw!r} must be a decimal-free num/den string")

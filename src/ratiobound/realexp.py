@@ -26,23 +26,12 @@ from math import gcd, lcm
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, compare
-from .automata import InputError
 from .intervals import FInterval, ivl_sum, ln_algebraic
 
 HOLDS, FAILS, UNKNOWN = "holds", "fails", "unknown"
 
-DEFAULT_START_BITS = 128
-MIN_BITS = 16
-MAX_BITS = 2048
-
-
-def checked_start_bits(start_bits: Optional[int], max_bits: int = MAX_BITS) -> int:
-    """`start_bits`, or the default when None; InputError when it lies
-    outside MIN_BITS..max_bits."""
-    bits = start_bits if start_bits is not None else DEFAULT_START_BITS
-    if not MIN_BITS <= bits <= max_bits:
-        raise InputError(f"precision must be {MIN_BITS} to {max_bits} bits, got {bits}")
-    return bits
+# the enclosures' precisions in bits, tried in turn before conceding "unknown"
+PRECISIONS = (128, 256, 512, 1024, 2048)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +303,7 @@ class SemiDecision:
     detail: Optional[str] = None
 
 
-def semi_decide(
-    formula: RealExpFormula,
-    start_bits: Optional[int] = None,
-    max_bits: int = MAX_BITS,
-) -> SemiDecision:
-    bits = checked_start_bits(start_bits, max_bits)
+def semi_decide(formula: RealExpFormula) -> SemiDecision:
     sysd = formula.system
     n = sysd.nvars
     if n == 0:
@@ -349,7 +333,7 @@ def semi_decide(
         if any(not zero[j][i] or row.logs[i] for j, row in enumerate(sysd.rows))
     ]
 
-    while bits <= max_bits:
+    for bits in PRECISIONS:
         enc = [
             [row.coeffs[i].enclosure(bits) for i in range(n)] for row in sysd.rows
         ]
@@ -360,8 +344,7 @@ def semi_decide(
         ray = _find_certified_ray(sysd, enc, zero)
         if ray is not None:
             return SemiDecision(HOLDS, ray=tuple(ray))
-        bits *= 2
-    return SemiDecision(UNKNOWN, detail=f"precision exhausted at {max_bits} bits")
+    return SemiDecision(UNKNOWN, detail=f"precision exhausted at {PRECISIONS[-1]} bits")
 
 
 def _pure_log_case(sysd: DivergenceSystem) -> SemiDecision:

@@ -257,15 +257,12 @@ def degree_language(ann: AnnotatedAutomaton, x: tuple[int, int]) -> Nfa:
     if not (0 <= ri < len(ann.table)) or not (0 <= k <= ann.wa.n):
         raise InputError(f"threshold {x} is not admissible for this automaton")
     letter = ann.wa.alphabet[0]
-    name = {st: f"{st[0]}~{st[1]}~{st[2]}" for st in ann.states}
-    finals = frozenset(
-        name[st] for st in ann.states if st[0] == ann.final and (st[1], st[2]) >= x
-    )
+    finals = frozenset(st for st in ann.states if st[0] == ann.final and (st[1], st[2]) >= x)
     return Nfa(
-        tuple(name[st] for st in ann.states),
+        ann.states,
         (letter,),
-        frozenset((name[a], letter, name[b]) for (a, b) in ann.transitions),
-        name[ann.start],
+        frozenset((a, letter, b) for (a, b) in ann.transitions),
+        ann.start,
         finals,
     )
 

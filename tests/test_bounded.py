@@ -841,7 +841,7 @@ def test_decide_bounded_agrees_with_unary_seeded():
         s, sp = rng.sample(wa.states, 2)
         q = Query(wa, s, sp)
         unary = decide_unary(q)
-        got = decide_bounded(q, letters=("a",)).verdict
+        got = decide_bounded(q).verdict
         if got != "unknown":
             assert got == ("is-big-o" if unary.is_big_o else "not-big-o"), wa.transitions()
         key = (got, unary.witness_kind)
@@ -894,13 +894,13 @@ def test_decide_bounded_with_words():
 
 
 def test_decide_bounded_rejects_bounds_that_miss_the_language():
-    """Supplied words or letters must bound L(s): on a^n alone the query is
+    """Supplied words must bound L(s): on a^n alone the query is
     big-O, but b^n a is accepted too and its ratio grows as (3/2)^n."""
     q = Query(not_big_o_on_b(), "s", "s'")
     assert decide_unambiguous(q).cycle_ratio == F(3, 2)
-    for bound in ({"letters": ("a",)}, {"words": ["a"]}, {"words": ["a", "b"]}):
+    for words in (["a"], ["a", "b"]):
         with pytest.raises(InputError, match="miss"):
-            decide_bounded(q, **bound)
+            decide_bounded(q, words)
 
 
 _WORD_SETS = (("ab", "a"), ("a", "b"), ("ab", "ba"), ("a", "ab"))
@@ -968,27 +968,12 @@ def test_decide_bounded_with_words_differential():
     assert verdicts.count("B") == 28 and verdicts.count("N") == 32
 
 
-def test_deciders_reject_out_of_range_start_bits():
-    """The precision range is checked on entry, also where no sentence is
-    ever decided: a containment failure."""
-    wa = WeightedAutomaton.from_transitions(
-        ["p", "q", "t"],
-        ["a"],
-        [("p", "a", F(1), "t"), ("q", "a", F(1, 2), "q")],
-        ["t"],
-    )
-    assert decide_bounded(Query(wa, "p", "q")).lc_counterexample == "a"
-    for bits in (8, 4096):
-        with pytest.raises(InputError):
-            decide_bounded(Query(wa, "p", "q"), start_bits=bits)
-
-
 # ---------------------------------------------------------------------------
 # finitely ambiguous: growth tuples decided as block chains
 
 
-def _decide_tuple(d, start_bits=None):
-    return decide_bounded(Query(oracles.block_chain(d), "s", "s'"), start_bits=start_bits)
+def _decide_tuple(d):
+    return decide_bounded(Query(oracles.block_chain(d), "s", "s'"))
 
 
 def _check_tuple_witness(d, res):
@@ -1010,15 +995,12 @@ def test_finitely_ambiguous_identical_sides():
 
 
 def test_finitely_ambiguous_single_growing():
-    """2^n over 1 diverges along the one coordinate, the ray (1); the
-    precision range is checked as for every bounded query."""
+    """2^n over 1 diverges along the one coordinate, the ray (1)."""
     d = GrowthTuple((F(1),), ((F(2),),), (F(1),), ((F(1),),))
     res = _decide_tuple(d)
     assert res.verdict == "not-big-o"
     _check_tuple_witness(d, res)
     assert res.witness["ray"] == ["1"]
-    with pytest.raises(InputError):
-        _decide_tuple(d, start_bits=8)
 
 
 def test_finitely_ambiguous_tuples_without_letters_to_read():
@@ -1273,14 +1255,13 @@ def test_signature_decisions_are_the_semi_decisions_of_their_sentences():
     by_signature = by_sentence = 0
     for wa, s, sp, letters in _candidate_cases():
         for pq in letter_bounded_to_plus(wa, s, sp, letters):
-            for bits in (None, 64):
-                for c in decide_plus(pq, start_bits=bits):
-                    if c._formula is None:
-                        by_signature += 1
-                        assert c.decision.verdict == FAILS and c.decision.ray is None
-                    else:
-                        by_sentence += 1
-                    assert c.decision == semi_decide(c.formula, start_bits=bits)
+            for c in decide_plus(pq):
+                if c._formula is None:
+                    by_signature += 1
+                    assert c.decision.verdict == FAILS and c.decision.ray is None
+                else:
+                    by_sentence += 1
+                assert c.decision == semi_decide(c.formula)
     assert by_signature > by_sentence > 0
 
 

@@ -172,6 +172,45 @@ def test_misshapen_documents_are_a_format_error(tmp_path, capsys, change, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "weight, kind",
+    [(["1/2"], "array"), (True, "boolean"), ({"num": 1}, "object"), (0.5, "decimal number")],
+    ids=["list", "boolean", "object", "float"],
+)
+def test_a_weight_of_another_json_type_is_a_format_error(tmp_path, capsys, weight, kind):
+    """A weight is a JSON string or a JSON integer, and a boolean is no
+    integer: any other type exits 65, named."""
+    path = _doc_file(tmp_path, transitions=_one_transition(weight=weight))
+    with pytest.raises(FormatError):
+        parse_automaton(path.read_text(encoding="utf-8"))
+    assert main(["check", "--file", str(path), "--from", "p", "--to", "t"]) == 65
+    assert f"weight {weight!r} is a JSON {kind}," in capsys.readouterr().err
+
+
+def test_an_integer_weight_loads_with_a_warning(tmp_path, capsys):
+    path = _doc_file(tmp_path, transitions=_one_transition(weight=1))
+    assert main(["check", "--file", str(path), "--from", "p", "--to", "t"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["warnings"] == ["weight '1' canonicalized to '1/1'"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "automaton document must be a JSON object"),
+        ('{"states": ["p"], "alphabet": [], "transitions": []}', "missing required key 'finals'"),
+    ],
+    ids=["not-an-object", "missing-key"],
+)
+def test_a_document_that_is_no_automaton_object_is_a_format_error(
+    tmp_path, capsys, text, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", "--file", str(path), "--from", "p", "--to", "p"]) == 65
+    assert message in capsys.readouterr().err
+
+
 def test_an_empty_alphabet_symbol_is_rejected(tmp_path, capsys):
     """The empty symbol would spell counterexamples that read as the empty
     word: the constructor rejects it, and a document with it exits 65."""
@@ -238,6 +277,24 @@ def _empty_alphabet_file(tmp_path):
     return str(path)
 
 
+def _half_file(tmp_path):
+    """p reads `a` to the final t with weight 1/2: no LMC."""
+    return str(_doc_file(tmp_path))
+
+
+def _stochastic(alphabet):
+    """p and the final t go to t on every letter with weight 1: a
+    probabilistic automaton from the non-accepting p."""
+    trans = [(q, a, 1, "t") for q in ("p", "t") for a in alphabet]
+    return serialize(WeightedAutomaton.from_transitions(["p", "t"], alphabet, trans, ["t"]))
+
+
+def _dollar_file(tmp_path):
+    path = tmp_path / "pa.json"
+    path.write_text(_stochastic(["a", "$"]), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "make_file, command, message",
     [
@@ -251,6 +308,10 @@ def _empty_alphabet_file(tmp_path):
         (lambda tmp_path: str(tmp_path / "absent.json"), ["check"], "absent.json"),
         (_empty_alphabet_file, ["reduce", "big-theta"], "alphabet is empty"),
         (_empty_alphabet_file, ["reduce", "from-big-theta"], "alphabet is empty"),
+        (_half_file, ["reduce", "big-theta", "--letter", "z"], "symbol 'z' not in the alphabet"),
+        (_half_file, ["reduce", "eventual"], "completion needs distinct query states"),
+        (_dollar_file, ["reduce", "value1"], "reserved symbol '$'"),
+        (_half_file, ["reduce", "from-value1"], "value-1 reduction expects an LMC"),
     ],
     ids=[
         "no-decider",
@@ -259,6 +320,10 @@ def _empty_alphabet_file(tmp_path):
         "missing-file",
         "big-theta-empty-alphabet",
         "from-big-theta-empty-alphabet",
+        "big-theta-foreign-letter",
+        "eventual-same-states",
+        "value1-reserved-symbol",
+        "from-value1-not-lmc",
     ],
 )
 def test_check_auto_input_errors_exit_64(tmp_path, capsys, make_file, command, message):
@@ -268,7 +333,30 @@ def test_check_auto_input_errors_exit_64(tmp_path, capsys, make_file, command, m
     assert err.startswith("input error") and message in err
 
 
-def test_check_auto_detects_letter_bound_once(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "document, command, message",
+    [
+        ('{"stem": [true], "cycles": [[0, []]]}', ["hardness"], "length must be >= 1"),
+        ('{"stem": [true], "cycles": [[2, [2]]]}', ["hardness"], "offset outside cycle"),
+        ('{"stem": [], "cycles": [[2, [0]]]}', ["hardness"], "stem must be non-empty"),
+        ('{"stem": [true], "cycles": []}', ["hardness"], "at least one cycle"),
+        (_stochastic(["a", "acc"]), ["undecidable", "--start", "p"], "reserved symbol 'acc'"),
+    ],
+    ids=["zero-length-cycle", "offset-outside-cycle", "empty-stem", "no-cycle", "reserved-symbol"],
+)
+def test_generate_input_errors_exit_64(tmp_path, capsys, document, command, message):
+    """Well-formed documents that the generators cannot take."""
+    path = tmp_path / "in.json"
+    path.write_text(document, encoding="utf-8")
+    assert main(["generate", *command, "--file", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and message in err
+
+
+def test_check_auto_picks_the_bound_the_bounded_decider_detects(capsys, monkeypatch):
+    """Auto mode picks the bounded decider by detecting a letter bound from
+    `--to`, and the decider detects that same bound itself; `--mode
+    bounded` detects it once, in the decider."""
     import ratiobound.bounded
     import ratiobound.cli
 
@@ -276,18 +364,23 @@ def test_check_auto_detects_letter_bound_once(capsys, monkeypatch):
 
     def counted(fn):
         def wrapper(*args):
-            calls.append(args)
-            return fn(*args)
+            calls.append((args[1], fn(*args)))
+            return calls[-1][1]
 
         return wrapper
 
     for mod in (ratiobound.cli, ratiobound.bounded):
         monkeypatch.setattr(mod, "detect_letter_bounded", counted(mod.detect_letter_bounded))
     f = data_file("relative_orderings_p62.json")
-    assert main(["check", "--file", f, "--from", "s", "--to", "s'"]) == 0
+    argv = ["check", "--file", f, "--from", "s", "--to", "s'"]
+    assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["decider"] == "bounded" and out["verdict"] == "is-big-o"
-    assert len(calls) == 1
+    assert calls == [("s'", ("a", "b"))] * 2
+    calls.clear()
+    assert main(argv + ["--mode", "bounded"]) == 0
+    assert json.loads(capsys.readouterr().out) == out
+    assert calls == [("s'", ("a", "b"))]
 
 
 def test_check_auto_checks_ambiguity_once(capsys, monkeypatch):
@@ -553,34 +646,6 @@ def test_export_formula_output_is_pinned(tmp_path, capsys, monkeypatch, name):
         for f in sorted(os.listdir(tmp_path / out))
     ]
     assert got == files
-
-
-def test_check_precision_outside_range_is_input_error(capsys):
-    f = data_file("relative_orderings_p62.json")
-    argv = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded"]
-    assert main(argv + ["--precision-bits", "0"]) == 64
-    assert main(argv + ["--precision-bits", "4096"]) == 64
-    assert "16 to 2048" in capsys.readouterr().err
-
-
-def test_check_precision_checked_before_any_decider(tmp_path, capsys):
-    """A containment failure needs no sentence, and auto mode picks the
-    unary decider here; the precision is still rejected with exit 64."""
-    wa = WeightedAutomaton.from_transitions(
-        ["p", "q", "t"],
-        ["a"],
-        [("p", "a", F(1), "t"), ("q", "a", F(1, 2), "q")],
-        ["t"],
-    )
-    doc = tmp_path / "lc.json"
-    doc.write_text(serialize(wa), encoding="utf-8")
-    argv = ["check", "--file", str(doc), "--from", "p", "--to", "q"]
-    assert main(argv + ["--mode", "bounded"]) == 1
-    assert main(argv) == 1
-    capsys.readouterr()
-    assert main(argv + ["--mode", "bounded", "--precision-bits", "0"]) == 64
-    assert main(argv + ["--precision-bits", "0"]) == 64
-    assert "16 to 2048" in capsys.readouterr().err
 
 
 def test_export_formula_rejects_a_query_that_is_not_letter_bounded(tmp_path, capsys):
@@ -956,7 +1021,7 @@ def test_check_words_with_multi_character_symbols(tmp_path, capsys):
 COMMAND_HELP = {
     "check": (
         ["-h", "--file", "--from", "--to", "--human", "--mode", "--eventually", "--words",
-         "--emit-smt", "--precision-bits", "--help"],
+         "--emit-smt", "--help"],
         ["{auto,unary,unambiguous,bounded}"],
     ),
     "classify": (["-h", "--file", "--from", "--to", "--spectral", "--human", "--help"], []),

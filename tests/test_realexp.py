@@ -2,13 +2,11 @@ import random
 import signal
 from fractions import Fraction as F
 
-import pytest
-
 import oracles
 from ratiobound.algebraic import AlgebraicNumber, largest_real_root
-from ratiobound.automata import InputError
 from ratiobound.realexp import (
     FAILS,
+    PRECISIONS,
     HOLDS,
     UNKNOWN,
     DivergenceRow,
@@ -141,32 +139,18 @@ def test_formula_text_and_smt():
     assert "forall" in smt
 
 
-def test_precision_outside_range_is_input_error():
-    """Doubling from 0 bits never terminates, and a start above the cap would
-    skip every attempt; both are rejected up front."""
-    f = formula([([coeff(1, 1), coeff(2, 1)], [0, 0])])
-    # 0*x1 + ln2*x2 is bounded below, exactly by its signs
-    assert semi_decide(f).verdict == FAILS
-    row_a = ([coeff(2, 1), coeff((1, 2), 1)], [0, 0])
-    row_b = ([coeff((1, 2), 1), coeff(2, 1)], [0, 0])
-    assert semi_decide(formula([row_a, row_b]), max_bits=256).verdict == UNKNOWN
-    for bits in (0, -3, 15, 4096):
-        with pytest.raises(InputError):
-            semi_decide(f, start_bits=bits)
-    assert semi_decide(formula([([coeff((1, 2), 1)], [0])]), start_bits=2048).verdict == HOLDS
-
-
 def test_unknown_is_reachable_for_knife_edge():
     """A system whose divergence needs an exact boundary direction stays
     unknown rather than guessing: two opposing rows that cancel only on a
     single irrational-ratio ray with zero log help."""
     row_a = ([coeff(2, 1), coeff((1, 2), 1)], [0, 0])  # +ln2 x1 - ln2 x2
     row_b = ([coeff((1, 2), 1), coeff(2, 1)], [0, 0])  # -ln2 x1 + ln2 x2
-    res = semi_decide(formula([row_a, row_b]), max_bits=256)
+    res = semi_decide(formula([row_a, row_b]))
     # along x1 = x2 both rows are exactly 0, anywhere else one is positive:
     # neither a certified ray nor a certificate of growth on every
-    # direction exists
+    # direction exists, at any precision of the schedule
     assert res.verdict == UNKNOWN
+    assert res.detail == "precision exhausted at 2048 bits"
 
 
 def test_verdict_invariant_under_variable_permutation():
@@ -212,7 +196,7 @@ def test_single_variable_coefficient_near_zero():
     assert res.verdict == HOLDS and res.ray == (1,)
 
 
-def _ray_first(f, bits, max_bits):
+def _ray_first(f):
     """The semi-decision with the ray search ahead of the linear program and
     no sign rule beyond all-zero rows, as (verdict, ray)."""
     sysd = f.system
@@ -223,14 +207,13 @@ def _ray_first(f, bits, max_bits):
     if all(all(z) for z in zero):
         res = _pure_log_case(sysd)
         return res.verdict, res.ray
-    while bits <= max_bits:
+    for bits in PRECISIONS:
         enc = [[co.enclosure(bits) for co in row.coeffs] for row in sysd.rows]
         ray = _find_certified_ray(sysd, enc, zero)
         if ray is not None:
             return HOLDS, tuple(ray)
         if every_direction_grows(enc, sysd.nvars):
             return FAILS, None
-        bits *= 2
     return UNKNOWN, None
 
 
@@ -268,7 +251,7 @@ def test_sign_rule_and_covering_first_agree_with_ray_first():
             rows.append((cs, [rng.randint(-1, 1) for _ in range(n)]))
         f = formula(rows, lower=rng.choice([1, 2]))
         sysd = f.system
-        new = semi_decide(f, max_bits=256)
+        new = semi_decide(f)
         signs = [[co.sign() for co in row.coeffs] for row in sysd.rows]
         rule = any(
             all(s > 0 or (s == 0 and p >= 0) for s, p in zip(sj, row.logs))
@@ -278,10 +261,10 @@ def test_sign_rule_and_covering_first_agree_with_ray_first():
             fired += 1
             assert new.verdict == FAILS, rows
             zero = [[s == 0 for s in sj] for sj in signs]
-            for bits in (128, 256):
+            for bits in PRECISIONS:
                 enc = [[co.enclosure(bits) for co in row.coeffs] for row in sysd.rows]
                 assert _find_certified_ray(sysd, enc, zero) is None, rows
-        old = _ray_first(f, 128, 256)
+        old = _ray_first(f)
         if old[0] == UNKNOWN:
             assert new.verdict == UNKNOWN or rule, rows
         else:
@@ -373,8 +356,9 @@ def test_near_tie_fails_at_the_start_precision():
         ([coeff((53, 57), 1), coeff((51, 53), 1), coeff((69, 59), 1)], [0, 0, 0]),
         ([coeff((61, 57), 1), coeff((69, 53), 1), coeff((51, 59), 1)], [0, 0, 0]),
     ]
-    res = semi_decide(formula(rows), start_bits=128, max_bits=128)
+    res = semi_decide(formula(rows))
     assert res.verdict == FAILS
+    assert res.detail == "every direction has a growing row at 128 bits"
 
 
 def _on_alarm(signum, frame):
@@ -406,7 +390,7 @@ def test_eight_by_five_ray_search_is_quick(monkeypatch):
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(5)
     try:
-        res = semi_decide(formula(rows, lower=2), max_bits=128)
+        res = semi_decide(formula(rows, lower=2))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -421,11 +405,11 @@ def test_a_variable_that_appears_nowhere_leaves_the_growth_program():
     growth program no precision certified that."""
     row_a = ([coeff(3, 1), coeff(1, 2), coeff(5, 5)], [0, 0, 0])  # ln3 x1 - ln2 x2
     row_b = ([coeff(1, 2), coeff(3, 1), coeff(7, 7, 2)], [0, 0, 0])  # -ln2 x1 + ln3 x2
-    res = semi_decide(formula([row_a, row_b]), max_bits=256)
+    res = semi_decide(formula([row_a, row_b]))
     assert res.verdict == FAILS and res.ray is None
     assert res.detail == "every direction has a growing row at 128 bits"
     # a log exponent keeps the variable in: x3 then sinks both rows
     row_c = ([coeff(3, 1), coeff(1, 2), coeff(5, 5)], [0, 0, -1])
     row_d = ([coeff(1, 2), coeff(3, 1), coeff(7, 7)], [0, 0, -1])
-    res = semi_decide(formula([row_c, row_d]), max_bits=256)
+    res = semi_decide(formula([row_c, row_d]))
     assert res.verdict == HOLDS and res.ray == (0, 0, 1)

@@ -1,7 +1,7 @@
 """Static checks of the package source: it imports nothing outside the
 standard library, imports at module level only, uses every name it imports,
-and reaches every definition.  The import checks also read the tests'
-shared `helpers.py` and `oracles.py`."""
+reaches every definition and passes every defaulted parameter.  The import
+checks also read the tests' shared `helpers.py` and `oracles.py`."""
 
 import ast
 import os
@@ -169,3 +169,58 @@ def test_every_definition_is_reached():
     # an entry that names no definition allows nothing and goes
     stale = [a for a in UNREACHED_ALLOWED if not any(allowed(q, a) for q in defs)]
     assert stale == []
+
+
+# Defaulted parameters that no call inside the package passes, on purpose:
+# `cli.main` reads `sys.argv` unless a caller hands it the words.
+UNPASSED_ALLOWED = {"cli.main.argv"}
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every defaulted parameter of a top-level function or method is passed,
+    by keyword or by position, by some call in the package, so no option
+    lives in the package that only tests set.  Names are matched, not
+    resolved: a call counts when its callee's name (as a name or an
+    attribute) is the function's; a `*` or `**` argument passes all."""
+    defaulted = {}  # "module.function.param" -> position (None: keyword only)
+    calls = []
+    for path in _package_files():
+        mod = os.path.basename(path)[:-3]
+        tree = _parse(path)
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        for node in tree.body:
+            fns = [(node, False)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                # a method's first parameter is bound, unless it is static
+                fns = [
+                    (s, "staticmethod" not in {getattr(d, "id", None) for d in s.decorator_list})
+                    for s in node.body
+                    if isinstance(s, ast.FunctionDef)
+                ]
+            for fn, bound in fns:
+                a = fn.args
+                pos = a.posonlyargs + a.args
+                for i in range(len(pos) - len(a.defaults), len(pos)):
+                    defaulted[f"{mod}.{fn.name}.{pos[i].arg}"] = i - bound
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        defaulted[f"{mod}.{fn.name}.{arg.arg}"] = None
+
+    def passes(call, fn, param, i):
+        f = call.func
+        if getattr(f, "id", None) != fn and getattr(f, "attr", None) != fn:
+            return False
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        starred = any(isinstance(x, ast.Starred) for x in call.args)
+        return i is not None and (len(call.args) > i or starred)
+
+    unpassed = [
+        q
+        for q, i in defaulted.items()
+        if q not in UNPASSED_ALLOWED
+        and not any(passes(c, *q.split(".")[1:], i) for c in calls)
+    ]
+    assert unpassed == []
+    # an entry that names no defaulted parameter allows nothing and goes
+    assert UNPASSED_ALLOWED <= set(defaulted)

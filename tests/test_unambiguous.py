@@ -161,16 +161,16 @@ def test_agreement_with_bounded_decider():
     rng = random.Random(11)
     for i in range(40):
         wa, s, sp = planted_unambiguous(rng, i % 2 == 0)
-        cases.append((f"planted {i}", Query(wa, s, sp), None))
+        cases.append((f"planted {i}", Query(wa, s, sp)))
     rng = random.Random(11)
     for i in range(200):
         wa = random_block_wa(rng, per=2)
         if is_unambiguous_from(wa, "L0_0") and is_unambiguous_from(wa, "L0_1"):
-            cases.append((f"block draw {i}", Query(wa, "L0_0", "L0_1"), ("a", "b")))
+            cases.append((f"block draw {i}", Query(wa, "L0_0", "L0_1")))
     disagree, unknown = [], []
-    for label, q, letters in cases:
+    for label, q in cases:
         want = "is-big-o" if decide_unambiguous(q).is_big_o else "not-big-o"
-        got = decide_bounded(q, letters=letters).verdict
+        got = decide_bounded(q).verdict
         if got == "unknown":
             unknown.append(label)
         elif got != want:
@@ -215,7 +215,7 @@ def test_exact_tie_block_draw_is_big_o(trans):
     )
     q = Query(wa, "L0_0", "L0_1")
     assert decide_unambiguous(q).is_big_o
-    assert decide_bounded(q, letters=("a", "b")).verdict == "is-big-o"
+    assert decide_bounded(q).verdict == "is-big-o"
 
 
 def test_ambiguity_matches_the_reference_search():
