@@ -329,6 +329,60 @@ def trim(seeds, finals, edges) -> set:
     return set(co)
 
 
+def strong_components(succ) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the digraph whose vertex v has the
+    successors `succ[v]`, by iterative Tarjan in linear time: the components
+    as lists of vertices, in reverse topological order, and each vertex's
+    component index."""
+    n = len(succ)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    scc_of = [0] * n
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] is None:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    scc_of[w] = len(sccs)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs, scc_of
+
+
 def single_final_shape(wa: WeightedAutomaton) -> Optional[str]:
     """The unique final state if it exists and has no outgoing transitions."""
     if len(wa.finals) != 1:

@@ -3,6 +3,10 @@
 Exit codes: 0 = bounded (is big-O), 1 = not bounded, 2 = unknown,
 64 = input error, 65 = document format error, 66 = resource cap exceeded.
 Reports are JSON on stdout; --human switches to a short text rendering.
+
+The bounded decider and the reductions are imported by the handlers that
+call them, so a unary, unambiguous, `oracle` or `classify` call never
+loads them.
 """
 
 from __future__ import annotations
@@ -23,24 +27,8 @@ from .automata import (
     ratio_profile,
     validate_lmc,
 )
-from .bounded import (
-    check_bounding_words,
-    decide_bounded,
-    decide_plus,
-    detect_letter_bounded,
-    letter_bounded_to_plus,
-)
 from .jsonio import format_weight, json_typed, parse_automaton, serialize
-from .nfaops import ChrobakNf, lc_check
-from .reductions import (
-    bigo_to_value1,
-    complete_for_eventual,
-    from_big_theta,
-    gen_hardness,
-    gen_undecidable,
-    to_big_theta,
-    value1_to_bigo,
-)
+from .nfaops import ChrobakNf, detect_letter_bounded, lc_check
 from .spectral import scc_debug_dump
 from .unambiguous import decide_unambiguous, is_unambiguous_from
 from .unary import decide_unary, decide_unary_eventual
@@ -107,6 +95,8 @@ def cmd_check(args) -> int:
     if args.words is not None and mode in ("unary", "unambiguous"):
         # the bounded decider splits its words itself; the others read none,
         # but a bad word is still an input error
+        from .bounded import check_bounding_words
+
         check_bounding_words(wa, args.words)
     if mode == "unary":
         fn = decide_unary_eventual if args.eventually else decide_unary
@@ -132,6 +122,8 @@ def cmd_check(args) -> int:
                 "cycleRatio": format_weight(v.cycle_ratio) if v.cycle_ratio else None,
             }
     else:
+        from .bounded import decide_bounded
+
         v = decide_bounded(q, args.words)
         report["verdict"] = v.verdict
         report["subqueries"] = v.subqueries
@@ -196,6 +188,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reductions import (
+        bigo_to_value1,
+        complete_for_eventual,
+        from_big_theta,
+        to_big_theta,
+        value1_to_bigo,
+    )
+
     warnings: list = []
     wa = _load(args.file, warnings)
     kind = args.kind
@@ -242,7 +242,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .reductions import gen_hardness, gen_undecidable
+
     if args.kind == "undecidable":
+        if args.start is None:
+            raise InputError("--start is required for generate undecidable")
         warnings: list = []
         wa = _load(args.file, warnings)
         pa = ProbAutomaton(wa, args.start)
@@ -287,6 +291,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export_formula(args) -> int:
+    from .bounded import decide_plus, letter_bounded_to_plus
+
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)

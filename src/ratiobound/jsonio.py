@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .automata import FormatError, InputError, WeightedAutomaton
 
@@ -104,22 +105,23 @@ def parse_automaton(document, warnings=None) -> WeightedAutomaton:
 
 
 def serialize(wa: WeightedAutomaton, extra: dict | None = None) -> str:
-    """Canonical document text: sorted keys, stable transition order."""
+    """Canonical document text: sorted keys, stable transition order.  Each
+    weight x/d is written in lowest terms straight from the sparse rows."""
+    transitions = []
+    for a in wa.alphabet:
+        d, rows = wa.sparse_rows[a]
+        for src, row in zip(wa.states, rows):
+            for j, x in row:
+                g = gcd(x, d)
+                transitions.append(
+                    {"from": src, "symbol": a, "to": wa.states[j], "weight": f"{x // g}/{d // g}"}
+                )
+    transitions.sort(key=lambda t: (t["from"], t["symbol"], t["to"]))
     doc = {
         "states": list(wa.states),
         "alphabet": list(wa.alphabet),
         "finals": sorted(wa.finals),
-        "transitions": [
-            {
-                "from": src,
-                "symbol": sym,
-                "to": dst,
-                "weight": format_weight(w),
-            }
-            for (src, sym, w, dst) in sorted(
-                wa.transitions(), key=lambda t: (t[0], t[1], t[3])
-            )
-        ],
+        "transitions": transitions,
     }
     if extra:
         doc.update(extra)

@@ -1,12 +1,23 @@
-"""Boolean-automata algorithms: language containment and eventual inclusion
-of unary languages."""
+"""Boolean-automata algorithms: language containment, letter-bound
+detection and eventual inclusion of unary languages."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
-from .automata import InputError, Nfa, Query, explore, nfa_of, path_to
+from .automata import (
+    InputError,
+    Nfa,
+    Query,
+    WeightedAutomaton,
+    explore,
+    nfa_of,
+    path_to,
+    strong_components,
+    trim,
+)
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,110 @@ def lc_check(q: Query) -> LcResult:
     deciders.  BFS returns a shortest counterexample word."""
     wa = q.automaton
     return nfa_contained(nfa_of(wa, q.s), nfa_of(wa, q.s_prime))
+
+
+def detect_letter_bounded(wa: WeightedAutomaton, s: str):
+    """A letter sequence whose starred blocks cover L_s, or None.
+
+    Structure: in the trimmed support NFA every cycle must be single-letter.
+    Each live transition is classified once, as its component's loop letter
+    or as a letter entering another component along a DAG edge.  The
+    sequence interleaves entering and loop letters in topological order of
+    the SCC DAG, then the containment is verified directly, by
+    `_in_letter_bound` over successor lists built once.
+    """
+    n = nfa_of(wa, s)
+    live = trim({n.start}, n.finals, n.transitions)
+    if not live or not (live & n.finals):
+        return ()
+    order = sorted(live)
+    idx = {q: i for i, q in enumerate(order)}
+    steps: dict = {q: [] for q in order}
+    for p, a, q2 in sorted(n.transitions):
+        if p in live and q2 in live:
+            steps[p].append((a, q2))
+    comps, scc_of = strong_components([[idx[q2] for _, q2 in steps[q]] for q in order])
+    loop: list = [None] * len(comps)  # the letter of a component's cycles
+    incoming: list = [set() for _ in comps]  # letters entering a component
+    after: list = [set() for _ in comps]  # DAG successors
+    for p, pairs in steps.items():
+        cp = scc_of[idx[p]]
+        for a, q2 in pairs:
+            cq = scc_of[idx[q2]]
+            if cp != cq:
+                incoming[cq].add(a)
+                after[cp].add(cq)
+            elif loop[cp] in (None, a):
+                loop[cp] = a
+            else:
+                return None
+    indeg = [0] * len(comps)
+    for succs in after:
+        for c in succs:
+            indeg[c] += 1
+    ready = [c for c in range(len(comps)) if not indeg[c]]
+    seq: list = []
+    last = None
+    while ready:
+        # continue the current letter so parallel same-letter branches share
+        # blocks
+        c = min(ready, key=lambda c: (loop[c] != last, str(loop[c]), c))
+        ready.remove(c)
+        seq += sorted(incoming[c])
+        if loop[c] is not None:
+            seq.append(loop[c])
+            last = loop[c]
+        for c2 in after[c]:
+            indeg[c2] -= 1
+            if not indeg[c2]:
+                ready.append(c2)
+    collapsed = _collapse(seq)
+    finals = live & n.finals
+    if not _in_letter_bound(n.start, steps, finals, collapsed):
+        return None
+    # greedy minimization: drop blocks while containment still verifies.
+    # Dropping a block only shrinks the starred language, so a block that
+    # was needed stays needed and the scan goes on from the same index.
+    i = 0
+    while i < len(collapsed):
+        merged = _collapse(collapsed[:i] + collapsed[i + 1 :])
+        if merged and _in_letter_bound(n.start, steps, finals, merged):
+            collapsed = merged
+        else:
+            i += 1
+    return collapsed
+
+
+def _collapse(seq) -> tuple:
+    """`seq` with each run of a repeated letter collapsed to one letter."""
+    return tuple(a for a, _ in groupby(seq))
+
+
+def _in_letter_bound(start, steps, finals, letters) -> bool:
+    """Whether every word accepted from `start` lies in
+    letters[0]* ... letters[-1]*; `steps` maps a state to its
+    (letter, target) pairs.
+
+    A word lies in the bound exactly when the greedy scan, which reads each
+    letter in the first block at or after the current one that spells it,
+    never runs past the last block.  So one search over (state, block)
+    pairs decides it, block None standing for a scan that ran past."""
+    m = len(letters)
+    ahead: dict = {None: {}, m: {}}  # block -> letter -> next block
+    for p in range(m - 1, -1, -1):
+        ahead[p] = {**ahead[p + 1], letters[p]: p}
+    seen = {(start, 0)}
+    todo = [(start, 0)]
+    while todo:
+        q, p = todo.pop()
+        if p is None and q in finals:
+            return False
+        for a, q2 in steps.get(q, ()):
+            node = (q2, ahead[p].get(a))
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return True
 
 
 @dataclass(frozen=True)

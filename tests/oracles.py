@@ -4,6 +4,7 @@ versions are checked against."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,6 +32,7 @@ from ratiobound.automata import (
 )
 from ratiobound.bounded import PlusQuery
 from ratiobound.intervals import FInterval, ivl_sum
+from ratiobound.jsonio import format_weight
 from ratiobound.nfaops import LcResult, eventually_included
 from ratiobound.reductions import complete_for_eventual
 from ratiobound.spectral import SccDag, SccInfo, scc_decompose, strong_components
@@ -252,6 +254,23 @@ def lasso_difference_finite(l1: UnaryLasso, l2: UnaryLasso) -> bool:
     return not any(
         l1.accepts(n) and not l2.accepts(n) for n in range(pre, pre + period)
     )
+
+
+def serialize_reference(wa: WeightedAutomaton, extra: dict | None = None) -> str:
+    """`jsonio.serialize` by its first formula: every weight through
+    `transitions()` as a Fraction, then formatted as num/den."""
+    doc = {
+        "states": list(wa.states),
+        "alphabet": list(wa.alphabet),
+        "finals": sorted(wa.finals),
+        "transitions": [
+            {"from": src, "symbol": sym, "to": dst, "weight": format_weight(w)}
+            for (src, sym, w, dst) in sorted(wa.transitions(), key=lambda t: (t[0], t[1], t[3]))
+        ],
+    }
+    if extra:
+        doc.update(extra)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def weight(wa: WeightedAutomaton, s: str, word) -> Fraction:

@@ -101,7 +101,7 @@ def test_letter_bound_detection_tests_each_block_once(monkeypatch):
     dropped index: past the first check of the whole sequence, a block that
     stays is refuted once, never retested after a later drop.  Each check
     is one `_in_letter_bound` search."""
-    from ratiobound import bounded
+    from ratiobound import nfaops
 
     (q,) = [q for q in _load("workloads").build("bounded", 1, helpers) if "m4" in q.name]
     argv = dict(zip(q.argv[1::2], q.argv[2::2]))
@@ -112,9 +112,9 @@ def test_letter_bound_detection_tests_each_block_once(monkeypatch):
         results.append(out)
         return out
 
-    check = bounded._in_letter_bound
-    monkeypatch.setattr(bounded, "_in_letter_bound", counting)
-    letters = bounded.detect_letter_bounded(parse_automaton(q.document), argv["--to"])
+    check = nfaops._in_letter_bound
+    monkeypatch.setattr(nfaops, "_in_letter_bound", counting)
+    letters = nfaops.detect_letter_bounded(parse_automaton(q.document), argv["--to"])
     assert letters == ("a", "b", "c", "d")
     assert results.count(False) == len(letters)
     assert len(results) == 11

@@ -33,7 +33,6 @@ from ratiobound.bounded import (
     DELTA,
     ZERO,
     PlusQuery,
-    _in_letter_bound,
     _star_nfa,
     check_bounding_words,
     decide_plus,
@@ -41,7 +40,7 @@ from ratiobound.bounded import (
     realized_candidates,
 )
 from ratiobound.jsonio import parse_automaton
-from ratiobound.nfaops import nfa_contained
+from ratiobound.nfaops import _in_letter_bound, nfa_contained
 from ratiobound.realexp import FAILS, HOLDS, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
 from ratiobound.spectral import rank_radii, scc_decompose

@@ -1,7 +1,9 @@
 """Static checks of the package source: it imports nothing outside the
-standard library, imports at module level only, uses every name it imports,
-reaches every definition and passes every defaulted parameter.  The import
-checks also read the tests' shared `helpers.py` and `oracles.py`."""
+standard library, has no module-level import cycle, imports inside
+functions only where the command line loads a decider lazily, uses every
+name it imports, reaches every definition and passes every defaulted
+parameter.  The import checks also read the tests' shared `helpers.py` and
+`oracles.py`."""
 
 import ast
 import os
@@ -61,20 +63,75 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
-def test_no_function_imports():
-    """Imports sit at module level, where each module's dependencies show;
-    the package has no import cycle that a function-level import breaks."""
-    inside = []
+def _relative_imports(nodes):
+    """(line, module) of each `from .x import` among `nodes`, searched
+    without entering function bodies."""
+    out = []
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.append((node.lineno, node.module))
+        stack += ast.iter_child_nodes(node)
+    return out
+
+
+def test_module_imports_form_no_cycle():
+    """The module-level `from .x import` graph of the package is acyclic, so
+    every module imports completely before any module that depends on it."""
+    graph = {
+        os.path.basename(path)[:-3]: {m for _, m in _relative_imports(_parse(path).body)}
+        for path in _package_files()
+    }
+    done, on_path, cycles = set(), [], []
+
+    def visit(mod):
+        if mod in on_path:
+            cycles.append(on_path[on_path.index(mod) :] + [mod])
+            return
+        if mod in done:
+            return
+        on_path.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            visit(dep)
+        on_path.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)
+    assert cycles == []
+
+
+# The only imports inside functions: the command handlers that run the
+# bounded decider or a reduction import it when called, so that a unary,
+# unambiguous, `oracle` or `classify` call never loads it.  Each entry is
+# (file, function, module imported).
+FUNCTION_IMPORTS_ALLOWED = {
+    ("cli.py", "cmd_check", ".bounded"),
+    ("cli.py", "cmd_export_formula", ".bounded"),
+    ("cli.py", "cmd_generate", ".reductions"),
+    ("cli.py", "cmd_reduce", ".reductions"),
+}
+
+
+def test_function_imports_are_the_pinned_lazy_ones():
+    """Every other import sits at module level, where each module's
+    dependencies show."""
+    inside = set()
     for path in _package_files() + SHARED:
         name = os.path.basename(path)
         for fn in ast.walk(_parse(path)):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inside += [
-                    f"{name}:{node.lineno}: {fn.name}"
-                    for node in ast.walk(fn)
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                ]
-    assert inside == []
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    inside |= {(name, fn.name, alias.name) for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    inside.add((name, fn.name, "." * node.level + (node.module or "")))
+    # an entry that no import matches allows nothing and goes
+    assert inside == FUNCTION_IMPORTS_ALLOWED
 
 
 # Modules, classes and functions that nothing in the package reaches, on
