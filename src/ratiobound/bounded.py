@@ -20,11 +20,16 @@ from .automata import (
     WeightedAutomaton,
     _step,
     explore,
-    nfa_of,
     trim,
     weight_blocks,
 )
-from .nfaops import _collapse, detect_letter_bounded, lc_check, nfa_contained
+from .nfaops import (
+    _check_bound,
+    _collapse,
+    check_bounding_words,
+    detect_letter_bounded,
+    lc_check,
+)
 from .realexp import (
     FAILS,
     HOLDS,
@@ -57,73 +62,18 @@ class LinearSet:
     base: tuple
     periods: tuple
 
+    @property
+    def unbounded(self) -> tuple:
+        """U, the coordinates with a positive period: the ones a divergence
+        sentence over this set ranges over."""
+        return tuple(i for i, r in enumerate(self.periods) if r > 0)
+
     def member(self, lam) -> tuple:
         return tuple(b + r * l for b, r, l in zip(self.base, self.periods, lam))
 
 
 # ---------------------------------------------------------------------------
-# bounding words and reductions
-
-
-def _star_nfa(words, alphabet) -> Nfa:
-    """NFA for w1* w2* ... wm*, each word a nonempty sequence of symbols
-    (blocks may repeat words).  State `p{j}` follows a whole copy of w_j
-    (`p0`: nothing read yet), so p0 .. p{j} may start w_j; the inner
-    symbols of each word pass through states of their own."""
-    bounds = [f"p{i}" for i in range(len(words) + 1)]
-    inner = []
-    trans = set()
-    for j, w in enumerate(words):
-        path = [f"w{j}.{t}" for t in range(1, len(w))] + [bounds[j + 1]]
-        inner += path[:-1]
-        trans.update((p, w[0], path[0]) for p in bounds[: j + 2])
-        trans.update(zip(path, w[1:], path[1:]))
-    return Nfa(
-        tuple(bounds + inner),
-        tuple(alphabet),
-        frozenset(trans),
-        bounds[0],
-        frozenset(bounds),
-    )
-
-
-def _check_bound(wa: WeightedAutomaton, s: str, words) -> None:
-    """InputError unless every word accepted from `s` lies in w1*...wm*: a
-    bound that misses words would decide the query on part of its language."""
-    inside = nfa_contained(nfa_of(wa, s), _star_nfa(words, wa.alphabet))
-    if not inside:
-        raise InputError(
-            f"the bounding words miss {inside.counterexample!r}, accepted from {s!r}"
-        )
-
-
-def check_bounding_words(wa: WeightedAutomaton, words) -> list:
-    """Each bounding word as the tuple of `wa`'s alphabet symbols that spells
-    it.  InputError unless there is at least one word, and each word is
-    nonempty and splits into symbols in exactly one way (symbols may be
-    longer than one character)."""
-    words = [str(w) for w in words]
-    if not words:
-        raise InputError("empty bounding word list")
-    out = []
-    for w in words:
-        if not w:
-            raise InputError("bounding words must be nonempty")
-        # splits[i]: at most two ways to spell w[i:]
-        splits = [[] for _ in w] + [[()]]
-        for i in range(len(w) - 1, -1, -1):
-            for a in wa.alphabet:
-                if w.startswith(a, i):
-                    splits[i] += [(a, *rest) for rest in splits[i + len(a)]]
-            del splits[i][2:]
-        if not splits[0]:
-            raise InputError(f"bounding word {w!r} is not spelled by the alphabet")
-        if len(splits[0]) > 1:
-            raise InputError(
-                f"bounding word {w!r} splits into the alphabet's symbols in more than one way"
-            )
-        out.append(splits[0][0])
-    return out
+# reductions
 
 
 def bounded_to_letter_bounded(wa: WeightedAutomaton, words) -> WeightedAutomaton:
@@ -552,18 +502,14 @@ def parikh_linear_sets(n: Nfa, letters) -> list:
 # formula emission and the decision procedure
 
 
-def emit_formula(
-    analysis: PlusAnalysis, x_sig, y_sigs, lin: LinearSet, u_set
-) -> RealExpFormula:
+def emit_formula(analysis: PlusAnalysis, x_sig, y_sigs, lin: LinearSet) -> RealExpFormula:
     """The divergence sentence for one candidate: over the unbounded
     coordinates U of the linear set, every compared signature's growth
     against X must sink below every bound.  No signature holds ZERO: a
-    monitor enters a zero-radius block at DELTA.
+    monitor enters a zero-radius block at DELTA.  The sentence covers every
+    sub-cone of U: its semi-decision searches every support inside U.
     """
-    u_list = sorted(u_set)
-    for i in u_list:
-        if lin.periods[i] <= 0:
-            raise InputError("U must pick coordinates with positive periods")
+    u_list = lin.unbounded
     y_sigs = sorted(y_sigs)
     rows = [
         DivergenceRow(
@@ -593,7 +539,6 @@ class Candidate:
     x_sig: tuple
     y_sigs: tuple
     lin: LinearSet
-    u_set: tuple
     decision: SemiDecision
     analysis: PlusAnalysis = field(repr=False, compare=False)
     _formula: Optional[RealExpFormula] = field(default=None, repr=False, compare=False)
@@ -601,12 +546,12 @@ class Candidate:
     @property
     def formula(self) -> RealExpFormula:
         if self._formula is None:
-            f = emit_formula(self.analysis, self.x_sig, self.y_sigs, self.lin, self.u_set)
+            f = emit_formula(self.analysis, self.x_sig, self.y_sigs, self.lin)
             object.__setattr__(self, "_formula", f)
         return self._formula
 
 
-def _signature_decision(x_sig, y_sigs, u_set) -> Optional[SemiDecision]:
+def _signature_decision(x_sig, y_sigs, lin: LinearSet) -> Optional[SemiDecision]:
     """The `fails` that `semi_decide` would read off the candidate's
     sentence by exact signs, or None when that takes the sentence.
 
@@ -615,22 +560,23 @@ def _signature_decision(x_sig, y_sigs, u_set) -> Optional[SemiDecision]:
     Every period in U is positive and the radius table strictly ascending,
     so the coefficient's sign is that of the slot difference, and the row
     is bounded below exactly when y[i] >= x[i] as tuples at every i in U."""
-    if not u_set:
+    u_list = lin.unbounded
+    if not u_list:
         return SemiDecision(FAILS, detail="no unbounded coordinates")
     for j, y in enumerate(sorted(y_sigs)):
-        if all(y[i] >= x_sig[i] for i in u_set):
+        if all(y[i] >= x_sig[i] for i in u_list):
             return SemiDecision(FAILS, detail=f"row {j} is bounded below by exact signs")
     return None
 
 
 def decide_plus(pq: PlusQuery) -> tuple:
-    """Every realized candidate of one plus-bounded sub-question, decided in
-    a deterministic order.  A `holds` candidate is a divergence, an
-    `unknown` one leaves the sub-question open, and boundedness needs every
-    candidate to fail.  A candidate with no unbounded coordinate, or whose
-    X some Y bounds at every unbounded coordinate, is decided from its
-    signatures (`_signature_decision`); every other one has its sentence
-    emitted and semi-decided.
+    """Every realized candidate of one plus-bounded sub-question, one per
+    (X, Y, linear set), decided in a deterministic order.  A `holds`
+    candidate is a divergence, an `unknown` one leaves the sub-question
+    open, and boundedness needs every candidate to fail.  A candidate with
+    no unbounded coordinate, or whose X some Y bounds at every unbounded
+    coordinate, is decided from its signatures (`_signature_decision`);
+    every other one has its sentence emitted and semi-decided.
 
     When `s@0` has no step, no word of the pattern is read from `s`: there
     is no signature X and no candidate, so the analysis is skipped.  This
@@ -644,15 +590,12 @@ def decide_plus(pq: PlusQuery) -> tuple:
     for (x_sig, y_sigs), finals in sorted(realized_candidates(analysis).items()):
         det = detector_nfa(analysis, finals)
         for lin in parikh_linear_sets(det, letters):
-            pos = [i for i in range(len(letters)) if lin.periods[i] > 0]
-            for mask in range(2 ** len(pos)):
-                u_set = tuple(pos[i] for i in range(len(pos)) if mask >> i & 1)
-                decision = _signature_decision(x_sig, y_sigs, u_set)
-                f = None
-                if decision is None:
-                    f = emit_formula(analysis, x_sig, y_sigs, lin, u_set)
-                    decision = semi_decide(f)
-                decided.append(Candidate(x_sig, y_sigs, lin, u_set, decision, analysis, f))
+            decision = _signature_decision(x_sig, y_sigs, lin)
+            f = None
+            if decision is None:
+                f = emit_formula(analysis, x_sig, y_sigs, lin)
+                decision = semi_decide(f)
+            decided.append(Candidate(x_sig, y_sigs, lin, decision, analysis, f))
     return tuple(decided)
 
 
@@ -727,7 +670,7 @@ def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]
     ray = cand.decision.ray or ()
     lin = cand.lin
     m = len(lin.base)
-    u_list = list(cand.u_set)
+    u_list = lin.unbounded
     dmax = max(ray) if ray else Fraction(1)
     scaled = [Fraction(r) / dmax if dmax else Fraction(0) for r in ray]
     den = lcm(*(r.denominator for r in scaled))

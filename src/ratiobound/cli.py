@@ -6,7 +6,7 @@ Reports are JSON on stdout; --human switches to a short text rendering.
 
 The bounded decider and the reductions are imported by the handlers that
 call them, so a unary, unambiguous, `oracle` or `classify` call never
-loads them.
+loads them, with or without `--words`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .automata import (
     validate_lmc,
 )
 from .jsonio import format_weight, json_typed, parse_automaton, serialize
-from .nfaops import ChrobakNf, detect_letter_bounded, lc_check
+from .nfaops import ChrobakNf, check_bounding_words, detect_letter_bounded, lc_check
 from .spectral import scc_debug_dump
 from .unambiguous import decide_unambiguous, is_unambiguous_from
 from .unary import decide_unary, decide_unary_eventual
@@ -95,8 +95,6 @@ def cmd_check(args) -> int:
     if args.words is not None and mode in ("unary", "unambiguous"):
         # the bounded decider splits its words itself; the others read none,
         # but a bad word is still an input error
-        from .bounded import check_bounding_words
-
         check_bounding_words(wa, args.words)
     if mode == "unary":
         fn = decide_unary_eventual if args.eventually else decide_unary
@@ -250,7 +248,7 @@ def cmd_generate(args) -> int:
         warnings: list = []
         wa = _load(args.file, warnings)
         pa = ProbAutomaton(wa, args.start)
-        inst = gen_undecidable(pa, generalize=args.generalize)
+        inst = gen_undecidable(pa)
         doc = serialize(
             inst.lmc.underlying,
             {
@@ -358,7 +356,6 @@ def _generate_arguments(p):
     p.add_argument("kind", choices=["undecidable", "hardness"])
     p.add_argument("--file", required=True, help="PA document or Chrobak JSON")
     p.add_argument("--start", default=None, help="PA start state (undecidable)")
-    p.add_argument("--generalize", action="store_true")
     p.add_argument("--human", action="store_true")
 
 

@@ -2,9 +2,9 @@
 
 Schema: {"states": [...], "alphabet": [...], "finals": [...],
 "transitions": [{"from": q, "symbol": a, "to": q2, "weight": "num/den"}]}.
-Weights are decimal-free "num/den" strings (a JSON integer is read as its
-digits); unspecified transitions have weight 0.  Unknown top-level keys
-(queries, labels) are ignored on parse.
+Weights are "num/den" strings of ASCII digits, or a bare numerator (a JSON
+integer is read as its digits); unspecified transitions have weight 0.
+Unknown top-level keys (queries, labels) are ignored on parse.
 """
 
 from __future__ import annotations
@@ -34,26 +34,25 @@ JSON_TYPE_NAMES = {
 
 
 def parse_weight(text, warnings=None) -> Fraction:
-    """A "num/den" string, or a JSON integer, as a nonnegative rational."""
+    """A "num/den" string, or a JSON integer, as a nonnegative rational.
+    Both parts are ASCII digits; the numerator may start with `-`, so that
+    a negative weight gets its own message."""
     if type(text) not in (str, int):
         kind = JSON_TYPE_NAMES.get(type(text), type(text).__name__)
         raise FormatError(f"weight {text!r} is a JSON {kind}, not a num/den string")
-    raw = str(text).strip()
+    raw = str(text)
     if "." in raw:
         raise FormatError(f"weight {raw!r} must be a decimal-free num/den string")
-    if "/" in raw:
-        num_s, _, den_s = raw.partition("/")
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise FormatError(f"weight {raw!r} is not an integer ratio") from None
-        if den <= 0:
-            raise FormatError(f"weight {raw!r} must have a positive denominator")
-    else:
-        try:
-            num, den = int(raw), 1
-        except ValueError:
-            raise FormatError(f"weight {raw!r} is not an integer ratio") from None
+    num_s, slash, den_s = raw.partition("/")
+    unsigned = num_s.removeprefix("-")
+    if not (raw.isascii() and unsigned.isdigit() and (den_s.isdigit() or not slash)):
+        raise FormatError(f"weight {raw!r} is not a num/den ratio of ASCII digits")
+    try:
+        num, den = int(num_s), int(den_s or 1)
+    except ValueError:  # past the interpreter's digit limit
+        raise FormatError(f"weight {raw[:40]!r}... has too many digits") from None
+    if den == 0:
+        raise FormatError(f"weight {raw!r} must have a positive denominator")
     if num < 0:
         raise FormatError(f"weight {raw!r} is negative; weights must be >= 0")
     value = Fraction(num, den)

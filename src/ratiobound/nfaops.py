@@ -1,5 +1,5 @@
 """Boolean-automata algorithms: language containment, letter-bound
-detection and eventual inclusion of unary languages."""
+detection, bounding-word checks and eventual inclusion of unary languages."""
 
 from __future__ import annotations
 
@@ -174,6 +174,67 @@ def _in_letter_bound(start, steps, finals, letters) -> bool:
                 seen.add(node)
                 todo.append(node)
     return True
+
+
+def _star_nfa(words, alphabet) -> Nfa:
+    """NFA for w1* w2* ... wm*, each word a nonempty sequence of symbols
+    (blocks may repeat words).  State `p{j}` follows a whole copy of w_j
+    (`p0`: nothing read yet), so p0 .. p{j} may start w_j; the inner
+    symbols of each word pass through states of their own."""
+    bounds = [f"p{i}" for i in range(len(words) + 1)]
+    inner = []
+    trans = set()
+    for j, w in enumerate(words):
+        path = [f"w{j}.{t}" for t in range(1, len(w))] + [bounds[j + 1]]
+        inner += path[:-1]
+        trans.update((p, w[0], path[0]) for p in bounds[: j + 2])
+        trans.update(zip(path, w[1:], path[1:]))
+    return Nfa(
+        tuple(bounds + inner),
+        tuple(alphabet),
+        frozenset(trans),
+        bounds[0],
+        frozenset(bounds),
+    )
+
+
+def _check_bound(wa: WeightedAutomaton, s: str, words) -> None:
+    """InputError unless every word accepted from `s` lies in w1*...wm*: a
+    bound that misses words would decide the query on part of its language."""
+    inside = nfa_contained(nfa_of(wa, s), _star_nfa(words, wa.alphabet))
+    if not inside:
+        raise InputError(
+            f"the bounding words miss {inside.counterexample!r}, accepted from {s!r}"
+        )
+
+
+def check_bounding_words(wa: WeightedAutomaton, words) -> list:
+    """Each bounding word as the tuple of `wa`'s alphabet symbols that spells
+    it.  InputError unless there is at least one word, and each word is
+    nonempty and splits into symbols in exactly one way (symbols may be
+    longer than one character)."""
+    words = [str(w) for w in words]
+    if not words:
+        raise InputError("empty bounding word list")
+    out = []
+    for w in words:
+        if not w:
+            raise InputError("bounding words must be nonempty")
+        # splits[i]: at most two ways to spell w[i:]
+        splits = [[] for _ in w] + [[()]]
+        for i in range(len(w) - 1, -1, -1):
+            for a in wa.alphabet:
+                if w.startswith(a, i):
+                    splits[i] += [(a, *rest) for rest in splits[i + len(a)]]
+            del splits[i][2:]
+        if not splits[0]:
+            raise InputError(f"bounding word {w!r} is not spelled by the alphabet")
+        if len(splits[0]) > 1:
+            raise InputError(
+                f"bounding word {w!r} splits into the alphabet's symbols in more than one way"
+            )
+        out.append(splits[0][0])
+    return out
 
 
 @dataclass(frozen=True)

@@ -188,31 +188,29 @@ class UndecidableInstance:
 ACC, REJ, TICK = "acc", "rej", "tick"
 
 
-def gen_undecidable(pa: ProbAutomaton, generalize: bool = False) -> UndecidableInstance:
-    """Two-branch chain from a probabilistic automaton: one branch simulates
-    the automaton at a scale, the other weighs all letters equally, so a
-    word of acceptance probability above 1/2 pumps the branch ratio without
-    bound.  Implements the two-letter construction exactly; other alphabet
-    sizes need generalize=True and use analogous weights.
-    """
+def gen_undecidable(pa: ProbAutomaton) -> UndecidableInstance:
+    """Two-branch chain from a probabilistic automaton over two letters: one
+    branch simulates the automaton at scale 1/4, the other weighs every
+    letter 1/4, so a round `w acc` multiplies the branch ratio by 2 Pr(w)
+    and a word of acceptance probability above 1/2 pumps it without bound.
+    Two letters already make the question undecidable; other alphabets are
+    an InputError."""
     wa = pa.underlying
     if pa.start in wa.finals:
         raise InputError("start state must be non-accepting")
-    k = len(wa.alphabet)
-    if k != 2 and not generalize:
-        raise InputError("construction is printed for a 2-letter alphabet; pass generalize=True")
+    if len(wa.alphabet) != 2:
+        raise InputError(f"the construction needs 2 letters, not {len(wa.alphabet)}")
     for reserved in (ACC, REJ, TICK):
         if reserved in wa.alphabet:
             raise InputError(f"alphabet already contains reserved symbol {reserved!r}")
-    sim_scale = Fraction(1, 2 * k)  # 1/4 for two letters
-    eq_scale = Fraction(1, k + 2)  # 1/4 for two letters
+    quarter = Fraction(1, 4)
     taken = set(wa.states)
     names = {nm: fresh_state(taken, nm) for nm in ("s", "s'", "s''", "s0", "t")}
     states = wa.states + tuple(names.values())
     alphabet = wa.alphabet + (ACC, REJ, TICK)
     trans = []
     for (src, a, w, dst) in wa.transitions():
-        trans.append((src, a, sim_scale * w, dst))
+        trans.append((src, a, quarter * w, dst))
     half = Fraction(1, 2)
     for qstate in wa.states:
         if qstate in wa.finals:
@@ -221,9 +219,9 @@ def gen_undecidable(pa: ProbAutomaton, generalize: bool = False) -> UndecidableI
             trans.append((qstate, REJ, half, names["t"]))
     s0 = names["s0"]
     for a in wa.alphabet:
-        trans.append((s0, a, eq_scale, s0))
-    trans.append((s0, ACC, eq_scale, s0))
-    trans.append((s0, REJ, eq_scale, names["t"]))
+        trans.append((s0, a, quarter, s0))
+    trans.append((s0, ACC, quarter, s0))
+    trans.append((s0, REJ, quarter, names["t"]))
     trans.append((names["s"], TICK, half, s0))
     trans.append((names["s"], TICK, half, pa.start))
     trans.append((names["s'"], TICK, Fraction(1), s0))

@@ -34,6 +34,7 @@ from ratiobound.bounded import PlusQuery
 from ratiobound.intervals import FInterval, ivl_sum
 from ratiobound.jsonio import format_weight
 from ratiobound.nfaops import LcResult, eventually_included
+from ratiobound.realexp import DivergenceRow, DivergenceSystem, RealExpFormula, semi_decide
 from ratiobound.reductions import complete_for_eventual
 from ratiobound.spectral import SccDag, SccInfo, scc_decompose, strong_components
 from ratiobound.unambiguous import AmbiguityResult
@@ -885,3 +886,29 @@ def ref_unambiguous_cycle_ratio(wa: WeightedAutomaton, s: str, s_prime: str):
         ratio *= pred[v][1]
         v = pred[v][0]
     return ratio
+
+
+# ---------------------------------------------------------------------------
+# the bounded decider's candidates, one sentence per subset of coordinates
+
+
+def ref_every_u(candidate) -> dict:
+    """The semi-decision of the candidate's sentence restricted to each
+    subset U of its linear set's unbounded coordinates P, keyed by U: each
+    row's `coeffs` and `logs` sliced to U, the bound kept.  This is the
+    sentence the bounded decider emitted for U when it enumerated every
+    subset of P instead of deciding P alone."""
+    formula = candidate.formula
+    system = formula.system
+    p = tuple(i for i, r in enumerate(candidate.lin.periods) if r > 0)
+    assert system.nvars == len(p) and formula.provenance["U"] == [i + 1 for i in p]
+    out = {}
+    for mask in range(2 ** len(p)):
+        keep = [k for k in range(len(p)) if mask >> k & 1]
+        rows = tuple(
+            DivergenceRow(tuple(r.coeffs[k] for k in keep), tuple(r.logs[k] for k in keep))
+            for r in system.rows
+        )
+        sliced = DivergenceSystem(rows, system.lower, len(keep))
+        out[tuple(p[k] for k in keep)] = semi_decide(RealExpFormula(sliced, formula.provenance))
+    return out

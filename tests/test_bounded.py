@@ -33,15 +33,13 @@ from ratiobound.bounded import (
     DELTA,
     ZERO,
     PlusQuery,
-    _star_nfa,
-    check_bounding_words,
     decide_plus,
     detector_nfa,
     realized_candidates,
 )
 from ratiobound.jsonio import parse_automaton
-from ratiobound.nfaops import _in_letter_bound, nfa_contained
-from ratiobound.realexp import FAILS, HOLDS, semi_decide
+from ratiobound.nfaops import _in_letter_bound, _star_nfa, check_bounding_words, nfa_contained
+from ratiobound.realexp import FAILS, HOLDS, UNKNOWN, semi_decide
 from ratiobound.samples import relative_orderings, unbounded_ratio
 from ratiobound.spectral import rank_radii, scc_decompose
 
@@ -410,7 +408,7 @@ def _padded(wa, pq):
 
 def _plus_outcome(pq):
     return [
-        (c.x_sig, c.y_sigs, c.lin, c.u_set, c.formula.to_smt2(), c.decision.verdict)
+        (c.x_sig, c.y_sigs, c.lin, c.formula.to_smt2(), c.decision.verdict)
         for c in decide_plus(pq)
     ]
 
@@ -773,7 +771,7 @@ def test_emit_formula_identity_rows_are_zero():
     realized = realized_candidates(analysis)
     (x_sig, y_sigs) = sorted(realized)[0]
     lin = LinearSet((1, 1), (1, 1))
-    f = emit_formula(analysis, x_sig, (x_sig,), lin, (0, 1))
+    f = emit_formula(analysis, x_sig, (x_sig,), lin)
     assert all(
         co.exactly_zero() for row in f.system.rows for co in row.coeffs
     )
@@ -790,7 +788,7 @@ def test_emit_formula_relative_ordering_constants():
             target = (x_sig, y_sigs)
     assert target is not None
     x_sig, y_sigs = target
-    f = emit_formula(analysis, x_sig, y_sigs, LinearSet((1, 1), (1, 1)), (0, 1))
+    f = emit_formula(analysis, x_sig, y_sigs, LinearSet((1, 1), (1, 1)))
     coeffs = [co for row in f.system.rows for co in row.coeffs]
     assert all(co.num.is_rational and co.den.is_rational for co in coeffs)
     nums = sorted(str(co.num.lo) for co in coeffs)
@@ -1222,9 +1220,10 @@ def test_plus_analysis_monitor_cap(monkeypatch):
 
 
 
-def _candidate_cases():
+def _candidate_cases(seeds=(1,)):
     """Letter-bounded queries over the data files, seeded random block
-    automata read in both directions, and the seed-1 bench `bounded` pass."""
+    automata read in both directions, and the bench `bounded` passes of
+    `seeds`."""
     from test_bench_hooks import _load
 
     cases = []
@@ -1238,10 +1237,12 @@ def _candidate_cases():
     for _ in range(40):
         wa = random_block_wa(rng, per=2)
         cases += [(wa, "L0_0", "L0_1", ("a", "b")), (wa, "L0_1", "L0_0", ("a", "b"))]
-    for q in _load("workloads").build("bounded", 1, helpers):
-        argv = dict(zip(q.argv[1::2], q.argv[2::2]))
-        wa = parse_automaton(q.document)
-        cases.append((wa, argv["--from"], argv["--to"], detect_letter_bounded(wa, argv["--to"])))
+    for seed in seeds:
+        for q in _load("workloads").build("bounded", seed, helpers):
+            argv = dict(zip(q.argv[1::2], q.argv[2::2]))
+            wa = parse_automaton(q.document)
+            letters = detect_letter_bounded(wa, argv["--to"])
+            cases.append((wa, argv["--from"], argv["--to"], letters))
     return cases
 
 
@@ -1264,26 +1265,62 @@ def test_signature_decisions_are_the_semi_decisions_of_their_sentences():
     assert by_signature > by_sentence > 0
 
 
+def _merged(verdicts):
+    """A sub-question's outcome: any `holds`, else any `unknown`, else `fails`."""
+    verdicts = set(verdicts)
+    return HOLDS if HOLDS in verdicts else UNKNOWN if UNKNOWN in verdicts else FAILS
+
+
+def test_one_sentence_per_linear_set_decides_as_every_subset_did():
+    """Each linear set's one sentence ranges over all its unbounded
+    coordinates P.  Against the reference that semi-decides the sentence
+    restricted to every subset U of P, each sub-question's merged outcome
+    is the same, and a `fails` on P is a `fails` on every U."""
+    subsets = outcomes = 0
+    for wa, s, sp, letters in _candidate_cases(seeds=range(1, 11)):
+        for pq in letter_bounded_to_plus(wa, s, sp, letters):
+            decided = decide_plus(pq)
+            every_u = []
+            for c in decided:
+                ref = oracles.ref_every_u(c)
+                assert ref[c.lin.unbounded].verdict == c.decision.verdict
+                if c.decision.verdict == FAILS:
+                    assert all(d.verdict == FAILS for d in ref.values()), c.lin
+                every_u += [d.verdict for d in ref.values()]
+            assert _merged(c.decision.verdict for c in decided) == _merged(every_u)
+            subsets += len(every_u) - len(decided)
+            outcomes += bool(decided)
+    assert subsets > 0 and outcomes > 0
+
+
 def test_seed_1_bounded_pass_enumerates_every_candidate(monkeypatch):
-    """The seed-1 `bounded` pass enumerates 294 candidates; 267 of
-    them are decided by their signatures and build no sentence."""
+    """The seed-1 `bounded` pass enumerates 64 candidates, one per linear
+    set; 50 of them are decided by their signatures and build no
+    sentence."""
     import ratiobound.bounded
     from test_bench_hooks import _load
 
-    decided = []
-    original = ratiobound.bounded.decide_plus
+    decided, linear_sets = [], []
+    original, decompose = ratiobound.bounded.decide_plus, ratiobound.bounded.parikh_linear_sets
 
     def counted(*args, **kwargs):
         out = original(*args, **kwargs)
         decided.extend(out)
         return out
 
+    def listed(*args):
+        out = decompose(*args)
+        linear_sets.extend(out)
+        return out
+
     monkeypatch.setattr(ratiobound.bounded, "decide_plus", counted)
+    monkeypatch.setattr(ratiobound.bounded, "parikh_linear_sets", listed)
     for q in _load("workloads").build("bounded", 1, helpers):
         argv = dict(zip(q.argv[1::2], q.argv[2::2]))
         decide_bounded(Query(parse_automaton(q.document), argv["--from"], argv["--to"]))
-    assert len(decided) == 294
-    assert sum(c._formula is None for c in decided) == 267
+    assert len(decided) == 64
+    assert [c.lin for c in decided] == linear_sets
+    assert sum(c._formula is None for c in decided) == 50
 
 
 def test_a_column_that_vanishes_exactly_is_decided(tmp_path, capsys):

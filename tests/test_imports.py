@@ -85,6 +85,17 @@ def test_unary_unambiguous_and_oracle_calls_never_load_the_decider(argv, code):
     assert loaded & HEAVY == set()
 
 
+@pytest.mark.parametrize("mode", ["auto", "unambiguous"])
+def test_checking_bounding_words_loads_no_decider(mode):
+    """`--words` for the unary or unambiguous decider is split by `nfaops`,
+    so the bounded decider stays unloaded."""
+    f = os.path.join(DATA, "different_rates.json" if mode == "auto" else "unbounded_ratio.json")
+    argv = ["check", "--file", f, "--from", "s", "--to", "s'", "--mode", mode, "--words", "a"]
+    code, loaded = _command(*argv)
+    assert code == 1
+    assert loaded & DECIDER == set()
+
+
 def test_bounded_check_loads_the_decider_but_no_reduction():
     f = os.path.join(DATA, "relative_orderings_p62.json")
     code, loaded = _command("check", "--file", f, "--from", "s", "--to", "s'", "--mode", "bounded")

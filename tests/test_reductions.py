@@ -218,6 +218,27 @@ def test_gen_undecidable_rejects_accepting_start():
         gen_undecidable(ProbAutomaton(wa, "p"))
 
 
+def test_gen_undecidable_takes_two_letters_only(tmp_path, capsys):
+    """A 3-letter PA whose best word is accepted with probability 49/100 is
+    refused, by the library and by `generate undecidable` (exit 64): no
+    scaling of the 2-letter construction keeps each round's ratio at
+    2 Pr(w), and a chain whose ratio grows although no word beats 1/2 would
+    carry the wrong label."""
+    from ratiobound.cli import main
+    from ratiobound.jsonio import serialize
+
+    trans = [("p", "a", F(49, 100), "f"), ("p", "a", F(51, 100), "r")]
+    trans += [(q, x, F(1), "r") for q in "pfr" for x in "abc" if (q, x) != ("p", "a")]
+    wa = WeightedAutomaton.from_transitions(["p", "f", "r"], ["a", "b", "c"], trans, ["f"])
+    assert max(weight(wa, "p", w) for w in words_upto(("a", "b", "c"), 4)) == F(49, 100)
+    with pytest.raises(InputError, match="needs 2 letters, not 3"):
+        gen_undecidable(ProbAutomaton(wa, "p"))
+    path = tmp_path / "pa.json"
+    path.write_text(serialize(wa), encoding="utf-8")
+    assert main(["generate", "undecidable", "--file", str(path), "--start", "p"]) == 64
+    assert "needs 2 letters, not 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # hardness generator
 
