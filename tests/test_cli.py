@@ -269,6 +269,35 @@ def test_check_auto_reports_decider(capsys):
         assert json.loads(capsys.readouterr().out) == report
 
 
+# `check` variants of the data-pair sweep
+CHECK_SWEEP_VARIANTS = ([], ["--mode", "bounded"], ["--eventually"], ["--human"])
+CHECK_SWEEP_DIGEST = "077b8cf3abcd8524b3b0e7405bc2f75cec7f40354b44b323f5bc5c38afe20ada"
+
+
+def test_check_reports_on_every_data_pair_are_pinned(capsys):
+    """`check` over every ordered state pair of every bundled file, in auto
+    mode, `--mode bounded`, `--eventually` and `--human`: one digest over
+    each run's arguments (the file by its name), exit code, stdout and
+    stderr, so a refactor of the deciders or of the report path that moves
+    a single byte fails here."""
+    digest = hashlib.sha256()
+    runs = 0
+    for name in sorted(os.listdir(DATA)):
+        if not name.endswith(".json"):
+            continue
+        with open(data_file(name), "r", encoding="utf-8") as fh:
+            states = parse_automaton(fh.read()).states
+        for src in states:
+            for dst in states:
+                for extra in CHECK_SWEEP_VARIANTS:
+                    args = ["--from", src, "--to", dst, *extra]
+                    code = main(["check", "--file", data_file(name), *args])
+                    out, err = capsys.readouterr()
+                    digest.update(json.dumps([name, args, code, out, err]).encode())
+                    runs += 1
+    assert (runs, digest.hexdigest()) == (1468, CHECK_SWEEP_DIGEST)
+
+
 def _no_decider_file(tmp_path):
     """Ambiguous from p (two runs accept `a`), two letters, and p's
     language (ab)*a is not letter-bounded."""
