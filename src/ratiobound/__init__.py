@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         "INF FormatError InputError Lmc Nfa ProbAutomaton Query RatioProfile ResourceError"
-        " WeightedAutomaton nfa_of normalize_single_final ratio_profile validate_lmc"
+        " Verdict WeightedAutomaton nfa_of normalize_single_final ratio_profile validate_lmc"
         " validate_pa weight_blocks".split(),
         "automata",
     ),

@@ -210,6 +210,19 @@ class Query:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """Every decider's answer to a Query.  `witness` is the report's JSON
+    witness, set exactly for not-big-o; `subqueries` counts the bounded
+    decider's plus-subqueries and is None for the others; `unknown_formulas`
+    are the sentences left unresolved when the verdict is unknown."""
+
+    verdict: str  # is-big-o | not-big-o | unknown
+    witness: Optional[dict] = None
+    subqueries: Optional[int] = None
+    unknown_formulas: tuple = ()
+
+
+@dataclass(frozen=True)
 class RatioProfile:
     entries: tuple  # of (word, Fraction, Fraction), sorted by (len, word)
     max_ratio: object  # Fraction or INF

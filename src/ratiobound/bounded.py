@@ -17,6 +17,7 @@ from .automata import (
     Nfa,
     Query,
     ResourceError,
+    Verdict,
     WeightedAutomaton,
     _step,
     explore,
@@ -599,16 +600,7 @@ def decide_plus(pq: PlusQuery) -> tuple:
     return tuple(decided)
 
 
-@dataclass(frozen=True)
-class BoundedResult:
-    verdict: str  # is-big-o | not-big-o | unknown
-    lc_counterexample: Optional[str] = None
-    witness: Optional[dict] = None
-    unknown_formulas: tuple = ()
-    subqueries: int = 0
-
-
-def decide_bounded(q: Query, words=None) -> BoundedResult:
+def decide_bounded(q: Query, words=None) -> Verdict:
     """Decide a query with bounded languages.
 
     Bounding words (for general bounds) are caller-supplied and split into
@@ -625,7 +617,8 @@ def decide_bounded(q: Query, words=None) -> BoundedResult:
         words = check_bounding_words(wa, words)
     lc = lc_check(q)
     if not lc:
-        return BoundedResult("not-big-o", lc_counterexample=lc.counterexample)
+        witness = {"type": "lc", "lcCounterexample": lc.counterexample}
+        return Verdict("not-big-o", witness, subqueries=0)
     if words is not None:
         _check_bound(wa, s, words)
         wa = bounded_to_letter_bounded(wa, words)
@@ -639,7 +632,7 @@ def decide_bounded(q: Query, words=None) -> BoundedResult:
     letters = tuple(letters)
     if not letters:
         # only the empty word can be accepted; containment already holds
-        return BoundedResult("is-big-o", subqueries=0)
+        return Verdict("is-big-o", subqueries=0)
     subqueries = letter_bounded_to_plus(wa, s, sp, letters)
     unknowns: list = []
     for pq in subqueries:
@@ -648,18 +641,18 @@ def decide_bounded(q: Query, words=None) -> BoundedResult:
         if holding is not None:
             witness = _divergence_witness(pq, holding, words)
             if witness is not None:
-                return BoundedResult("not-big-o", witness=witness, subqueries=len(subqueries))
+                return Verdict("not-big-o", witness, subqueries=len(subqueries))
             # no exactly increasing ratio run: the divergence stays uncertified
             unknowns.append(holding)
             break
         unknowns += [c for c in decided if c.decision.verdict == UNKNOWN]
     if unknowns:
-        return BoundedResult(
+        return Verdict(
             "unknown",
-            unknown_formulas=tuple(c.formula for c in unknowns),
             subqueries=len(subqueries),
+            unknown_formulas=tuple(c.formula for c in unknowns),
         )
-    return BoundedResult("is-big-o", subqueries=len(subqueries))
+    return Verdict("is-big-o", subqueries=len(subqueries))
 
 
 def _divergence_witness(pq: PlusQuery, cand: Candidate, words) -> Optional[dict]:

@@ -97,49 +97,27 @@ def cmd_check(args) -> int:
         # but a bad word is still an input error
         check_bounding_words(wa, args.words)
     if mode == "unary":
-        fn = decide_unary_eventual if args.eventually else decide_unary
-        v = fn(q)
-        report["verdict"] = "is-big-o" if v.is_big_o else "not-big-o"
-        if not v.is_big_o:
-            report["witness"] = {
-                "type": v.witness_kind,
-                "lcCounterexample": v.lc_counterexample,
-                "threshold": v.threshold,
-                "length": v.witness_length,
-                "smallestLength": v.smallest_witness,
-                "progressionPeriod": v.progression_period,
-            }
+        v = (decide_unary_eventual if args.eventually else decide_unary)(q)
     elif mode == "unambiguous":
         v = decide_unambiguous(q, ambiguity)
-        report["verdict"] = "is-big-o" if v.is_big_o else "not-big-o"
-        if not v.is_big_o:
-            report["witness"] = {
-                "type": v.witness_kind,
-                "lcCounterexample": v.lc_counterexample,
-                "cycle": [list(e) for e in v.cycle] if v.cycle else None,
-                "cycleRatio": format_weight(v.cycle_ratio) if v.cycle_ratio else None,
-            }
     else:
         from .bounded import decide_bounded
 
         v = decide_bounded(q, args.words)
-        report["verdict"] = v.verdict
+    report["verdict"] = v.verdict
+    if v.subqueries is not None:
         report["subqueries"] = v.subqueries
-        if v.verdict == "not-big-o":
-            report["witness"] = (
-                v.witness
-                if v.witness is not None
-                else {"type": "lc", "lcCounterexample": v.lc_counterexample}
-            )
-        if v.verdict == "unknown" and args.emit_smt:
-            os.makedirs(args.emit_smt, exist_ok=True)
-            paths = []
-            for i, formula in enumerate(v.unknown_formulas):
-                path = os.path.join(args.emit_smt, f"unresolved_{i:03d}.smt2")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(formula.to_smt2())
-                paths.append(path)
-            report["smtFiles"] = paths
+    if v.witness is not None:
+        report["witness"] = v.witness
+    if v.verdict == "unknown" and args.emit_smt:
+        os.makedirs(args.emit_smt, exist_ok=True)
+        paths = []
+        for i, formula in enumerate(v.unknown_formulas):
+            path = os.path.join(args.emit_smt, f"unresolved_{i:03d}.smt2")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(formula.to_smt2())
+            paths.append(path)
+        report["smtFiles"] = paths
     _emit(report, args.human)
     return _verdict_exit(report["verdict"])
 

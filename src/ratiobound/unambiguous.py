@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import InputError, Query, explore, normalize_single_final, path_to, trim
+from .automata import InputError, Query, Verdict, explore, normalize_single_final, path_to, trim
+from .jsonio import format_weight
 from .nfaops import lc_check
 
 
@@ -48,16 +49,7 @@ def is_unambiguous_from(wa, s) -> AmbiguityResult:
     return AmbiguityResult(True)
 
 
-@dataclass(frozen=True)
-class UnambiguousVerdict:
-    is_big_o: bool
-    witness_kind: Optional[str] = None  # "lc" or "cycle"
-    lc_counterexample: Optional[str] = None
-    cycle: Optional[tuple] = None  # ((pair, symbol, pair), ...) edge list
-    cycle_ratio: Optional[Fraction] = None
-
-
-def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
+def decide_unambiguous(q: Query, ambiguity=None) -> Verdict:
     """Boundedness for queries unambiguous from both states.
 
     Build the restricted pair product whose edge weights are the exact
@@ -81,7 +73,7 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
             )
     lc = lc_check(q)
     if not lc:
-        return UnambiguousVerdict(False, "lc", lc_counterexample=lc.counterexample)
+        return _not_big_o("lc", lc=lc.counterexample)
     wa = normalize_single_final(wa)
     (t,) = wa.finals
     ti = wa.index(t)
@@ -101,7 +93,7 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
     live = trim([0], [k for k, p in enumerate(pairs) if p == (ti, ti)], pair_edges)
     if 0 not in live:
         # containment holds and no common accepted word: bounded trivially
-        return UnambiguousVerdict(True)
+        return Verdict("is-big-o")
 
     # live edges in (letter, transition, transition) order
     live_edges = [
@@ -126,7 +118,7 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
                     pred[v] = (u, li, r)
                     changed = True
         if not changed:
-            return UnambiguousVerdict(True)
+            return Verdict("is-big-o")
         if found := _pred_cycle(pred):
             break
     # a predecessor cycle appears by round |live| at the latest, and in a
@@ -135,8 +127,23 @@ def decide_unambiguous(q: Query, ambiguity=None) -> UnambiguousVerdict:
     assert ratio > 1
     st = wa.states
     names = [(st[i], st[i2]) for i, i2 in pairs]
-    cycle = tuple((names[u], wa.alphabet[li], names[v]) for u, li, v in edge_list)
-    return UnambiguousVerdict(False, "cycle", cycle=cycle, cycle_ratio=ratio)
+    cycle = [[names[u], wa.alphabet[li], names[v]] for u, li, v in edge_list]
+    return _not_big_o("cycle", cycle=cycle, ratio=ratio)
+
+
+def _not_big_o(kind, lc=None, cycle=None, ratio=None) -> Verdict:
+    """The unambiguous witness: a containment counterexample word `lc`, or
+    an expansive pair-graph cycle, as (pair, symbol, pair) edges, and its
+    ratio product."""
+    return Verdict(
+        "not-big-o",
+        {
+            "type": kind,
+            "lcCounterexample": lc,
+            "cycle": cycle,
+            "cycleRatio": None if ratio is None else format_weight(ratio),
+        },
+    )
 
 
 def _pred_cycle(pred: dict):

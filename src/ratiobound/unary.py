@@ -5,10 +5,7 @@ containment by a finite language difference."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .automata import InputError, Query, nfa_of, normalize_single_final
+from .automata import InputError, Query, Verdict, nfa_of, normalize_single_final
 from .nfaops import eventually_included, lc_check
 from .spectral import (
     annotate,
@@ -20,29 +17,37 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class UnaryVerdict:
-    is_big_o: bool
-    witness_kind: Optional[str] = None  # "lc" or "degree"
-    lc_counterexample: Optional[str] = None
-    threshold: Optional[dict] = None  # radius/k payload for a degree violation
-    witness_length: Optional[int] = None
-    smallest_witness: Optional[int] = None
-    progression_period: Optional[int] = None
+def _not_big_o(kind, lc=None, threshold=None, diff=None) -> Verdict:
+    """The unary witness: a containment counterexample word `lc`, or the
+    arithmetic progression of lengths that the infinite difference `diff`
+    pins, with the growth threshold it violates."""
+    witness = {
+        "type": kind,
+        "lcCounterexample": lc,
+        "threshold": threshold,
+        "length": None,
+        "smallestLength": None,
+        "progressionPeriod": None,
+    }
+    if diff is not None:
+        witness["length"] = diff.witness_length
+        witness["smallestLength"] = diff.smallest_witness
+        witness["progressionPeriod"] = diff.period
+    return Verdict("not-big-o", witness)
 
 
-def decide_unary(q: Query) -> UnaryVerdict:
+def decide_unary(q: Query) -> Verdict:
     """Full decision procedure for unary queries: the containment check,
     then the growth check."""
     if not q.automaton.is_unary():
         raise InputError("decide_unary requires a unary automaton")
     lc = lc_check(q)
     if not lc:
-        return UnaryVerdict(False, "lc", lc_counterexample=lc.counterexample)
+        return _not_big_o("lc", lc=lc.counterexample)
     return _growth(q)
 
 
-def decide_unary_eventual(q: Query) -> UnaryVerdict:
+def decide_unary_eventual(q: Query) -> Verdict:
     """Eventually-big-O: ignore finitely many words.
 
     The query holds eventually exactly when L(s) \\ L(s') is finite and the
@@ -55,23 +60,17 @@ def decide_unary_eventual(q: Query) -> UnaryVerdict:
     wa = q.automaton
     diff = eventually_included(nfa_of(wa, q.s), nfa_of(wa, q.s_prime))
     if not diff:
-        return UnaryVerdict(
-            False,
-            "difference",
-            witness_length=diff.witness_length,
-            smallest_witness=diff.smallest_witness,
-            progression_period=diff.period,
-        )
+        return _not_big_o("difference", diff=diff)
     return _growth(q)
 
 
-def _growth(q: Query) -> UnaryVerdict:
+def _growth(q: Query) -> Verdict:
     """Iterate deterministically over every admissible (radius, count)
     threshold and test eventual inclusion of the corresponding length
     languages; any infinite difference refutes boundedness and pins a
     diverging arithmetic progression of lengths."""
     if q.s == q.s_prime:
-        return UnaryVerdict(True)
+        return Verdict("is-big-o")
     # normalized automaton with cycle-free start copies, shared annotations
     wa = normalize_single_final(q.automaton)
     wa, s_hat = copy_start_off_cycles(wa, q.s)
@@ -86,12 +85,6 @@ def _growth(q: Query) -> UnaryVerdict:
         if not ei:
             ri, k = x
             radius = radius_json(ann_s.table[ri])
-            return UnaryVerdict(
-                False,
-                "degree",
-                threshold={**{f"radius_{key}": v for key, v in radius.items()}, "k": k},
-                witness_length=ei.witness_length,
-                smallest_witness=ei.smallest_witness,
-                progression_period=ei.period,
-            )
-    return UnaryVerdict(True)
+            threshold = {**{f"radius_{key}": v for key, v in radius.items()}, "k": k}
+            return _not_big_o("degree", threshold=threshold, diff=ei)
+    return Verdict("is-big-o")

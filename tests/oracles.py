@@ -22,6 +22,7 @@ from ratiobound.automata import (
     InputError,
     Nfa,
     Query,
+    Verdict,
     WeightedAutomaton,
     explore,
     fresh_state,
@@ -38,7 +39,7 @@ from ratiobound.realexp import DivergenceRow, DivergenceSystem, RealExpFormula, 
 from ratiobound.reductions import complete_for_eventual
 from ratiobound.spectral import SccDag, SccInfo, scc_decompose, strong_components
 from ratiobound.unambiguous import AmbiguityResult
-from ratiobound.unary import UnaryVerdict, decide_unary
+from ratiobound.unary import decide_unary
 
 
 # ---------------------------------------------------------------------------
@@ -802,18 +803,33 @@ def ref_plus_subquery(wa: WeightedAutomaton, s: str, s_prime: str, pat) -> PlusQ
 
 
 # ---------------------------------------------------------------------------
+# the one verdict record every decider returns
+
+
+def checked_verdict(v: Verdict, bounded: bool = False) -> Verdict:
+    """`v`, after checking the record: a witness exactly for not-big-o, one
+    that `json` writes as it stands (no Fraction or AlgebraicNumber inside),
+    and a subquery count exactly when the bounded decider ran."""
+    assert v.verdict in ("is-big-o", "not-big-o", "unknown"), v
+    assert (v.witness is not None) == (v.verdict == "not-big-o"), v
+    json.dumps(v.witness)
+    assert (v.subqueries is not None) == bounded, v
+    return v
+
+
+# ---------------------------------------------------------------------------
 # eventually-big-O by completion: shift both starts one letter, require a
 # finite difference, then decide the completed query plainly
 
 
-def ref_decide_unary_eventual(q: Query) -> UnaryVerdict:
+def ref_decide_unary_eventual(q: Query) -> Verdict:
     """Fresh starts step once with weight 1 into s and s', so the empty word
     drops out; a finite difference L(s) \\ L(s') then leaves the plain
     decider on the completion, where every nonempty word from s' gets an
     extra weight delta^|w|.  Witness lengths are the shifted automaton's,
     one letter longer than the query's own words."""
     if q.s == q.s_prime:
-        return UnaryVerdict(True)
+        return Verdict("is-big-o")
     wa = q.automaton
     a = wa.alphabet[0]
     taken = set(wa.states)
@@ -823,12 +839,16 @@ def ref_decide_unary_eventual(q: Query) -> UnaryVerdict:
     shifted = WeightedAutomaton(wa.states + (f1, f2), wa.alphabet, {a: (d, rows)}, wa.finals)
     diff = eventually_included(nfa_of(shifted, f1), nfa_of(shifted, f2))
     if not diff:
-        return UnaryVerdict(
-            False,
-            "difference",
-            witness_length=diff.witness_length,
-            smallest_witness=diff.smallest_witness,
-            progression_period=diff.period,
+        return Verdict(
+            "not-big-o",
+            {
+                "type": "difference",
+                "lcCounterexample": None,
+                "threshold": None,
+                "length": diff.witness_length,
+                "smallestLength": diff.smallest_witness,
+                "progressionPeriod": diff.period,
+            },
         )
     completed = complete_for_eventual(shifted, f1, f2)
     return decide_unary(Query(completed.automaton, completed.s, completed.s_prime))

@@ -44,6 +44,7 @@ from helpers import (
 from oracles import (
     UnaryLasso,
     brute_block_degree,
+    checked_verdict,
     dense_matrix,
     final_vector,
     lasso_difference_finite,
@@ -61,8 +62,8 @@ def report(number, description, t0, budget):
 def test_criterion_1_unbounded_ratio_fidelity():
     t0 = time.time()
     wa = unbounded_ratio()
-    assert not decide_unary(Query(wa, "s", "s'")).is_big_o
-    assert decide_unary(Query(wa, "s'", "s")).is_big_o
+    assert decide_unary(Query(wa, "s", "s'")).verdict == "not-big-o"
+    assert decide_unary(Query(wa, "s'", "s")).verdict == "is-big-o"
     for n in range(1, 11):
         prof = ratio_profile(Query(wa, "s", "s'"), n)
         assert prof.max_ratio == F(1, 2) * F(3, 2) ** (n - 1)
@@ -73,13 +74,13 @@ def test_criterion_2_periodicity_example():
     t0 = time.time()
     wa = different_rates()
     fwd = decide_unary(Query(wa, "s", "s'"))
-    assert not fwd.is_big_o
-    assert decide_unary(Query(wa, "s'", "s")).is_big_o
+    assert fwd.verdict == "not-big-o"
+    assert decide_unary(Query(wa, "s'", "s")).verdict == "is-big-o"
     # the divergence progression consists of odd lengths
-    assert fwd.smallest_witness % 2 == 1
-    assert fwd.progression_period % 2 == 0
+    assert fwd.witness["smallestLength"] % 2 == 1
+    assert fwd.witness["progressionPeriod"] % 2 == 0
     for i in range(3):
-        n = fwd.smallest_witness + i * fwd.progression_period
+        n = fwd.witness["smallestLength"] + i * fwd.witness["progressionPeriod"]
         assert n % 2 == 1
         assert weight(wa, "s", "a" * n) > 0
     report(2, "period-2 example: divergence along odd lengths", t0, 1.0)
@@ -115,7 +116,7 @@ def test_criterion_4_hardness_generator_ground_truth():
         cnf = random_restricted_chrobak(rng, max_total=10)
         inst = gen_hardness(cnf)
         assert validate_lmc(inst.lmc.underlying)
-        got = decide_unary(Query(inst.lmc.underlying, inst.s, inst.s_prime)).is_big_o
+        got = decide_unary(Query(inst.lmc.underlying, inst.s, inst.s_prime)).verdict == "is-big-o"
         if got != inst.universal:
             mismatches += 1
     assert mismatches == 0
@@ -173,7 +174,7 @@ def test_criterion_7_planted_unambiguous_instances():
         expansive = k % 2 == 0
         wa, s, sp = planted_unambiguous(rng, expansive)
         v = decide_unambiguous(Query(wa, s, sp))
-        if v.is_big_o != (not expansive):
+        if v.verdict != ("not-big-o" if expansive else "is-big-o"):
             mismatches += 1
             continue
         if expansive:
@@ -190,7 +191,8 @@ def test_criterion_8_cross_decider_coherence():
         wa = random_functional_unary(rng, nstates=rng.randint(2, 6))
         q = Query(wa, "f0", "f1")
         assert (
-            decide_unary(q).is_big_o == decide_unambiguous(q).is_big_o
+            checked_verdict(decide_unary(q)).verdict
+            == checked_verdict(decide_unambiguous(q)).verdict
         )
     report(8, "100 unary+unambiguous instances: deciders agree", t0, 120.0)
 
@@ -357,26 +359,26 @@ def test_criterion_10_reduction_round_trips():
         wa, s, sp = planted_unambiguous(rng, expansive)
         want = not expansive
         out = to_big_theta(Query(wa, s, sp))
-        fwd = decide_unary(Query(out.automaton, out.s, out.s_prime)).is_big_o
-        rev = decide_unary(Query(out.automaton, out.s_prime, out.s)).is_big_o
+        fwd = decide_unary(Query(out.automaton, out.s, out.s_prime)).verdict == "is-big-o"
+        rev = decide_unary(Query(out.automaton, out.s_prime, out.s)).verdict == "is-big-o"
         assert (fwd and rev) == want
         back = from_big_theta(Query(wa, s, sp))
-        theta = want and decide_unary(Query(wa, sp, s)).is_big_o
-        got = decide_unary(Query(back.automaton, back.s, back.s_prime)).is_big_o
+        theta = want and decide_unary(Query(wa, sp, s)).verdict == "is-big-o"
+        got = decide_unary(Query(back.automaton, back.s, back.s_prime)).verdict == "is-big-o"
         assert got == theta
     # eventual completion equivalence on 50 random unary instances
     agreed = 0
     for _ in range(50):
         wa = random_wa(rng, nstates=rng.randint(2, 4), alphabet=("a",), density=0.5)
         q = Query(wa, "q0", "q1")
-        lhs = decide_unary_eventual(q).is_big_o
+        lhs = decide_unary_eventual(q).verdict == "is-big-o"
         diff = eventually_included(nfa_of(wa, "q0"), nfa_of(wa, "q1")).included
         if not diff:
             assert not lhs
             agreed += 1
             continue
         comp = complete_for_eventual(wa, "q0", "q1")
-        rhs = decide_unary(Query(comp.automaton, comp.s, comp.s_prime)).is_big_o
+        rhs = decide_unary(Query(comp.automaton, comp.s, comp.s_prime)).verdict == "is-big-o"
         if lhs == rhs:
             agreed += 1
         else:

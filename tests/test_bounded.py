@@ -46,7 +46,14 @@ from ratiobound.spectral import rank_radii, scc_decompose
 import helpers
 import oracles
 from helpers import not_big_o_on_b, random_block_wa, random_wa, two_symbol_chain
-from oracles import GrowthTuple, brute_block_degree, ref_plus_subquery, weight, words_upto
+from oracles import (
+    GrowthTuple,
+    brute_block_degree,
+    checked_verdict,
+    ref_plus_subquery,
+    weight,
+    words_upto,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -817,10 +824,10 @@ def test_decide_bounded_agrees_with_unary():
     for _ in range(30):
         wa = random_wa(rng, nstates=rng.randint(2, 4), alphabet=("a",), density=0.5)
         q = Query(wa, "q0", "q1")
-        want = decide_unary(q).is_big_o
-        got = decide_bounded(q)
+        want = checked_verdict(decide_unary(q)).verdict
+        got = checked_verdict(decide_bounded(q), bounded=True)
         assert got.verdict in ("is-big-o", "not-big-o")
-        assert (got.verdict == "is-big-o") == want
+        assert got.verdict == want
         agreements += 1
     assert agreements == 30
 
@@ -837,11 +844,11 @@ def test_decide_bounded_agrees_with_unary_seeded():
         )
         s, sp = rng.sample(wa.states, 2)
         q = Query(wa, s, sp)
-        unary = decide_unary(q)
-        got = decide_bounded(q).verdict
+        unary = checked_verdict(decide_unary(q))
+        got = checked_verdict(decide_bounded(q), bounded=True).verdict
         if got != "unknown":
-            assert got == ("is-big-o" if unary.is_big_o else "not-big-o"), wa.transitions()
-        key = (got, unary.witness_kind)
+            assert got == unary.verdict, wa.transitions()
+        key = (got, unary.witness and unary.witness["type"])
         counts[key] = counts.get(key, 0) + 1
     assert counts.get(("unknown", None), 0) <= 4, counts
     assert counts.get(("is-big-o", None), 0) >= 100, counts
@@ -865,7 +872,8 @@ def test_decide_bounded_lc_failure():
         ["t"],
     )
     res = decide_bounded(Query(wa, "p", "q"))
-    assert res.verdict == "not-big-o" and res.lc_counterexample == "a"
+    assert res.verdict == "not-big-o"
+    assert res.witness == {"type": "lc", "lcCounterexample": "a"}
 
 
 def test_decide_bounded_with_words():
@@ -894,7 +902,7 @@ def test_decide_bounded_rejects_bounds_that_miss_the_language():
     """Supplied words must bound L(s): on a^n alone the query is
     big-O, but b^n a is accepted too and its ratio grows as (3/2)^n."""
     q = Query(not_big_o_on_b(), "s", "s'")
-    assert decide_unambiguous(q).cycle_ratio == F(3, 2)
+    assert F(decide_unambiguous(q).witness["cycleRatio"]) == F(3, 2)
     for words in (["a"], ["a", "b"]):
         with pytest.raises(InputError, match="miss"):
             decide_bounded(q, words)
@@ -952,7 +960,7 @@ def test_decide_bounded_with_words_differential():
         assert lb.states == wa.states
         assert lb.finals == wa.finals
         res = decide_bounded(Query(wa, "s", "s'"), words=words)
-        assert res.lc_counterexample is None
+        assert "lcCounterexample" not in (res.witness or {})
         verdicts += {"is-big-o": "B", "not-big-o": "N"}[res.verdict]
         assert verdicts[-1] == old, (k, words, wa.transitions())
         if res.verdict == "not-big-o":

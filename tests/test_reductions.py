@@ -51,8 +51,8 @@ def test_to_big_theta_ratio_identity():
 def test_to_big_theta_self_query_both_directions():
     wa = unbounded_ratio()
     out = to_big_theta(Query(wa, "s", "s"))
-    assert decide_unary(Query(out.automaton, out.s, out.s_prime)).is_big_o
-    assert decide_unary(Query(out.automaton, out.s_prime, out.s)).is_big_o
+    assert decide_unary(Query(out.automaton, out.s, out.s_prime)).verdict == "is-big-o"
+    assert decide_unary(Query(out.automaton, out.s_prime, out.s)).verdict == "is-big-o"
 
 
 def test_to_big_theta_preserves_verdict():
@@ -61,8 +61,8 @@ def test_to_big_theta_preserves_verdict():
         expansive = rng.random() < 0.5
         wa, s, sp = planted_unambiguous(rng, expansive)
         out = to_big_theta(Query(wa, s, sp))
-        fwd = decide_unary(Query(out.automaton, out.s, out.s_prime)).is_big_o
-        rev = decide_unary(Query(out.automaton, out.s_prime, out.s)).is_big_o
+        fwd = decide_unary(Query(out.automaton, out.s, out.s_prime)).verdict == "is-big-o"
+        rev = decide_unary(Query(out.automaton, out.s_prime, out.s)).verdict == "is-big-o"
         big_theta = fwd and rev
         assert big_theta == (not expansive)
         assert rev  # that direction is free by construction
@@ -85,11 +85,11 @@ def test_from_big_theta_round_trip_verdicts():
     for _ in range(8):
         expansive = rng.random() < 0.5
         wa, s, sp = planted_unambiguous(rng, expansive)
-        fwd = decide_unary(Query(wa, s, sp)).is_big_o
-        rev = decide_unary(Query(wa, sp, s)).is_big_o
+        fwd = decide_unary(Query(wa, s, sp)).verdict == "is-big-o"
+        rev = decide_unary(Query(wa, sp, s)).verdict == "is-big-o"
         big_theta = fwd and rev
         out = from_big_theta(Query(wa, s, sp))
-        got = decide_unary(Query(out.automaton, out.s, out.s_prime)).is_big_o
+        got = decide_unary(Query(out.automaton, out.s, out.s_prime)).verdict == "is-big-o"
         assert got == big_theta
 
 
@@ -137,7 +137,7 @@ def test_eventual_equivalence_property():
     for _ in range(40):
         wa = random_wa(rng, nstates=rng.randint(2, 4), alphabet=("a",), density=0.5)
         q = Query(wa, "q0", "q1")
-        lhs = decide_unary_eventual(q).is_big_o
+        lhs = decide_unary_eventual(q).verdict == "is-big-o"
         diff_finite = eventually_included(
             nfa_of(wa, "q0"), nfa_of(wa, "q1")
         ).included
@@ -149,7 +149,7 @@ def test_eventual_equivalence_property():
             comp = complete_for_eventual(wa, "q0", "q1")
             rhs = decide_unary(
                 Query(comp.automaton, comp.s, comp.s_prime)
-            ).is_big_o
+            ).verdict == "is-big-o"
             # the completed check may disagree only at the empty word, which
             # the eventual notion ignores
             if lhs != rhs:
@@ -248,7 +248,7 @@ def test_gen_hardness_universal_single_cycle():
     inst = gen_hardness(cnf)
     assert inst.universal and inst.label_big_o
     assert validate_lmc(inst.lmc.underlying)
-    assert decide_unary(Query(inst.lmc.underlying, inst.s, inst.s_prime)).is_big_o
+    assert decide_unary(Query(inst.lmc.underlying, inst.s, inst.s_prime)).verdict == "is-big-o"
 
 
 def test_gen_hardness_uncovered_residue():
@@ -259,7 +259,7 @@ def test_gen_hardness_uncovered_residue():
     chain = inst.lmc.underlying
     assert validate_lmc(chain)
     v = decide_unary(Query(chain, inst.s, inst.s_prime))
-    assert not v.is_big_o
+    assert v.verdict == "not-big-o"
     # the ratio doubles along the uncovered progression
     uncovered = [n for n in range(2, 40) if not cnf.accepts(n)]
     assert uncovered
@@ -298,7 +298,7 @@ def test_gen_hardness_labels_match_decider():
     for _ in range(20):
         cnf = random_restricted_chrobak(rng, max_total=8)
         inst = gen_hardness(cnf)
-        got = decide_unary(Query(inst.lmc.underlying, inst.s, inst.s_prime)).is_big_o
+        got = decide_unary(Query(inst.lmc.underlying, inst.s, inst.s_prime)).verdict == "is-big-o"
         assert got == inst.label_big_o == inst.universal
 
 

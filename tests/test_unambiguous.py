@@ -22,6 +22,7 @@ from ratiobound.samples import unbounded_ratio
 
 from helpers import planted_unambiguous, random_block_wa, random_wa
 from oracles import (
+    checked_verdict,
     count_accepting_paths,
     ref_is_unambiguous_from,
     ref_unambiguous_cycle_ratio,
@@ -61,9 +62,9 @@ def test_ambiguity_matches_path_counting():
 def test_figure_cycle_ratio():
     wa = unbounded_ratio()
     v = decide_unambiguous(Query(wa, "s", "s'"))
-    assert not v.is_big_o
-    assert v.cycle_ratio == F(3, 2)
-    assert decide_unambiguous(Query(wa, "s'", "s")).is_big_o
+    assert v.verdict == "not-big-o"
+    assert F(v.witness["cycleRatio"]) == F(3, 2)
+    assert decide_unambiguous(Query(wa, "s'", "s")).verdict == "is-big-o"
 
 
 def test_identical_copies_bounded():
@@ -74,7 +75,7 @@ def test_identical_copies_bounded():
         ("q", "b", F(1, 3), "t"),
     ]
     wa = WeightedAutomaton.from_transitions(["p", "q", "t"], ["a", "b"], trans, ["t"])
-    assert decide_unambiguous(Query(wa, "p", "q")).is_big_o
+    assert decide_unambiguous(Query(wa, "p", "q")).verdict == "is-big-o"
 
 
 def test_ambiguous_precondition_rejected():
@@ -94,9 +95,9 @@ def test_planted_instances():
         expansive = rng.random() < 0.5
         wa, s, sp = planted_unambiguous(rng, expansive)
         v = decide_unambiguous(Query(wa, s, sp))
-        assert v.is_big_o == (not expansive)
+        assert v.verdict == ("not-big-o" if expansive else "is-big-o")
         if expansive:
-            assert v.cycle_ratio is not None and v.cycle_ratio > 1
+            assert v.witness["cycleRatio"] is not None and F(v.witness["cycleRatio"]) > 1
 
 
 def test_verdict_invariant_under_global_scaling():
@@ -111,8 +112,8 @@ def test_verdict_invariant_under_global_scaling():
             wa.finals,
         )
         assert (
-            decide_unambiguous(Query(wa, s, sp)).is_big_o
-            == decide_unambiguous(Query(scaled, s, sp)).is_big_o
+            decide_unambiguous(Query(wa, s, sp)).verdict
+            == decide_unambiguous(Query(scaled, s, sp)).verdict
         )
 
 
@@ -124,8 +125,8 @@ def test_witness_cycle_pumps_ratio():
     for _ in range(20):
         wa, s, sp = planted_unambiguous(rng, True)
         v = decide_unambiguous(Query(wa, s, sp))
-        assert not v.is_big_o
-        cyc_len = len(v.cycle)
+        assert v.verdict == "not-big-o"
+        cyc_len = len(v.witness["cycle"])
         # locate a base word length with positive weights, then pump
         base = None
         for n in range(1, 30):
@@ -140,7 +141,7 @@ def test_witness_cycle_pumps_ratio():
             n = base + i * cyc_len
             ws, wp = weight(wa, s, "a" * n), weight(wa, sp, "a" * n)
             assert wp > 0
-            assert ws / wp == r0 * v.cycle_ratio**i
+            assert ws / wp == r0 * F(v.witness["cycleRatio"]) ** i
     assert found >= 10
 
 
@@ -149,8 +150,8 @@ def test_agreement_with_unary_decider():
     for _ in range(20):
         wa, s, sp = planted_unambiguous(rng, rng.random() < 0.5)
         assert (
-            decide_unambiguous(Query(wa, s, sp)).is_big_o
-            == decide_unary(Query(wa, s, sp)).is_big_o
+            checked_verdict(decide_unambiguous(Query(wa, s, sp))).verdict
+            == checked_verdict(decide_unary(Query(wa, s, sp))).verdict
         )
 
 
@@ -169,8 +170,8 @@ def test_agreement_with_bounded_decider():
             cases.append((f"block draw {i}", Query(wa, "L0_0", "L0_1")))
     disagree, unknown = [], []
     for label, q in cases:
-        want = "is-big-o" if decide_unambiguous(q).is_big_o else "not-big-o"
-        got = decide_bounded(q).verdict
+        want = checked_verdict(decide_unambiguous(q)).verdict
+        got = checked_verdict(decide_bounded(q), bounded=True).verdict
         if got == "unknown":
             unknown.append(label)
         elif got != want:
@@ -214,7 +215,7 @@ def test_exact_tie_block_draw_is_big_o(trans):
         ["L0_0", "L0_1", "L1_0", "L1_1", "fin"], ["a", "b"], trans, ["fin"]
     )
     q = Query(wa, "L0_0", "L0_1")
-    assert decide_unambiguous(q).is_big_o
+    assert decide_unambiguous(q).verdict == "is-big-o"
     assert decide_bounded(q).verdict == "is-big-o"
 
 
@@ -257,10 +258,10 @@ def test_first_predecessor_cycle_keeps_the_full_run_s_verdicts_and_ratios():
     for q in _unambiguous_differential_queries():
         v = decide_unambiguous(q)
         ratio = ref_unambiguous_cycle_ratio(q.automaton, q.s, q.s_prime)
-        assert v.is_big_o == (ratio is None)
-        assert v.cycle_ratio == ratio
-        kinds[v.is_big_o] += 1
-    assert kinds[True] >= 200 and kinds[False] >= 200
+        assert v.verdict == ("is-big-o" if ratio is None else "not-big-o")
+        assert (None if v.witness is None else F(v.witness["cycleRatio"])) == ratio
+        kinds[v.verdict] += 1
+    assert kinds["is-big-o"] >= 200 and kinds["not-big-o"] >= 200
 
 
 def _counter_skeleton(rng, n, k):
@@ -296,11 +297,12 @@ def test_expansive_cycle_among_hundreds_of_live_pairs_is_found_fast():
     t0 = time.perf_counter()
     v = decide_unambiguous(q)
     elapsed = time.perf_counter() - t0
-    assert not v.is_big_o and v.witness_kind == "cycle"
+    assert v.verdict == "not-big-o" and v.witness["type"] == "cycle"
     assert elapsed < 0.5, elapsed
     w = {(p, a, r): x for p, a, x, r in wa.transitions()}
     ratio = F(1)
-    for ((p, p2), a, (r, r2)), (nxt, _, _) in zip(v.cycle, v.cycle[1:] + v.cycle[:1]):
+    cycle = v.witness["cycle"]
+    for ((p, p2), a, (r, r2)), (nxt, _, _) in zip(cycle, cycle[1:] + cycle[:1]):
         assert nxt == (r, r2)
         ratio *= w[p, a, r] / w[p2, a, r2]
-    assert ratio == v.cycle_ratio > 1
+    assert ratio == F(v.witness["cycleRatio"]) > 1

@@ -18,34 +18,34 @@ from ratiobound import (
 from ratiobound.samples import different_rates, unbounded_ratio
 
 from helpers import random_wa
-from oracles import ref_decide_unary_eventual, weight
+from oracles import checked_verdict, ref_decide_unary_eventual, weight
 
 
 def test_unbounded_ratio_verdicts():
     wa = unbounded_ratio()
-    assert not decide_unary(Query(wa, "s", "s'")).is_big_o
-    assert decide_unary(Query(wa, "s'", "s")).is_big_o
+    assert decide_unary(Query(wa, "s", "s'")).verdict == "not-big-o"
+    assert decide_unary(Query(wa, "s'", "s")).verdict == "is-big-o"
 
 
 def test_different_rates_verdicts_and_parity():
     wa = different_rates()
     v = decide_unary(Query(wa, "s", "s'"))
-    assert not v.is_big_o
-    assert v.smallest_witness % 2 == 1
-    assert v.progression_period % 2 == 0
-    assert decide_unary(Query(wa, "s'", "s")).is_big_o
+    assert v.verdict == "not-big-o"
+    assert v.witness["smallestLength"] % 2 == 1
+    assert v.witness["progressionPeriod"] % 2 == 0
+    assert decide_unary(Query(wa, "s'", "s")).verdict == "is-big-o"
 
 
 def test_self_query_is_big_o():
     wa = unbounded_ratio()
-    assert decide_unary(Query(wa, "s", "s")).is_big_o
+    assert decide_unary(Query(wa, "s", "s")).verdict == "is-big-o"
 
 
 def test_reflexivity_random():
     rng = random.Random(71)
     for _ in range(15):
         wa = random_wa(rng, nstates=rng.randint(2, 5), alphabet=("a",), density=0.4)
-        assert decide_unary(Query(wa, "q0", "q0")).is_big_o
+        assert decide_unary(Query(wa, "q0", "q0")).verdict == "is-big-o"
 
 
 def test_rejects_non_unary():
@@ -62,7 +62,8 @@ def test_lc_failure_reported():
         ["t"],
     )
     v = decide_unary(Query(wa, "p", "q"))
-    assert not v.is_big_o and v.witness_kind == "lc" and v.lc_counterexample == "a"
+    assert v.verdict == "not-big-o"
+    assert v.witness["type"] == "lc" and v.witness["lcCounterexample"] == "a"
 
 
 def test_notbigo_ratio_grows_along_progression():
@@ -71,8 +72,8 @@ def test_notbigo_ratio_grows_along_progression():
         (different_rates(), "s", "s'"),
     ]:
         v = decide_unary(Query(wa, s, sp))
-        assert not v.is_big_o
-        n0, p = v.smallest_witness, max(v.progression_period, 1)
+        assert v.verdict == "not-big-o"
+        n0, p = v.witness["smallestLength"], max(v.witness["progressionPeriod"], 1)
         pts = []
         n = n0
         while n <= 400 and len(pts) < 6:
@@ -103,8 +104,8 @@ def test_monotone_under_off_cycle_scaling():
     wa2 = WeightedAutomaton.from_transitions(wa.states, wa.alphabet, scaled, wa.finals)
     for src, dst in [("s", "s'"), ("s'", "s")]:
         assert (
-            decide_unary(Query(wa, src, dst)).is_big_o
-            == decide_unary(Query(wa2, src, dst)).is_big_o
+            decide_unary(Query(wa, src, dst)).verdict
+            == decide_unary(Query(wa2, src, dst)).verdict
         )
 
 
@@ -118,13 +119,13 @@ def test_eventual_finite_difference_example():
         ("m", "a", F(1, 2), "t"),
     ]
     wa = WeightedAutomaton.from_transitions(["s", "s'", "m", "t"], ["a"], trans, ["t"])
-    assert not decide_unary(Query(wa, "s", "s'")).is_big_o
-    assert decide_unary_eventual(Query(wa, "s", "s'")).is_big_o
+    assert decide_unary(Query(wa, "s", "s'")).verdict == "not-big-o"
+    assert decide_unary_eventual(Query(wa, "s", "s'")).verdict == "is-big-o"
 
 
 def test_eventual_unbounded_ratio_still_fails():
     wa = unbounded_ratio()
-    assert not decide_unary_eventual(Query(wa, "s", "s'")).is_big_o
+    assert decide_unary_eventual(Query(wa, "s", "s'")).verdict == "not-big-o"
 
 
 def test_eventual_agrees_when_lc_holds():
@@ -135,8 +136,8 @@ def test_eventual_agrees_when_lc_holds():
         q = Query(wa, "q0", "q1")
         if q.s == q.s_prime or not lc_check(q).holds:
             continue
-        plain = decide_unary(q).is_big_o
-        eventual = decide_unary_eventual(q).is_big_o
+        plain = decide_unary(q).verdict == "is-big-o"
+        eventual = decide_unary_eventual(q).verdict == "is-big-o"
         checked += 1
         if plain:
             assert eventual
@@ -156,8 +157,8 @@ def test_eventual_epsilon_only_difference():
     )
     # plain containment fails at the empty word only
     v = decide_unary(Query(wa, "s", "s'"))
-    assert not v.is_big_o and v.lc_counterexample == ""
-    assert decide_unary_eventual(Query(wa, "s", "s'")).is_big_o
+    assert v.verdict == "not-big-o" and v.witness["lcCounterexample"] == ""
+    assert decide_unary_eventual(Query(wa, "s", "s'")).verdict == "is-big-o"
 
 
 def _eventual_draws(seeds, per_seed):
@@ -177,15 +178,17 @@ def test_eventual_rule_matches_the_completion_route():
     accepts and s' rejects, and so is each term of its progression."""
     kinds = Counter()
     for q in _eventual_draws((61, 67, 71), 400):
-        got = decide_unary_eventual(q)
-        ref = ref_decide_unary_eventual(q)
-        assert (got.is_big_o, got.witness_kind) == (ref.is_big_o, ref.witness_kind)
-        kinds[got.witness_kind] += 1
-        if got.witness_kind == "difference":
+        got = checked_verdict(decide_unary_eventual(q))
+        ref = checked_verdict(ref_decide_unary_eventual(q))
+        kind = got.witness and got.witness["type"]
+        assert (got.verdict, kind) == (ref.verdict, ref.witness and ref.witness["type"])
+        kinds[kind] += 1
+        if kind == "difference":
             n1, n2 = nfa_of(q.automaton, q.s), nfa_of(q.automaton, q.s_prime)
-            assert ref.witness_length == got.witness_length + 1
-            lengths = [got.witness_length] + [
-                got.smallest_witness + t * got.progression_period for t in range(4)
+            w = got.witness
+            assert ref.witness["length"] == w["length"] + 1
+            lengths = [w["length"]] + [
+                w["smallestLength"] + t * w["progressionPeriod"] for t in range(4)
             ]
             for n in lengths:
                 assert n1.accepts("a" * n) and not n2.accepts("a" * n)
