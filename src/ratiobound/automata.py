@@ -22,7 +22,7 @@ class FormatError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A configurable enumeration cap was exceeded."""
+    """An enumeration cap was exceeded."""
 
 
 class Infinity:
@@ -234,8 +234,6 @@ class ValidationReport:
     ok: bool
     reason: Optional[str] = None
     state: Optional[str] = None
-    expected: Optional[Fraction] = None
-    actual: Optional[Fraction] = None
 
     def __bool__(self):
         return self.ok
@@ -445,25 +443,28 @@ def nfa_of(wa: WeightedAutomaton, s: str) -> Nfa:
     return Nfa(wa.states, wa.alphabet, trans, s, frozenset(wa.finals))
 
 
-def ratio_profile(q: Query, max_len: int, cap: int = 10**6) -> RatioProfile:
+# words `ratio_profile` enumerates before it gives up
+PROFILE_CAP = 10**6
+
+
+def ratio_profile(q: Query, max_len: int) -> RatioProfile:
     """Enumerate all words up to max_len and report the extreme weight ratio.
 
     Conventions: 0/0 = 0 and x/0 = infinity for x > 0.  Raises ResourceError
-    if the enumeration would exceed `cap` words; the count stops there.
+    if the enumeration would exceed `PROFILE_CAP` words; the count stops
+    there.
     """
     if max_len < 0:
         raise InputError("max_len must be non-negative")
-    if cap < 1:
-        raise InputError("cap must be at least 1")
     wa = q.automaton
     k = len(wa.alphabet)
     total = level = 1
     for _ in range(max_len if k else 0):
         level *= k
         total += level
-        if total > cap:
+        if total > PROFILE_CAP:
             raise ResourceError(
-                f"enumerating more than {cap} words; lower max_len or raise cap"
+                f"enumerating more than {PROFILE_CAP} words; lower max_len"
             )
     steps = [(a, *wa.sparse_rows[a]) for a in wa.alphabet]
     entries = []
@@ -505,13 +506,9 @@ def validate_lmc(wa: WeightedAutomaton) -> ValidationReport:
         )
         if q in wa.finals:
             if total != zero:
-                return ValidationReport(
-                    False, "final state has outgoing weight", q, zero, total
-                )
+                return ValidationReport(False, "final state has outgoing weight", q)
         elif total != one:
-            return ValidationReport(
-                False, "non-final row weights do not sum to 1", q, one, total
-            )
+            return ValidationReport(False, "non-final row weights do not sum to 1", q)
     return ValidationReport(True)
 
 
@@ -519,15 +516,11 @@ def validate_pa(wa: WeightedAutomaton, start: str) -> ValidationReport:
     """Check probabilistic-automaton shape: every M(a) row sums to 1."""
     if start not in wa.states:
         return ValidationReport(False, f"start state {start!r} undeclared", start)
-    one = Fraction(1)
     for a in wa.alphabet:
         d, rows = wa.sparse_rows[a]
         for i, q in enumerate(wa.states):
-            total = Fraction(sum(x for _, x in rows[i]), d)
-            if total != one:
-                return ValidationReport(
-                    False, f"row not stochastic for symbol {a!r}", q, one, total
-                )
+            if sum(x for _, x in rows[i]) != d:
+                return ValidationReport(False, f"row not stochastic for symbol {a!r}", q)
     return ValidationReport(True)
 
 

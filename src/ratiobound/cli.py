@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .automata import (
     INF,
@@ -50,12 +49,22 @@ def _load(path: str, warnings):
     return parse_automaton(text, warnings)
 
 
+def _write(text: str):
+    """Write `text` to stdout now.  A reader that closed the pipe wants no
+    more output, which is no error: the rest goes to the null device and
+    the command keeps its exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report: dict, human: bool):
     if human:
-        for key, val in report.items():
-            print(f"{key}: {val}")
+        _write("".join(f"{key}: {val}\n" for key, val in report.items()))
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -148,7 +157,7 @@ def cmd_oracle(args) -> int:
     warnings: list = []
     wa = _load(args.file, warnings)
     q = Query(wa, args.src, args.dst)
-    profile = ratio_profile(q, args.max_len, cap=args.cap)
+    profile = ratio_profile(q, args.max_len)
     report = {
         "maxRatio": "inf" if profile.max_ratio is INF else format_weight(profile.max_ratio),
         "attainedAt": profile.attained_at,
@@ -176,17 +185,13 @@ def cmd_reduce(args) -> int:
     wa = _load(args.file, warnings)
     kind = args.kind
     if kind == "big-theta":
-        out = to_big_theta(Query(wa, args.src, args.dst), letter=args.letter)
+        out = to_big_theta(Query(wa, args.src, args.dst))
         doc = serialize(out.automaton, {"query": {"s": out.s, "sPrime": out.s_prime}})
     elif kind == "from-big-theta":
-        out = from_big_theta(Query(wa, args.src, args.dst), letter=args.letter)
+        out = from_big_theta(Query(wa, args.src, args.dst))
         doc = serialize(out.automaton, {"query": {"s": out.s, "sPrime": out.s_prime}})
     elif kind == "eventual":
-        try:
-            delta = Fraction(args.delta) if args.delta else None
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"--delta {args.delta!r} is not a rational number") from None
-        out = complete_for_eventual(wa, args.src, args.dst, delta=delta)
+        out = complete_for_eventual(wa, args.src, args.dst)
         doc = serialize(
             out.automaton,
             {
@@ -213,7 +218,7 @@ def cmd_reduce(args) -> int:
                 "note": "value-1 holds iff s was NOT big-O of sPrime",
             },
         )
-    sys.stdout.write(doc)
+    _write(doc)
     return 0
 
 
@@ -262,7 +267,7 @@ def cmd_generate(args) -> int:
                 "universal": inst.universal,
             },
         )
-    sys.stdout.write(doc)
+    _write(doc)
     return 0
 
 
@@ -293,10 +298,14 @@ def cmd_export_formula(args) -> int:
     return 0
 
 
-def _common(p):
+def _query(p):
     p.add_argument("--file", required=True, help="automaton JSON document")
     p.add_argument("--from", dest="src", required=True, help="first state")
     p.add_argument("--to", dest="dst", required=True, help="second state")
+
+
+def _common(p):
+    _query(p)
     p.add_argument("--human", action="store_true", help="text output")
 
 
@@ -319,22 +328,18 @@ def _classify_arguments(p):
 def _oracle_arguments(p):
     _common(p)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--entries", action="store_true", help="include per-word weights")
 
 
 def _reduce_arguments(p):
     p.add_argument("kind", choices=["big-theta", "from-big-theta", "eventual", "value1", "from-value1"])
-    _common(p)
-    p.add_argument("--letter", default=None, help="designated symbol")
-    p.add_argument("--delta", default=None, help="completion weight (rational)")
+    _query(p)
 
 
 def _generate_arguments(p):
     p.add_argument("kind", choices=["undecidable", "hardness"])
     p.add_argument("--file", required=True, help="PA document or Chrobak JSON")
     p.add_argument("--start", default=None, help="PA start state (undecidable)")
-    p.add_argument("--human", action="store_true")
 
 
 def _export_formula_arguments(p):

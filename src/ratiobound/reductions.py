@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .automata import (
     InputError,
@@ -27,22 +26,20 @@ from .nfaops import ChrobakNf
 HARDNESS_HORIZON_CAP = 100_000
 
 
-def _designated(wa: WeightedAutomaton, letter: Optional[str]) -> str:
-    """`letter`, by default the alphabet's first; InputError if not a letter."""
+def _designated(wa: WeightedAutomaton) -> str:
+    """The alphabet's first letter, which the gadgets read; any letter would
+    do."""
     if not wa.alphabet:
         raise InputError("the alphabet is empty: no symbol to designate")
-    a = letter if letter is not None else wa.alphabet[0]
-    if a not in wa.alphabet:
-        raise InputError(f"designated symbol {a!r} not in the alphabet")
-    return a
+    return wa.alphabet[0]
 
 
-def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
+def to_big_theta(q: Query) -> Query:
     """Two-direction question from a one-direction one: new states q0, q0'
     split weight 1/2 over s and s' (resp. route all of it to s'), so q0 is
     big-Theta of q0' exactly when s is big-O of s'."""
     wa = q.automaton
-    a = _designated(wa, letter)
+    a = _designated(wa)
     taken = set(wa.states)
     q0 = fresh_state(taken, "q")
     q1 = fresh_state(taken, "q'")
@@ -62,7 +59,7 @@ def to_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     )
 
 
-def from_big_theta(q: Query, letter: Optional[str] = None) -> Query:
+def from_big_theta(q: Query) -> Query:
     """One-direction question from a two-direction one.
 
     Every transition is split in two by a fresh midpoint state, doubling
@@ -71,7 +68,7 @@ def from_big_theta(q: Query, letter: Optional[str] = None) -> Query:
     directions land on words of different parity.
     """
     wa = q.automaton
-    a = _designated(wa, letter)
+    a = _designated(wa)
     taken = set(wa.states)
     states = list(wa.states)
     trans = []
@@ -109,33 +106,21 @@ class CompletedQuery:
     delta: Fraction
 
 
-def complete_for_eventual(
-    wa: WeightedAutomaton,
-    s: str,
-    s_prime: str,
-    delta: Optional[Fraction] = None,
-) -> CompletedQuery:
+def complete_for_eventual(wa: WeightedAutomaton, s: str, s_prime: str) -> CompletedQuery:
     """Add a low-weight escape branch so every nonempty word gets weight
     delta^|w| extra from s'.
 
-    Requires 0 < delta < 1 and delta below every positive weight; defaults
-    to half the minimum positive weight.  s' is copied fresh if it has
-    incoming transitions, and the automaton is normalized to a single final
-    state first.
+    delta is half the least positive weight (and at most 1/2), so
+    0 < delta < 1 and delta lies below every positive weight.  s' is copied
+    fresh if it has incoming transitions, and the automaton is normalized to
+    a single final state first.
     """
     if s == s_prime:
         raise InputError("completion needs distinct query states")
     Query(wa, s, s_prime)  # both must name states before normalising adds one
     wa = normalize_single_final(wa)
     weights = [w for (_, _, w, _) in wa.transitions() if w > 0]
-    min_w = min(min(weights), Fraction(1)) if weights else Fraction(1)
-    if delta is None:
-        delta = min_w / 2
-    delta = Fraction(delta)
-    if not (0 < delta < 1) or delta >= min_w:
-        raise InputError(
-            f"delta must satisfy 0 < delta < 1 and delta < min positive weight {min_w}"
-        )
+    delta = min(weights + [Fraction(1)]) / 2
     (t,) = wa.finals
     pi = wa.index(s_prime)
     has_incoming = any(

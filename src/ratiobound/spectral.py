@@ -24,7 +24,6 @@ from .automata import (
 
 @dataclass(frozen=True)
 class SccInfo:
-    members: frozenset  # state indices
     radius: AlgebraicNumber
     period: int  # 0 iff the SCC's matrix is all-zero
 
@@ -33,7 +32,6 @@ class SccInfo:
 class SccDag:
     sccs: tuple  # of SccInfo, in reverse topological discovery order
     scc_of: tuple  # state index -> scc index
-    edges: frozenset  # of (scc index, scc index), positive cross transitions
 
 
 def _scc_period(members: list[int], succ) -> int:
@@ -59,7 +57,6 @@ def scc_decompose(letter) -> SccDag:
     period per component.  A component with no internal edge has radius 0;
     any other gets the radius of its renumbered sub-rows."""
     d, rows = letter
-    n = len(rows)
     succ = [[j for j, _ in row] for row in rows]
     comps, scc_of = strong_components(succ)
     infos = []
@@ -67,18 +64,12 @@ def scc_decompose(letter) -> SccDag:
     for comp in comps:
         period = _scc_period(comp, succ)
         if not period:
-            infos.append(SccInfo(frozenset(comp), radius0, 0))
+            infos.append(SccInfo(radius0, 0))
             continue
         pos = {v: k for k, v in enumerate(comp)}
         sub = tuple(tuple((pos[j], x) for j, x in rows[u] if j in pos) for u in comp)
-        infos.append(SccInfo(frozenset(comp), spectral_radius((d, sub)), period))
-    edges = frozenset(
-        (scc_of[u], scc_of[v])
-        for u in range(n)
-        for v in succ[u]
-        if scc_of[u] != scc_of[v]
-    )
-    return SccDag(tuple(infos), tuple(scc_of), edges)
+        infos.append(SccInfo(spectral_radius((d, sub)), period))
+    return SccDag(tuple(infos), tuple(scc_of))
 
 
 def rank_radii(radii) -> tuple[tuple, tuple]:
@@ -231,17 +222,20 @@ def scc_debug_dump(wa: WeightedAutomaton, s: Optional[str] = None) -> dict:
     admissible-pair table."""
     if not wa.is_unary():
         raise InputError("unary SCC analysis requires a single-letter alphabet")
-    dag = scc_decompose(wa.sparse_rows[wa.alphabet[0]])
+    letter = wa.sparse_rows[wa.alphabet[0]]
+    dag = scc_decompose(letter)
+    of = dag.scc_of
+    edges = {(of[i], of[j]) for i, row in enumerate(letter[1]) for j, _ in row if of[i] != of[j]}
     out = {
         "sccs": [
             {
-                "members": sorted(wa.states[i] for i in info.members),
+                "members": sorted(q for q, k in zip(wa.states, of) if k == c),
                 "radius": radius_json(info.radius),
                 "period": info.period,
             }
-            for info in dag.sccs
+            for c, info in enumerate(dag.sccs)
         ],
-        "edges": sorted([a, b] for (a, b) in dag.edges),
+        "edges": sorted(map(list, edges)),
     }
     if s is not None:
         nwa = normalize_single_final(wa)

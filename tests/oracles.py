@@ -151,7 +151,9 @@ def spectral_radius_of_matrix(m: Matrix) -> AlgebraicNumber:
 def dense_scc_decompose(m: Matrix):
     """Reference SCC/DAG analysis read from a dense matrix: Tarjan over the
     positive cells in column order, radii of the members' sub-matrices, and
-    periods by BFS levels over the internal positive cells."""
+    periods by BFS levels over the internal positive cells.  Returns the
+    `SccDag`, each component's member indices, and the component pairs that
+    a positive cross cell joins."""
     n = len(m)
     comps, _ = strong_components([[v for v in range(n) if m[u][v] > 0] for u in range(n)])
     scc_of = [0] * n
@@ -175,14 +177,14 @@ def dense_scc_decompose(m: Matrix):
             for u, v in internal:
                 period = gcd(period, level[u] + 1 - level[v])
         sub = tuple(tuple(m[u][v] for v in comp) for u in comp)
-        infos.append(SccInfo(frozenset(comp), spectral_radius_of_matrix(sub), period))
+        infos.append(SccInfo(spectral_radius_of_matrix(sub), period))
     edges = frozenset(
         (scc_of[u], scc_of[v])
         for u in range(n)
         for v in range(n)
         if m[u][v] > 0 and scc_of[u] != scc_of[v]
     )
-    return SccDag(tuple(infos), tuple(scc_of), edges)
+    return SccDag(tuple(infos), tuple(scc_of)), tuple(map(frozenset, comps)), edges
 
 
 # ---------------------------------------------------------------------------

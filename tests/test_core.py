@@ -16,6 +16,7 @@ from ratiobound import (
     validate_pa,
     weight_blocks,
 )
+from ratiobound import automata
 from ratiobound.automata import explore, path_to
 from ratiobound.samples import relative_orderings, unbounded_ratio
 
@@ -332,10 +333,10 @@ def test_ratio_profile_infinity_flag():
     assert prof.max_ratio is INF
 
 
-def test_ratio_profile_resource_guard():
+def test_ratio_profile_resource_guard(monkeypatch):
     wa = random_wa(random.Random(1), nstates=3, alphabet=("a", "b", "c"))
     with pytest.raises(ResourceError):
-        ratio_profile(Query(wa, "q0", "q1"), 20, cap=1000)
+        ratio_profile(Query(wa, "q0", "q1"), 20)
     # the count stops at the cap: no 4,300-digit number is built or printed
     two = random_wa(random.Random(1), nstates=3, alphabet=("a", "b"))
     for max_len in (14000, 14400, 10**6):
@@ -345,18 +346,17 @@ def test_ratio_profile_resource_guard():
     with pytest.raises(ResourceError):
         ratio_profile(Query(unary, "q0", "q1"), 10**9)
     # 2^0 + ... + 2^3 = 15 words fit a cap of 15, not one of 14
-    assert ratio_profile(Query(two, "q0", "q1"), 3, cap=15).max_ratio is not None
-    with pytest.raises(ResourceError):
-        ratio_profile(Query(two, "q0", "q1"), 3, cap=14)
-    for cap in (0, -3):
-        with pytest.raises(InputError):
-            ratio_profile(Query(two, "q0", "q1"), 3, cap=cap)
+    monkeypatch.setattr(automata, "PROFILE_CAP", 15)
+    assert ratio_profile(Query(two, "q0", "q1"), 3).max_ratio is not None
+    monkeypatch.setattr(automata, "PROFILE_CAP", 14)
+    with pytest.raises(ResourceError, match=r"^enumerating more than 14 words; lower max_len$"):
+        ratio_profile(Query(two, "q0", "q1"), 3)
 
 
 def test_validate_lmc_reports():
     zero = WeightedAutomaton.from_transitions(["p", "t"], ["a"], [], ["t"])
     rep = validate_lmc(zero)
-    assert not rep and rep.state == "p" and rep.actual == 0
+    assert not rep and rep.state == "p" and rep.reason == "non-final row weights do not sum to 1"
     bad_final = WeightedAutomaton.from_transitions(
         ["p", "t"],
         ["a"],

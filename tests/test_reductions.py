@@ -111,20 +111,12 @@ def test_complete_for_eventual_default_delta_below_weights():
     wa = unbounded_ratio()
     out = complete_for_eventual(wa, "s", "s'")
     weights = [w for (_, _, w, _) in wa.transitions()]
-    assert 0 < out.delta < min(weights)
+    assert out.delta == min(weights) / 2
     # positive original weights stay above the added mass
     for w in words_upto(("a",), 5):
         base = weight(wa, "s'", w)
         if w and base > 0:
             assert base > out.delta ** len(w)
-
-
-def test_complete_for_eventual_rejects_bad_delta():
-    wa = unbounded_ratio()
-    with pytest.raises(InputError):
-        complete_for_eventual(wa, "s", "s'", delta=F(3, 4))
-    with pytest.raises(InputError):
-        complete_for_eventual(wa, "s", "s'", delta=F(2))
 
 
 def test_eventual_equivalence_property():

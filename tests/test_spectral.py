@@ -93,13 +93,16 @@ def test_scc_decompose_matches_dense_reference():
         seen["self-loop"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
         seen["zero letter"] += not any(rows)
         got = scc_decompose((d, rows))
-        want = dense_scc_decompose(dense_matrix(wa, "a"))
+        want, members, edges = dense_scc_decompose(dense_matrix(wa, "a"))
         assert got.scc_of == want.scc_of
-        assert got.edges == want.edges
-        seen["cross edge"] += bool(got.edges)
+        dump = scc_debug_dump(wa)
+        assert [c["members"] for c in dump["sccs"]] == [
+            sorted(wa.states[i] for i in comp) for comp in members
+        ]
+        assert dump["edges"] == sorted(map(list, edges))
+        seen["cross edge"] += bool(edges)
         assert len(got.sccs) == len(want.sccs)
         for g, w in zip(got.sccs, want.sccs):
-            assert g.members == w.members
             assert g.period == w.period
             assert g.radius == w.radius
             assert compare(g.radius, w.radius) == 0
@@ -109,8 +112,7 @@ def test_scc_decompose_matches_dense_reference():
 def test_radius_of_dag_components():
     wa = unbounded_ratio()
     dag = scc_decompose(wa.sparse_rows["a"])
-    by_member = {frozenset(info.members): info for info in dag.sccs}
-    radii = {min(info.members): info.radius for info in dag.sccs}
+    radii = {i: dag.sccs[c].radius for i, c in enumerate(dag.scc_of)}
     # states listed in declaration order: s=0, s'=1, t=2
     assert radii[0].compare_rational(F(3, 4)) == 0
     assert radii[1].compare_rational(F(1, 2)) == 0
